@@ -56,6 +56,10 @@ const TYPOSQUAT_REFERENCES: usize = 64;
 /// "not similar to any popular domain").
 const TYPOSQUAT_CAP: usize = 10;
 
+/// What a non-ASCII reference char becomes in [`reference_bytes`]: a byte
+/// outside the 128-entry match-mask table, so it matches no pattern byte.
+const NON_ASCII: u8 = 0x80;
+
 /// A verdict together with the cascade stage that produced it — the
 /// provenance-carrying verdict API.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +203,9 @@ pub enum CascadeDecision {
 pub struct UrlFeaturizer {
     ranker: DomainRanker,
     /// Main-level domains of the best-ranked RDNs, in deterministic
-    /// `(rank, name)` order — the typosquat references.
-    top_mlds: Vec<String>,
+    /// `(rank, name)` order — the typosquat references, as
+    /// [`reference_bytes`].
+    top_mlds: Vec<Vec<u8>>,
 }
 
 impl UrlFeaturizer {
@@ -210,8 +215,10 @@ impl UrlFeaturizer {
             .top_rdns(TYPOSQUAT_REFERENCES)
             .into_iter()
             .map(|(_rank, rdn)| {
-                rdn.split_once('.')
-                    .map_or_else(|| rdn.clone(), |(mld, _suffix)| mld.to_owned())
+                let mld = rdn
+                    .split_once('.')
+                    .map_or(rdn.as_str(), |(mld, _suffix)| mld);
+                reference_bytes(mld)
             })
             .collect();
         UrlFeaturizer { ranker, top_mlds }
@@ -272,12 +279,15 @@ impl UrlFeaturizer {
     /// `1`–`2` on an unranked RDN is the typosquat signature; the cap
     /// means "unrelated".
     fn typosquat_distance(&self, url: &Url) -> usize {
-        let Some(mld) = url.mld() else {
+        // `Url::parse` yields MLDs of 1..=63 bytes of `[a-z0-9_-]`, which
+        // always fit; one that does not (only a deserialized `Url` can
+        // carry it) counts as unrelated.
+        let Some(masks) = url.mld().and_then(MatchMasks::new) else {
             return TYPOSQUAT_CAP;
         };
         let mut best = TYPOSQUAT_CAP;
         for reference in &self.top_mlds {
-            let d = levenshtein_capped(mld, reference, best);
+            let d = masks.capped_distance(reference, best);
             if d < best {
                 best = d;
                 if best == 0 {
@@ -289,37 +299,79 @@ impl UrlFeaturizer {
     }
 }
 
-/// Capped Levenshtein distance, written index-free so the panic-free
-/// (P02) guarantee of the serving path holds structurally.
-fn levenshtein_capped(a: &str, b: &str, cap: usize) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.len().abs_diff(b.len()) >= cap {
-        return cap;
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut row = Vec::with_capacity(b.len() + 1);
-        row.push(i + 1);
-        let mut row_min = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let diag = prev.get(j).copied().unwrap_or(usize::MAX);
-            let up = prev.get(j + 1).copied().unwrap_or(usize::MAX);
-            let left = row.last().copied().unwrap_or(usize::MAX);
-            let cost = usize::from(ca != cb);
-            let v = diag
-                .saturating_add(cost)
-                .min(up.saturating_add(1))
-                .min(left.saturating_add(1));
-            row_min = row_min.min(v);
-            row.push(v);
+/// A typosquat reference as the text side of [`MatchMasks::capped_distance`]:
+/// one byte per char, every non-ASCII char mapped to [`NON_ASCII`].
+fn reference_bytes(mld: &str) -> Vec<u8> {
+    mld.chars()
+        .map(|c| if c.is_ascii() { c as u8 } else { NON_ASCII })
+        .collect()
+}
+
+/// The pattern side of the bit-parallel edit distance of Myers (1999), in
+/// Hyyrö's formulation for whole-string Levenshtein distance: one `u64`
+/// holds a column of the DP matrix as vertical +1/-1 delta bits, so each
+/// text char costs a handful of word operations instead of a row of cells.
+struct MatchMasks {
+    /// Bit `i` of `peq[c]` is set when pattern byte `i` is `c`.
+    peq: [u64; 128],
+    /// The bit of the pattern's last byte.
+    last: u64,
+    /// Pattern length in bytes, which are its chars.
+    len: usize,
+}
+
+impl MatchMasks {
+    /// Masks for a pattern of 1..=64 ASCII bytes; `None` for any other.
+    fn new(pattern: &str) -> Option<Self> {
+        if pattern.is_empty() || pattern.len() > 64 || !pattern.is_ascii() {
+            return None;
         }
-        if row_min >= cap {
+        let mut peq = [0u64; 128];
+        let mut bit = 1u64;
+        let mut last = 0;
+        for b in pattern.bytes() {
+            if let Some(mask) = peq.get_mut(usize::from(b)) {
+                *mask |= bit;
+            }
+            last = bit;
+            bit <<= 1;
+        }
+        Some(MatchMasks {
+            peq,
+            last,
+            len: pattern.len(),
+        })
+    }
+
+    /// `min(levenshtein(pattern, text), cap)`, where `text` holds one byte
+    /// per char (see [`reference_bytes`]).
+    fn capped_distance(&self, text: &[u8], cap: usize) -> usize {
+        if self.len.abs_diff(text.len()) >= cap {
             return cap;
         }
-        prev = row;
+        // Vertical deltas of the current column, all +1 at column 0; bits
+        // above the pattern never carry into the ones below.
+        let (mut pv, mut mv) = (!0u64, 0u64);
+        let mut score = self.len;
+        for &c in text {
+            let eq = self.peq.get(usize::from(c)).copied().unwrap_or(0);
+            let xv = eq | mv;
+            let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+            let ph = mv | !(xh | pv);
+            let mh = pv & xh;
+            if ph & self.last != 0 {
+                score += 1;
+            } else if mh & self.last != 0 {
+                score -= 1;
+            }
+            // Row 0 of the matrix grows by one per text char.
+            let ph = (ph << 1) | 1;
+            let mh = mh << 1;
+            pv = mh | !(xv | ph);
+            mv = ph & xv;
+        }
+        score.min(cap)
     }
-    prev.last().copied().unwrap_or(0).min(cap)
 }
 
 /// Stage one of the cascade: URL featurizer + small GBM + band.
@@ -452,6 +504,7 @@ pub fn train_url_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ranker() -> DomainRanker {
         DomainRanker::from_ranked(["bigbank.com", "shopmart.co.uk", "news.fr"])
@@ -504,12 +557,105 @@ mod tests {
         assert_eq!(dist("http://10.0.0.1/"), TYPOSQUAT_CAP, "no mld at all");
     }
 
+    /// Capped Levenshtein distance over chars: the row-by-row DP the
+    /// featurizer used before the bit-parallel kernel, kept as its
+    /// reference.
+    fn levenshtein_capped(a: &str, b: &str, cap: usize) -> usize {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.len().abs_diff(b.len()) >= cap {
+            return cap;
+        }
+        let mut prev: Vec<usize> = (0..=b.len()).collect();
+        for (i, &ca) in a.iter().enumerate() {
+            let mut row = Vec::with_capacity(b.len() + 1);
+            row.push(i + 1);
+            let mut row_min = i + 1;
+            for (j, &cb) in b.iter().enumerate() {
+                let diag = prev.get(j).copied().unwrap_or(usize::MAX);
+                let up = prev.get(j + 1).copied().unwrap_or(usize::MAX);
+                let left = row.last().copied().unwrap_or(usize::MAX);
+                let cost = usize::from(ca != cb);
+                let v = diag
+                    .saturating_add(cost)
+                    .min(up.saturating_add(1))
+                    .min(left.saturating_add(1));
+                row_min = row_min.min(v);
+                row.push(v);
+            }
+            if row_min >= cap {
+                return cap;
+            }
+            prev = row;
+        }
+        prev.last().copied().unwrap_or(0).min(cap)
+    }
+
+    fn kernel(pattern: &str, text: &str, cap: usize) -> usize {
+        MatchMasks::new(pattern)
+            .unwrap()
+            .capped_distance(&reference_bytes(text), cap)
+    }
+
     #[test]
-    fn levenshtein_basics() {
-        assert_eq!(levenshtein_capped("kitten", "sitting", 10), 3);
-        assert_eq!(levenshtein_capped("", "abc", 10), 3);
-        assert_eq!(levenshtein_capped("same", "same", 10), 0);
-        assert_eq!(levenshtein_capped("short", "muchlongerstring", 4), 4);
+    fn kernel_basics() {
+        assert_eq!(kernel("kitten", "sitting", 10), 3);
+        assert_eq!(kernel("abc", "", 10), 3);
+        assert_eq!(kernel("same", "same", 10), 0);
+        assert_eq!(kernel("short", "muchlongerstring", 4), 4);
+        assert_eq!(
+            kernel("paypal", "paypäl", 10),
+            1,
+            "non-ASCII matches nothing"
+        );
+        assert_eq!(kernel("abc", "abcé", 10), 1, "one char, not two bytes");
+        assert!(MatchMasks::new("").is_none());
+        assert!(MatchMasks::new(&"a".repeat(65)).is_none());
+        assert!(MatchMasks::new("bänk").is_none());
+    }
+
+    /// A pattern of `[a-z0-9_-]` and a text drawn near it by up to 14
+    /// random edits (some inserting non-ASCII chars), or unrelated.
+    fn pattern_and_text() -> impl Strategy<Value = (String, String)> {
+        let edited = (
+            prop_oneof!["[ab_]{1,63}", "[a-z0-9_-]{1,63}"],
+            collection::vec((0usize..3, any::<usize>(), "[ab_xé漢]"), 0..15),
+        )
+            .prop_map(|(pattern, edits): (String, Vec<(usize, usize, String)>)| {
+                let mut text: Vec<char> = pattern.chars().collect();
+                for (op, at, c) in edits {
+                    let c = c.chars().next().unwrap();
+                    let at = at % (text.len() + 1);
+                    match op {
+                        0 => text.insert(at, c),
+                        1 if at < text.len() => {
+                            text.remove(at);
+                        }
+                        _ if at < text.len() => text[at] = c,
+                        _ => {}
+                    }
+                }
+                (pattern, text.into_iter().collect())
+            });
+        let unrelated = ("[a-z0-9_-]{1,63}", prop_oneof!["[ab_é]{0,90}", ".{0,90}"]);
+        prop_oneof![edited, unrelated]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn kernel_matches_textbook_dp(pair in pattern_and_text(), cap in 1usize..=12) {
+            let (pattern, text) = pair;
+            prop_assert_eq!(
+                kernel(&pattern, &text, cap),
+                levenshtein_capped(&pattern, &text, cap),
+                "{:?} vs {:?} capped at {}",
+                pattern,
+                text,
+                cap
+            );
+        }
     }
 
     #[test]

@@ -50,6 +50,12 @@ const FLOAT_TYPES: &[&str] = &["f32", "f64"];
 /// Owned-buffer type names (H01 `.clone()` evidence).
 const OWNED_TYPES: &[&str] = &["String", "Vec", "PathBuf"];
 
+/// Owned containers a `.collect()` builds (H01 evidence when the turbofish
+/// or the `let` type names one).
+const COLLECTED_TYPES: &[&str] = &[
+    "Vec", "String", "HashMap", "BTreeMap", "HashSet", "BTreeSet",
+];
+
 /// Keywords that can precede `(` without being calls.
 const KEYWORDS: &[&str] = &[
     "if", "else", "match", "while", "for", "loop", "return", "break", "continue", "let", "fn",
@@ -1092,6 +1098,10 @@ fn alloc_sites(ctx: &FileCtx, (open, close): (usize, usize), node: &Node) -> Vec
                 {
                     Some(format!(".clone() of owned buffer `{}`", toks[i - 2].text))
                 }
+                "collect" if i > 0 && toks[i - 1].kind == TokKind::Punct('.') => {
+                    collect_target(toks, open, i)
+                        .map(|ty| format!(".collect() into {ty} allocates"))
+                }
                 _ => None,
             };
             if let Some(w) = what {
@@ -1105,6 +1115,53 @@ fn alloc_sites(ctx: &FileCtx, (open, close): (usize, usize), node: &Node) -> Vec
         i += 1;
     }
     out
+}
+
+/// The owned container a `.collect()` at token `i` builds, when its
+/// turbofish (`.collect::<Vec<_>>()`) or the type of the `let` it
+/// initializes (`let v: Vec<_> = ….collect();`) names one.
+fn collect_target(toks: &[Tok], open: usize, i: usize) -> Option<&str> {
+    fn named(ty: &[Tok]) -> Option<&str> {
+        ty.iter()
+            .find(|t| t.kind == TokKind::Ident && COLLECTED_TYPES.contains(&t.text.as_str()))
+            .map(|t| t.text.as_str())
+    }
+    if toks.get(i + 1).map(|t| t.kind) == Some(TokKind::Punct(':')) {
+        let lt = i + 3;
+        if toks.get(lt).map(|t| t.kind) != Some(TokKind::Punct('<')) {
+            return None;
+        }
+        let gt = match_delim_fwd(toks, lt, toks.len(), '<', '>');
+        return named(&toks[lt..gt]);
+    }
+    // Walk back to the start of the statement; only a `let` there can
+    // carry the type.
+    let mut depth = 0i32;
+    let mut k = i;
+    while k > open + 1 {
+        k -= 1;
+        match toks[k].kind {
+            TokKind::Punct(')' | ']' | '}') => depth += 1,
+            TokKind::Punct('(' | '[' | '{') => {
+                if depth == 0 {
+                    return None;
+                }
+                depth -= 1;
+            }
+            TokKind::Punct(';') if depth == 0 => return None,
+            TokKind::Ident if depth == 0 && toks[k].text == "let" => {
+                let eq = (k..i).find(|&j| toks[j].kind == TokKind::Punct('='))?;
+                let colon = (k..eq).find(|&j| {
+                    toks[j].kind == TokKind::Punct(':')
+                        && toks[j - 1].kind != TokKind::Punct(':')
+                        && toks[j + 1].kind != TokKind::Punct(':')
+                })?;
+                return named(&toks[colon..eq]);
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// D06 order-sensitive accumulation sites in one fn body.

@@ -27,7 +27,9 @@ pub const ENTRY_POINTS: &[(&str, &str, &str)] = &[
     ("store", "FrameReader", "*"),
 ];
 
-/// H01 budget list: the PR 7 kernels plus the store framing decoder.
+/// H01 budget list: the flat-model, term-distribution and URL-accessor
+/// kernels, the public-suffix lookup every URL parse runs, the URL
+/// stage's typosquat kernel, and the store framing decoder.
 /// Allocating calls here, or in callees to depth 2, are flagged.
 pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("ml", "FlatModel", "predict_proba"),
@@ -42,6 +44,8 @@ pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("url", "Url", "free_dot_count"),
     ("url", "Url", "mld_len"),
     ("url", "Url", "fqdn_len"),
+    ("url", "", "suffix_label_count"),
+    ("core", "UrlFeaturizer", "typosquat_distance"),
     ("store", "FrameReader", "next_block"),
 ];
 

@@ -150,9 +150,9 @@ pub const RULES: &[Rule] = &[
         severity: Severity::Error,
         scope: Scope::All,
         summary: "no allocating call (format!/vec!/to_string/to_owned/to_vec/\
-                  String::/Vec::/Box:: constructors, clone of owned buffers) in a \
-                  registered hot function or its callees to depth 2, outside setup and \
-                  cold error paths",
+                  String::/Vec::/Box:: constructors, clone of owned buffers, collect into \
+                  a named owned container) in a registered hot function or its callees to \
+                  depth 2, outside setup and cold error paths",
     },
     Rule {
         id: "D06",

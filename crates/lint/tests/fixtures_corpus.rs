@@ -93,6 +93,27 @@ fn each_graph_rule_has_a_failing_and_a_passing_fixture() {
     }
 }
 
+/// H01 sees allocation through `.collect()` when the `let` type or the
+/// turbofish names an owned container, and only then.
+#[test]
+fn h01_flags_collect_into_owned_containers() {
+    let bad = graph_fixture("ml", "h01_collect_fail.rs");
+    let messages: Vec<&str> = bad.violations.iter().map(|v| v.message.as_str()).collect();
+    assert_eq!(outcome_rules(&bad), BTreeSet::from(["H01"]), "{messages:?}");
+    assert_eq!(messages.len(), 2, "{messages:?}");
+    assert!(messages[0].contains(".collect() into Vec"), "{messages:?}");
+    assert!(
+        messages[1].contains(".collect() into String"),
+        "{messages:?}"
+    );
+    let good = graph_fixture("ml", "h01_collect_pass.rs");
+    assert!(
+        good.violations.is_empty(),
+        "passing fixture raised {:?}",
+        good.violations
+    );
+}
+
 /// Every P02 finding must say *how* the panic site is reached: a
 /// non-empty call path rooted at a registered entry point.
 #[test]

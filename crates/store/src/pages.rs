@@ -218,15 +218,20 @@ impl<'a> Cur<'a> {
             .ok_or_else(|| format!("{what} is empty"))
     }
 
-    fn string(&mut self, what: &str) -> Result<String, String> {
+    /// A length-prefixed string, borrowed from the block payload.
+    fn utf8(&mut self, what: &str) -> Result<&'a str, String> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("{what} is not utf-8: {e}"))
+        std::str::from_utf8(bytes).map_err(|e| format!("{what} is not utf-8: {e}"))
+    }
+
+    fn string(&mut self, what: &str) -> Result<String, String> {
+        self.utf8(what).map(str::to_owned)
     }
 
     fn url(&mut self, what: &str) -> Result<Url, String> {
-        let s = self.string(what)?;
-        Url::parse(&s).map_err(|e| format!("{what} {s:?} does not parse: {e:?}"))
+        let s = self.utf8(what)?;
+        Url::parse(s).map_err(|e| format!("{what} {s:?} does not parse: {e:?}"))
     }
 
     fn done(&self, what: &str) -> Result<(), String> {
@@ -489,5 +494,22 @@ mod tests {
         let frame = FrameReader::new(&forged[..]).unwrap();
         let mut r = PageStoreReader::from_frame(frame).unwrap();
         assert!(matches!(r.next_block(), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn non_utf8_url_surfaces_as_typed_error() {
+        let mut forged = Vec::new();
+        let mut fw = FrameWriter::new(&mut forged, &header()).unwrap();
+        fw.write_block(1, &[2, 0, 0, 0, b'h', 0xFF]).unwrap();
+        fw.finish().unwrap();
+        let frame = FrameReader::new(&forged[..]).unwrap();
+        let mut r = PageStoreReader::from_frame(frame).unwrap();
+        match r.next_block() {
+            Err(StoreError::Corrupt { detail, .. }) => assert_eq!(
+                detail,
+                "starting_url is not utf-8: invalid utf-8 sequence of 1 bytes from index 1"
+            ),
+            other => panic!("expected a corrupt-block error, got {other:?}"),
+        }
     }
 }

@@ -12,36 +12,53 @@
 //! the one with the most labels wins; exception rules (prefixed `!`) beat
 //! wildcard rules; if nothing matches, the implicit rule `*` applies (the
 //! last label is the suffix).
+//!
+//! # Lookup
+//!
+//! Every [`crate::Url::parse`] runs [`suffix_label_count`], so it does not
+//! allocate. [`EXACT`] is sorted by bytes in source; for each tail of one
+//! up to the most labels any exact rule has, the lookup binary-searches it,
+//! comparing the rule's bytes with the tail's labels joined by `.` without
+//! building the joined string. The few [`WILDCARD`] and [`EXCEPTIONS`]
+//! rules are scanned label by label. There is no lazily built index and no
+//! sorting at run time.
 
-/// Exact public suffix rules (most common global and country suffixes).
-const EXACT: &[&str] = &[
-    // Generic TLDs.
-    "com", "net", "org", "edu", "gov", "mil", "int", "info", "biz", "name", "pro", "xyz", "top",
-    "online", "site", "club", "shop", "app", "dev", "page", "blog", "cloud", "store", "tech",
-    "space", "website", "live", "world", "today", "news", "agency", "email", "group", "life",
-    "plus", "zone", "art", "io", "co", "me", "tv", "cc", "ws", "tk", "ml", "ga", "cf", "gq", "pw",
-    "link", "click", "work", // Country TLDs.
-    "fi", "fr", "de", "it", "pt", "es", "us", "ca", "au", "nz", "jp", "cn", "ru", "br", "in", "nl",
-    "se", "no", "dk", "pl", "ch", "at", "be", "ie", "gr", "cz", "hu", "ro", "sk", "bg", "hr", "si",
-    "lt", "lv", "ee", "lu", "is", "mt", "cy", "tr", "ua", "mx", "ar", "cl", "pe", "uy", "py", "bo",
-    "ec", "za", "ng", "ke", "eg", "ma", "il", "sa", "ae", "qa", "kw", "th", "vn", "id", "my", "sg",
-    "ph", "kr", "tw", "hk", "mo", "uk", // Multi-label suffixes.
-    "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk", "net.uk", "ltd.uk", "plc.uk", "com.au",
-    "net.au", "org.au", "edu.au", "gov.au", "id.au", "co.nz", "net.nz", "org.nz", "ac.nz",
-    "govt.nz", "co.jp", "ne.jp", "or.jp", "ac.jp", "go.jp", "com.br", "net.br", "org.br", "gov.br",
-    "edu.br", "com.cn", "net.cn", "org.cn", "gov.cn", "edu.cn", "co.in", "net.in", "org.in",
-    "firm.in", "gen.in", "ind.in", "com.mx", "org.mx", "net.mx", "gob.mx", "edu.mx", "co.za",
-    "org.za", "net.za", "web.za", "gov.za", "ac.za", "com.ar", "com.tr", "com.tw", "com.hk",
-    "com.sg", "com.my", "com.ph", "com.vn", "com.eg", "com.sa", "com.ua", "com.pl", "co.kr",
-    "or.kr", "go.kr", "ac.kr", "co.id", "or.id", "web.id", "ac.id", "net.pl", "org.pl", "edu.pl",
-    "co.il", "org.il", "net.il", "ac.il", "gov.il", "co.th", "in.th", "ac.th", "go.th",
+use std::cmp::Ordering;
+
+/// Exact public suffix rules: common generic and country TLDs plus the
+/// multi-label suffixes registrars sell under them.
+///
+/// Kept sorted by bytes and free of duplicates, which the binary search in
+/// [`suffix_label_count`] relies on; a unit test asserts both.
+pub const EXACT: &[&str] = &[
+    "ac.id", "ac.il", "ac.jp", "ac.kr", "ac.nz", "ac.th", "ac.uk", "ac.za", "ae", "agency", "app",
+    "ar", "art", "at", "au", "be", "bg", "biz", "blog", "bo", "br", "ca", "cc", "cf", "ch", "cl",
+    "click", "cloud", "club", "cn", "co", "co.id", "co.il", "co.in", "co.jp", "co.kr", "co.nz",
+    "co.th", "co.uk", "co.za", "com", "com.ar", "com.au", "com.br", "com.cn", "com.eg", "com.hk",
+    "com.mx", "com.my", "com.ph", "com.pl", "com.sa", "com.sg", "com.tr", "com.tw", "com.ua",
+    "com.vn", "cy", "cz", "de", "dev", "dk", "ec", "edu", "edu.au", "edu.br", "edu.cn", "edu.mx",
+    "edu.pl", "ee", "eg", "email", "es", "fi", "firm.in", "fr", "ga", "gen.in", "go.jp", "go.kr",
+    "go.th", "gob.mx", "gov", "gov.au", "gov.br", "gov.cn", "gov.il", "gov.uk", "gov.za",
+    "govt.nz", "gq", "gr", "group", "hk", "hr", "hu", "id", "id.au", "ie", "il", "in", "in.th",
+    "ind.in", "info", "int", "io", "is", "it", "jp", "ke", "kr", "kw", "life", "link", "live",
+    "lt", "ltd.uk", "lu", "lv", "ma", "me", "me.uk", "mil", "ml", "mo", "mt", "mx", "my", "name",
+    "ne.jp", "net", "net.au", "net.br", "net.cn", "net.il", "net.in", "net.mx", "net.nz", "net.pl",
+    "net.uk", "net.za", "news", "ng", "nl", "no", "nz", "online", "or.id", "or.jp", "or.kr", "org",
+    "org.au", "org.br", "org.cn", "org.il", "org.in", "org.mx", "org.nz", "org.pl", "org.uk",
+    "org.za", "page", "pe", "ph", "pl", "plc.uk", "plus", "pro", "pt", "pw", "py", "qa", "ro",
+    "ru", "sa", "se", "sg", "shop", "si", "site", "sk", "space", "store", "tech", "th", "tk",
+    "today", "top", "tr", "tv", "tw", "ua", "uk", "us", "uy", "vn", "web.id", "web.za", "website",
+    "work", "world", "ws", "xyz", "za", "zone",
 ];
 
+/// The most labels of any [`EXACT`] rule: longer tails cannot match one.
+const MAX_RULE_LABELS: usize = 2;
+
 /// Wildcard rules: `*.ck` means every label under `ck` is a public suffix.
-const WILDCARD: &[&str] = &["ck", "er", "fk"];
+pub const WILDCARD: &[&str] = &["ck", "er", "fk"];
 
 /// Exception rules: these domains are registrable despite a wildcard match.
-const EXCEPTIONS: &[&str] = &["www.ck"];
+pub const EXCEPTIONS: &[&str] = &["www.ck"];
 
 /// How many trailing labels of `labels` form the public suffix.
 ///
@@ -65,26 +82,29 @@ pub fn suffix_label_count(labels: &[String]) -> usize {
     // Exception rules win outright: the matched portion *minus its first
     // label* is the suffix.
     for rule in EXCEPTIONS {
-        let rule_labels: Vec<&str> = rule.split('.').collect();
-        if tail_matches(labels, &rule_labels) {
-            return rule_labels.len() - 1;
+        if tail_matches(labels, rule) {
+            return rule_label_count(rule) - 1;
         }
     }
+    let n = labels.len();
     let mut best = 1; // implicit `*` rule
-    for rule in EXACT {
-        let rule_labels: Vec<&str> = rule.split('.').collect();
-        if rule_labels.len() <= labels.len() && tail_matches(labels, &rule_labels) {
-            best = best.max(rule_labels.len());
+    for k in 1..=MAX_RULE_LABELS.min(n) {
+        let tail = &labels[n - k..];
+        if EXACT
+            .binary_search_by(|rule| cmp_dotted(rule, tail))
+            .is_ok()
+        {
+            best = k;
         }
     }
     for rule in WILDCARD {
-        let rule_labels: Vec<&str> = rule.split('.').collect();
-        // `*.ck` matches any domain with at least rule_labels.len()+1 labels.
-        if labels.len() > rule_labels.len() && tail_matches(labels, &rule_labels) {
-            best = best.max(rule_labels.len() + 1);
+        // `*.ck` matches any domain with at least one label before `ck`.
+        let rule_labels = rule_label_count(rule);
+        if n > rule_labels && tail_matches(labels, rule) {
+            best = best.max(rule_labels + 1);
         }
     }
-    best.min(labels.len())
+    best.min(n)
 }
 
 /// Returns `true` when a string is a known public suffix on its own
@@ -97,14 +117,25 @@ pub fn is_public_suffix(suffix: &str) -> bool {
     suffix_label_count(&labels) == labels.len()
 }
 
-fn tail_matches(labels: &[String], rule: &[&str]) -> bool {
-    if rule.len() > labels.len() {
-        return false;
-    }
-    labels[labels.len() - rule.len()..]
-        .iter()
-        .zip(rule.iter())
-        .all(|(a, b)| a == b)
+fn rule_label_count(rule: &str) -> usize {
+    rule.split('.').count()
+}
+
+/// `true` when `labels` ends with the labels of the dotted `rule`.
+fn tail_matches(labels: &[String], rule: &str) -> bool {
+    let mut labels = labels.iter().rev();
+    rule.rsplit('.')
+        .all(|r| labels.next().is_some_and(|l| l == r))
+}
+
+/// Orders `rule` against `tail` joined by `.`, byte by byte, without
+/// building the joined string.
+fn cmp_dotted(rule: &str, tail: &[String]) -> Ordering {
+    let joined = tail.iter().enumerate().flat_map(|(i, label)| {
+        let dot: &[u8] = if i == 0 { b"" } else { b"." };
+        dot.iter().chain(label.as_bytes()).copied()
+    });
+    rule.bytes().cmp(joined)
 }
 
 #[cfg(test)]
@@ -167,6 +198,24 @@ mod tests {
         assert!(!is_public_suffix(""));
         assert!(!is_public_suffix("a..b"));
         assert!(is_public_suffix("zzztld")); // implicit * rule
+    }
+
+    #[test]
+    fn exact_rules_are_sorted_and_deduplicated() {
+        for pair in EXACT.windows(2) {
+            assert!(
+                pair[0] < pair[1],
+                "{:?} must sort before {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+
+    #[test]
+    fn max_rule_labels_covers_every_exact_rule() {
+        let longest = EXACT.iter().map(|r| rule_label_count(r)).max();
+        assert_eq!(longest, Some(MAX_RULE_LABELS));
     }
 
     #[test]

@@ -5,6 +5,96 @@
 use kyp_url::{psl, Fqdn, Url};
 use proptest::prelude::*;
 
+/// The reference for [`psl::suffix_label_count`]: every rule checked in
+/// turn, the way the PSL algorithm is written down.
+fn suffix_label_count_by_scan(labels: &[String]) -> usize {
+    if labels.is_empty() {
+        return 0;
+    }
+    let matches = |rule: &[&str]| {
+        rule.len() <= labels.len()
+            && labels[labels.len() - rule.len()..]
+                .iter()
+                .zip(rule)
+                .all(|(a, b)| a == b)
+    };
+    for rule in psl::EXCEPTIONS {
+        let rule: Vec<&str> = rule.split('.').collect();
+        if matches(&rule) {
+            return rule.len() - 1;
+        }
+    }
+    let mut best = 1;
+    for rule in psl::EXACT {
+        let rule: Vec<&str> = rule.split('.').collect();
+        if matches(&rule) {
+            best = best.max(rule.len());
+        }
+    }
+    for rule in psl::WILDCARD {
+        let rule: Vec<&str> = rule.split('.').collect();
+        if labels.len() > rule.len() && matches(&rule) {
+            best = best.max(rule.len() + 1);
+        }
+    }
+    best.min(labels.len())
+}
+
+/// The labels of the `i`-th embedded rule (exact, wildcard, then
+/// exception rules), wrapping around.
+fn rule_labels(i: usize) -> Vec<String> {
+    let rules = psl::EXACT
+        .iter()
+        .chain(psl::WILDCARD)
+        .chain(psl::EXCEPTIONS);
+    let n = psl::EXACT.len() + psl::WILDCARD.len() + psl::EXCEPTIONS.len();
+    let rule = rules.copied().nth(i % n).unwrap_or_default();
+    rule.split('.').map(str::to_owned).collect()
+}
+
+/// A label of some rule, or a short random one (which may collide with a
+/// rule label too).
+fn label() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (any::<usize>(), any::<usize>()).prop_map(|(i, j)| {
+            let labels = rule_labels(i);
+            labels[j % labels.len()].clone()
+        }),
+        "[a-z]{1,3}",
+    ]
+}
+
+/// Domain labels ending, half the time, in a whole rule (so multi-label,
+/// wildcard and exception rules are all hit), else in arbitrary labels.
+fn domain_labels() -> impl Strategy<Value = Vec<String>> {
+    (
+        collection::vec(label(), 0..4),
+        prop_oneof![
+            any::<usize>().prop_map(rule_labels),
+            collection::vec(label(), 1..3)
+        ],
+    )
+        .prop_map(|(mut labels, tail)| {
+            labels.extend(tail);
+            labels
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// The binary-searched rule table agrees with a scan of every rule.
+    #[test]
+    fn psl_lookup_matches_rule_scan(labels in domain_labels()) {
+        prop_assert_eq!(
+            psl::suffix_label_count(&labels),
+            suffix_label_count_by_scan(&labels),
+            "{:?}",
+            labels
+        );
+    }
+}
+
 proptest! {
     /// Arbitrary byte soup never panics the parser.
     #[test]
