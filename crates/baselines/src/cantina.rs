@@ -78,12 +78,11 @@ impl BaselineDetector for Cantina {
         if signature.is_empty() {
             return 1.0;
         }
-        let own_rdns: Vec<String> = [&page.starting_url, &page.landing_url]
-            .into_iter()
-            .filter_map(kyp_url::Url::rdn)
-            .collect();
+        let own_rdns = [&page.starting_url, &page.landing_url].map(kyp_url::Url::rdn);
         let hits = self.engine.query(&signature, self.top_hits);
-        let confirmed = hits.iter().any(|h| own_rdns.contains(&h.rdn));
+        let confirmed = hits
+            .iter()
+            .any(|h| own_rdns.contains(&Some(h.rdn.as_str())));
         if confirmed {
             0.0
         } else {

@@ -44,12 +44,11 @@ impl UrlLexical {
     pub fn featurize_url(url: &Url) -> Vec<(u64, f64)> {
         let mut f: Vec<(u64, f64)> = Vec::new();
         let free = url.free_url();
-        let host = url.fqdn_str().unwrap_or_else(|| url.host().to_string());
-        for t in extract_terms(&host) {
+        for t in extract_terms(url.host_str()) {
             f.push((hash_feature("host", &t), 1.0));
         }
         if let Some(ps) = url.public_suffix() {
-            f.push((hash_feature("tld", &ps), 1.0));
+            f.push((hash_feature("tld", ps), 1.0));
         }
         for t in extract_terms(&free.path)
             .into_iter()

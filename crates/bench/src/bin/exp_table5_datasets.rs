@@ -47,7 +47,7 @@ fn main() {
             if let Ok(v) = browser.visit(url) {
                 if let Some(rdn) = v.landing_url.rdn() {
                     total += 1;
-                    if c.ranker.contains(&rdn) {
+                    if c.ranker.contains(rdn) {
                         ranked += 1;
                     }
                 }

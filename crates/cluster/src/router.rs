@@ -41,8 +41,8 @@ use crate::store::SharedStore;
 use kyp_core::{CascadeClassifier, CascadeDecision, Pipeline};
 use kyp_obs::VerdictStage;
 use kyp_serve::{
-    canonical_key, CacheState, CascadeCounters, LatencyHistogram, PageSource, ScoringService,
-    ServeConfig, ServeOutcome, ServeRequest, ServeResponse,
+    CacheState, CascadeCounters, LatencyHistogram, PageSource, ScoringService, ServeConfig,
+    ServeOutcome, ServeRequest, ServeResponse,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -363,7 +363,7 @@ impl<S: PageSource> ClusterService<S> {
             self.store.put(store_key.clone(), result);
         }
         let landing_key = match self.store.get(&store_key) {
-            Some(Ok(page)) => canonical_key(&page.visit.landing_url),
+            Some(Ok(page)) => page.visit.landing_url.canonical_key().to_owned(),
             fetched => {
                 // Unfetchable (or, defensively, a missing memo entry):
                 // decided here, before placement, so it is crash- and

@@ -231,9 +231,8 @@ impl UrlFeaturizer {
 
     /// The feature row of a parsed URL.
     pub fn features(&self, url: &Url) -> [f64; URL_FEATURE_COUNT] {
-        let mut rdn_buf = String::new();
         let [https, dots, ldc, len, fqdn_len, mld_len, terms, mld_terms, rank] =
-            crate::features::single_url_stats(url, &self.ranker, &mut rdn_buf);
+            crate::features::single_url_stats(url, &self.ranker);
         let raw = url.as_str();
         let digits = raw.chars().filter(char::is_ascii_digit).count();
         let digit_ratio = if raw.is_empty() {
@@ -241,9 +240,7 @@ impl UrlFeaturizer {
         } else {
             digits as f64 / raw.len() as f64
         };
-        let hyphens: usize = url.fqdn().map_or(0, |f| {
-            f.labels().iter().map(|l| l.matches('-').count()).sum()
-        });
+        let hyphens = url.fqdn_str().map_or(0, |f| f.matches('-').count());
         let path_depth = url.path().split('/').filter(|s| !s.is_empty()).count();
         let query_len = url.query().map_or(0, str::len);
         let typo = self.typosquat_distance(url);

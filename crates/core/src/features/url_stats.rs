@@ -22,11 +22,10 @@ const AGG_STATS: [&str; 7] = [
     "alexa_rank",
 ];
 
-/// The nine statistics of a single URL (Table IV order). `rdn_buf` is a
-/// reusable scratch string for the ranker lookup key. Shared with the
+/// The nine statistics of a single URL (Table IV order). Shared with the
 /// cascade's URL-only featurizer (`crate::cascade`), whose first nine
 /// features are exactly this row.
-pub(crate) fn single_url_stats(url: &Url, ranker: &DomainRanker, rdn_buf: &mut String) -> [f64; 9] {
+pub(crate) fn single_url_stats(url: &Url, ranker: &DomainRanker) -> [f64; 9] {
     [
         f64::from(url.is_https()),
         url.free_dot_count() as f64,
@@ -36,32 +35,20 @@ pub(crate) fn single_url_stats(url: &Url, ranker: &DomainRanker, rdn_buf: &mut S
         url.mld_len() as f64,
         term_count(url.as_str()) as f64,
         url.mld().map_or(0.0, |m| term_count(m) as f64),
-        rank_of(url, ranker, rdn_buf),
+        rank_of(url, ranker),
     ]
 }
 
 /// Features 3–9 of one URL (the aggregatable subset).
-fn agg_stats(url: &Url, ranker: &DomainRanker, rdn_buf: &mut String) -> [f64; 7] {
+fn agg_stats(url: &Url, ranker: &DomainRanker) -> [f64; 7] {
     let [_https, _dots, ldc, len, fqdn, mld, terms, mld_terms, rank] =
-        single_url_stats(url, ranker, rdn_buf);
+        single_url_stats(url, ranker);
     [ldc, len, fqdn, mld, terms, mld_terms, rank]
 }
 
-/// Alexa rank of the URL's RDN; the dotted lookup key is rebuilt into
-/// `buf` so the hot path performs no per-URL allocation.
-fn rank_of(url: &Url, ranker: &DomainRanker, buf: &mut String) -> f64 {
-    let labels = url.rdn_labels();
-    if labels.is_empty() {
-        return f64::from(kyp_web::UNRANKED);
-    }
-    buf.clear();
-    for (i, label) in labels.iter().enumerate() {
-        if i > 0 {
-            buf.push('.');
-        }
-        buf.push_str(label);
-    }
-    f64::from(ranker.rank(buf))
+/// Alexa rank of the URL's RDN; unranked for IP hosts.
+fn rank_of(url: &Url, ranker: &DomainRanker) -> f64 {
+    f64::from(url.rdn().map_or(kyp_web::UNRANKED, |rdn| ranker.rank(rdn)))
 }
 
 /// Pushes all 106 f1 features.
@@ -71,15 +58,14 @@ pub(crate) fn push_f1(
     ranker: &DomainRanker,
     out: &mut Vec<f64>,
 ) {
-    let mut rdn_buf = String::new();
-    let start_stats = single_url_stats(&page.starting_url, ranker, &mut rdn_buf);
+    let start_stats = single_url_stats(&page.starting_url, ranker);
     out.extend(start_stats);
     // Equal URLs yield equal statistics (pure function of the URL), so a
     // page that lands where it started reuses the starting row.
     if page.starting_url == page.landing_url {
         out.extend(start_stats);
     } else {
-        out.extend(single_url_stats(&page.landing_url, ranker, &mut rdn_buf));
+        out.extend(single_url_stats(&page.landing_url, ranker));
     }
 
     for set in [
@@ -88,20 +74,20 @@ pub(crate) fn push_f1(
         &splits.intlink,
         &splits.extlink,
     ] {
-        push_link_set(set, ranker, &mut rdn_buf, out);
+        push_link_set(set, ranker, out);
     }
 }
 
 /// 22 features for one link set: https ratio + (mean, median, std) of the
 /// seven aggregatable statistics. Empty sets yield zeros (null features).
-fn push_link_set(urls: &[&Url], ranker: &DomainRanker, rdn_buf: &mut String, out: &mut Vec<f64>) {
+fn push_link_set(urls: &[&Url], ranker: &DomainRanker, out: &mut Vec<f64>) {
     if urls.is_empty() {
         out.extend(std::iter::repeat_n(0.0, 1 + AGG_STATS.len() * 3));
         return;
     }
     let https = urls.iter().filter(|u| u.is_https()).count() as f64 / urls.len() as f64;
     out.push(https);
-    let per_url: Vec<[f64; 7]> = urls.iter().map(|u| agg_stats(u, ranker, rdn_buf)).collect();
+    let per_url: Vec<[f64; 7]> = urls.iter().map(|u| agg_stats(u, ranker)).collect();
     let mut column = Vec::with_capacity(urls.len());
     for stat in 0..AGG_STATS.len() {
         column.clear();
@@ -176,7 +162,7 @@ mod tests {
     fn single_url_stats_values() {
         let ranker = DomainRanker::from_ranked(["amazon.co.uk"]);
         let u = url("https://www.amazon.co.uk/ap/signin?_encoding=UTF8");
-        let s = single_url_stats(&u, &ranker, &mut String::new());
+        let s = single_url_stats(&u, &ranker);
         assert_eq!(s[0], 1.0); // https
         assert_eq!(s[1], 0.0); // no dots in FreeURL parts
         assert_eq!(s[2], 4.0); // www.amazon.co.uk → 4 level domains
@@ -194,7 +180,7 @@ mod tests {
         let ranker = DomainRanker::new();
         // Subdomain "paypal.com.secure" contributes 2 dots to FreeURL.
         let u = url("http://paypal.com.secure.badhost.tk/a.php");
-        let s = single_url_stats(&u, &ranker, &mut String::new());
+        let s = single_url_stats(&u, &ranker);
         assert_eq!(s[1], 3.0);
         assert_eq!(s[2], 5.0); // 5 level domains
     }
@@ -203,7 +189,7 @@ mod tests {
     fn unranked_domain_gets_default() {
         let ranker = DomainRanker::new();
         let u = url("http://nowhere.example.xyz/");
-        let s = single_url_stats(&u, &ranker, &mut String::new());
+        let s = single_url_stats(&u, &ranker);
         assert_eq!(s[8], f64::from(kyp_web::UNRANKED));
     }
 
@@ -211,7 +197,7 @@ mod tests {
     fn ip_url_stats_are_null() {
         let ranker = DomainRanker::new();
         let u = url("http://10.0.0.1/login");
-        let s = single_url_stats(&u, &ranker, &mut String::new());
+        let s = single_url_stats(&u, &ranker);
         assert_eq!(s[2], 0.0); // no level domains
         assert_eq!(s[4], 0.0); // no fqdn length
         assert_eq!(s[5], 0.0); // no mld

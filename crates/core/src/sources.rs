@@ -65,13 +65,13 @@ impl DataSources {
         let (intlink_urls, extlink_urls) = (&splits.intlink, &splits.extlink);
 
         // URL-derived distributions extract terms straight from the URLs'
-        // borrowed pieces: the joined FreeURL / dotted RDN strings would
-        // only add separators that term extraction splits on anyway.
+        // borrowed pieces: the joined FreeURL string would only add
+        // separators that term extraction splits on anyway.
         let free = |urls: &[&Url], scratch: &mut TermScratch| {
             TermDistribution::from_texts_in(urls.iter().flat_map(|u| u.free_parts()), scratch)
         };
         let rdns = |urls: &[&Url], scratch: &mut TermScratch| {
-            TermDistribution::from_texts_in(urls.iter().flat_map(|u| u.rdn_labels()), scratch)
+            TermDistribution::from_texts_in(urls.iter().filter_map(|u| u.rdn()), scratch)
         };
 
         let mut intrdn = rdns(intlink_urls, scratch);
@@ -82,7 +82,7 @@ impl DataSources {
         // equal distributions, so cloning is bit-identical and skips a
         // second extraction + sort.
         let start = TermDistribution::from_texts_in(page.starting_url.free_parts(), scratch);
-        let startrdn = TermDistribution::from_texts_in(page.starting_url.rdn_labels(), scratch);
+        let startrdn = TermDistribution::from_texts_in(page.starting_url.rdn(), scratch);
         let same_url = page.starting_url == page.landing_url;
         let land = if same_url {
             start.clone()
@@ -92,7 +92,7 @@ impl DataSources {
         let landrdn = if same_url {
             startrdn.clone()
         } else {
-            TermDistribution::from_texts_in(page.landing_url.rdn_labels(), scratch)
+            TermDistribution::from_texts_in(page.landing_url.rdn(), scratch)
         };
 
         DataSources {

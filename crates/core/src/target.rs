@@ -185,7 +185,7 @@ impl TargetIdentifier {
                 continue;
             }
             let hits = self.engine.query_domain(rdn, k);
-            if hits.iter().any(|h| suspected.contains(&h.rdn)) {
+            if hits.iter().any(|h| suspected.contains(h.rdn.as_str())) {
                 obs.target_step(1, &TargetStepOutcome::ConfirmedLegitimate);
                 return TargetVerdict::Legitimate { step: 1 };
             }
@@ -236,7 +236,7 @@ impl TargetIdentifier {
     fn search_step(
         &self,
         terms: &[String],
-        suspected: &BTreeSet<String>,
+        suspected: &BTreeSet<&str>,
         controlled_terms: &BTreeSet<String>,
         step: u8,
     ) -> StepOutcome {
@@ -244,7 +244,7 @@ impl TargetIdentifier {
             return StepOutcome::Continue;
         }
         let hits = self.engine.query(terms, self.config.search_results);
-        if hits.iter().any(|h| suspected.contains(&h.rdn)) {
+        if hits.iter().any(|h| suspected.contains(h.rdn.as_str())) {
             return StepOutcome::Legitimate(step);
         }
         let candidates: Vec<SearchHit> = hits
@@ -315,7 +315,7 @@ enum StepOutcome {
 }
 
 /// RDNs of the suspected page itself (starting and landing URLs).
-fn suspected_rdns(page: &VisitedPage) -> BTreeSet<String> {
+fn suspected_rdns(page: &VisitedPage) -> BTreeSet<&str> {
     [&page.starting_url, &page.landing_url]
         .into_iter()
         .filter_map(Url::rdn)
@@ -323,12 +323,12 @@ fn suspected_rdns(page: &VisitedPage) -> BTreeSet<String> {
 }
 
 /// mld/RDN pairs collected from the page's URLs and links (paper Step 1).
-fn collect_mlds(page: &VisitedPage) -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = Vec::new();
-    let mut push = |url: &Url| {
-        if let (Some(mld), Some(rdn)) = (url.mld(), url.rdn()) {
+fn collect_mlds(page: &VisitedPage) -> Vec<(&str, &str)> {
+    let mut out: Vec<(&str, &str)> = Vec::new();
+    let mut push = |url| {
+        if let (Some(mld), Some(rdn)) = (Url::mld(url), Url::rdn(url)) {
             if !out.iter().any(|(_, r)| *r == rdn) {
-                out.push((mld.to_owned(), rdn));
+                out.push((mld, rdn));
             }
         }
     };
@@ -448,7 +448,7 @@ fn count_appearances(mld: &str, page: &VisitedPage, sources: &DataSources) -> us
     }
     for u in page.logged_links.iter().chain(&page.href_links) {
         if let Some(rdn) = u.rdn() {
-            let rdn_terms = extract_terms(&rdn).join("");
+            let rdn_terms = extract_terms(rdn).join("");
             if rdn_terms.contains(&canon) {
                 count += 1;
             }

@@ -414,7 +414,7 @@ mod tests {
         // Phisher landing RDNs must be unranked.
         let v = browser.visit(&c.phish_test[0].url).unwrap();
         if let Some(rdn) = v.landing_url.rdn() {
-            assert!(!c.ranker.contains(&rdn), "phisher rdn {rdn} ranked");
+            assert!(!c.ranker.contains(rdn), "phisher rdn {rdn} ranked");
         }
     }
 

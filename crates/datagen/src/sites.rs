@@ -89,7 +89,7 @@ pub struct SiteInfo {
 /// let mut generator = SiteGenerator::new(7);
 /// let info = generator.generic_site(&mut world, Language::French);
 /// let visit = Browser::new(&world).visit(&info.start_url)?;
-/// assert_eq!(visit.landing_url.rdn().as_deref(), Some(info.rdn.as_str()));
+/// assert_eq!(visit.landing_url.rdn(), Some(info.rdn.as_str()));
 /// # Ok::<(), kyp_web::VisitError>(())
 /// ```
 #[derive(Debug)]
@@ -602,7 +602,7 @@ mod tests {
         let mut generator = SiteGenerator::new(1);
         let info = generator.brand_site(&mut world, corpus.cyclic(0), Language::English);
         let visit = Browser::new(&world).visit(&info.start_url).unwrap();
-        assert_eq!(visit.landing_url.rdn().as_deref(), Some(info.rdn.as_str()));
+        assert_eq!(visit.landing_url.rdn(), Some(info.rdn.as_str()));
         assert!(!visit.text.is_empty());
         assert!(!visit.title.is_empty());
         assert!(!visit.href_links.is_empty());

@@ -44,10 +44,10 @@ impl PageSetStats {
             if v.landing_url.host().is_ip() {
                 stats.ip_hosted += 1;
             }
-            let chain_rdns: std::collections::HashSet<String> = v
+            let chain_rdns: std::collections::HashSet<&str> = v
                 .redirection_chain
                 .iter()
-                .map(|u| u.rdn().unwrap_or_else(|| u.host().to_string()))
+                .map(|u| u.rdn().unwrap_or(u.host_str()))
                 .collect();
             if chain_rdns.len() > 1 {
                 stats.cross_rdn_redirects += 1;
@@ -115,7 +115,9 @@ fn pct(part: usize, whole: usize) -> f64 {
 
 /// Convenience: RDN of a URL string (diagnostics).
 pub fn rdn_of(url: &str) -> Option<String> {
-    Url::parse(url).ok().and_then(|u| u.rdn())
+    Url::parse(url)
+        .ok()
+        .and_then(|u| u.rdn().map(str::to_owned))
 }
 
 #[cfg(test)]

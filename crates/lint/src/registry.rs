@@ -39,7 +39,10 @@ pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("text", "TermDistribution", "from_texts_in"),
     ("text", "TermScratch", "push_text"),
     ("url", "Url", "mld"),
-    ("url", "Url", "rdn_labels"),
+    ("url", "Url", "rdn"),
+    ("url", "Url", "fqdn_str"),
+    ("url", "Url", "public_suffix"),
+    ("url", "Url", "canonical_key"),
     ("url", "Url", "free_parts"),
     ("url", "Url", "free_dot_count"),
     ("url", "Url", "mld_len"),

@@ -56,7 +56,7 @@ pub use cache::{CacheConfig, CacheCounters, VerdictCache};
 pub use protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 pub use queue::{AdmissionQueue, QueueCounters};
 pub use service::{ScoringService, ServeConfig, SHED_QUEUE_FULL};
-pub use source::{canonical_key, canonical_url, PageSource, ScraperSource, StoredPages};
+pub use source::{canonical_url, PageSource, ScraperSource, StoredPages};
 pub use stats::{
     CascadeCounters, LatencyHistogram, LatencySummary, ServeReport, LATENCY_BUCKET_BOUNDS_MS,
 };

@@ -35,7 +35,7 @@ use crate::batcher::{BatchPolicy, MicroBatcher};
 use crate::cache::{CacheConfig, VerdictCache};
 use crate::protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 use crate::queue::AdmissionQueue;
-use crate::source::{canonical_key, canonical_url, PageSource};
+use crate::source::{canonical_url, PageSource};
 use crate::stats::{CascadeCounters, LatencyHistogram, ServeReport};
 use kyp_core::{CascadeClassifier, CascadeDecision, Pipeline, PipelineVerdict};
 use kyp_obs::{CascadeOutcome, VerdictStage};
@@ -544,7 +544,7 @@ impl<S: PageSource> ScoringService<S> {
             let source = &mut self.source;
             let stored = self.page_store.entry(store_key).or_insert_with(|| {
                 source.fetch(&request.url).map(|page| {
-                    let landing_key = canonical_key(&page.visit.landing_url);
+                    let landing_key = page.visit.landing_url.canonical_key().to_owned();
                     StoredScrape { page, landing_key }
                 })
             });

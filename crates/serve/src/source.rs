@@ -20,17 +20,12 @@ pub trait PageSource {
     fn fetch(&mut self, url: &str) -> Result<ScrapedPage, FailureCause>;
 }
 
-/// The canonical cache/store key of a URL: `{fqdn-or-host}/{path}` —
-/// scheme-, port- and query-insensitive, mirroring how the simulated web
-/// itself keys pages. `None` when the URL does not parse.
+/// The canonical cache/store key of a URL string: [`Url::canonical_key`]
+/// (`{fqdn-or-host}/{path}`) — scheme-, port- and query-insensitive, the
+/// key the simulated web itself uses for pages. `None` when the URL does
+/// not parse.
 pub fn canonical_url(url: &str) -> Option<String> {
-    Url::parse(url).ok().map(|u| canonical_key(&u))
-}
-
-/// [`canonical_url`] for an already-parsed URL.
-pub fn canonical_key(u: &Url) -> String {
-    let host = u.fqdn_str().unwrap_or_else(|| u.host().to_string());
-    format!("{host}{}", u.path())
+    Url::parse(url).ok().map(|u| u.canonical_key().to_owned())
 }
 
 /// A [`PageSource`] that scrapes live from a [`World`] through the
@@ -78,7 +73,7 @@ impl StoredPages {
     pub fn new(items: impl IntoIterator<Item = VisitedPage>) -> Self {
         let pages = items
             .into_iter()
-            .map(|p| (canonical_key(&p.starting_url), p))
+            .map(|p| (p.starting_url.canonical_key().to_owned(), p))
             .collect();
         StoredPages { pages }
     }
@@ -116,8 +111,11 @@ impl StoredPages {
 
 impl PageSource for StoredPages {
     fn fetch(&mut self, url: &str) -> Result<ScrapedPage, FailureCause> {
-        let key = canonical_url(url).ok_or(FailureCause::BadUrl)?;
-        let visit = self.pages.get(&key).ok_or(FailureCause::NotFound)?;
+        let url = Url::parse(url).map_err(|_| FailureCause::BadUrl)?;
+        let visit = self
+            .pages
+            .get(url.canonical_key())
+            .ok_or(FailureCause::NotFound)?;
         Ok(ScrapedPage {
             visit: visit.clone(),
             availability: SourceAvailability::FULL,
@@ -154,7 +152,25 @@ mod tests {
         let a = canonical_url("http://www.example.com/login?next=/home").unwrap();
         let b = canonical_url("https://www.example.com/login").unwrap();
         assert_eq!(a, b);
+        assert_eq!(a, "www.example.com/login");
         assert!(canonical_url("not a url ://").is_none());
+    }
+
+    #[test]
+    fn canonical_url_keeps_host_and_path_apart() {
+        // Regression: keys rendered as `{host}{path}` gave both pages the
+        // key "ab.com", so they shared verdict-cache and memo entries.
+        let a = canonical_url("http://ab.co/m").unwrap();
+        let b = canonical_url("http://ab.com/").unwrap();
+        assert_eq!(a, "ab.co/m");
+        assert_eq!(b, "ab.com/");
+        let mut store = StoredPages::new(vec![
+            page("http://ab.co/m", "co"),
+            page("http://ab.com/", "com"),
+        ]);
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.fetch("http://ab.co/m").unwrap().visit.title, "co");
+        assert_eq!(store.fetch("https://ab.com").unwrap().visit.title, "com");
     }
 
     #[test]

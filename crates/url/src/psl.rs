@@ -15,21 +15,25 @@
 //!
 //! # Lookup
 //!
-//! Every [`crate::Url::parse`] runs [`suffix_label_count`], so it does not
-//! allocate. [`EXACT`] is sorted by bytes in source; for each tail of one
-//! up to the most labels any exact rule has, the lookup binary-searches it,
-//! comparing the rule's bytes with the tail's labels joined by `.` without
-//! building the joined string. The few [`WILDCARD`] and [`EXCEPTIONS`]
-//! rules are scanned label by label. There is no lazily built index and no
-//! sorting at run time.
-
-use std::cmp::Ordering;
+//! Every [`crate::Url::parse`] runs [`suffix_label_count`] on the
+//! lowercased host, so it does not allocate. Every [`EXACT`] rule has at
+//! most 2 labels and at most 8 bytes, so a `const fn` packs each into one
+//! big-endian `u64`, zero-padded on the right. Host bytes are never zero,
+//! so padding sorts before every host byte and the byte-sorted rules give
+//! strictly increasing keys: the whole table is one sorted `u64` array
+//! built at compile time. A lookup packs the host's two-label tail (a
+//! contiguous slice of the host) the same way and binary-searches the
+//! keys; a one-label exact rule never changes the answer, because the
+//! implicit `*` rule already yields one label. The few [`WILDCARD`] and
+//! [`EXCEPTIONS`] rules are matched as `.`-bounded suffixes of the host.
+//! There is no lazily built index and no sorting at run time.
 
 /// Exact public suffix rules: common generic and country TLDs plus the
 /// multi-label suffixes registrars sell under them.
 ///
-/// Kept sorted by bytes and free of duplicates, which the binary search in
-/// [`suffix_label_count`] relies on; a unit test asserts both.
+/// Kept sorted by bytes and free of duplicates, so that their packed keys
+/// strictly increase, which the binary search in [`suffix_label_count`]
+/// relies on; a unit test asserts it.
 pub const EXACT: &[&str] = &[
     "ac.id", "ac.il", "ac.jp", "ac.kr", "ac.nz", "ac.th", "ac.uk", "ac.za", "ae", "agency", "app",
     "ar", "art", "at", "au", "be", "bg", "biz", "blog", "bo", "br", "ca", "cc", "cf", "ch", "cl",
@@ -51,8 +55,45 @@ pub const EXACT: &[&str] = &[
     "work", "world", "ws", "xyz", "za", "zone",
 ];
 
-/// The most labels of any [`EXACT`] rule: longer tails cannot match one.
-const MAX_RULE_LABELS: usize = 2;
+/// Bytes in a packed rule key.
+const KEY_BYTES: usize = 8;
+
+/// [`EXACT`] packed by [`pack`], in the same order. Strictly increasing,
+/// which the binary search in [`suffix_label_count`] relies on; a unit
+/// test asserts it.
+const PACKED: [u64; EXACT.len()] = pack_rules();
+
+const fn pack_rules() -> [u64; EXACT.len()] {
+    let mut keys = [0; EXACT.len()];
+    let mut i = 0;
+    while i < EXACT.len() {
+        keys[i] = match pack(EXACT[i].as_bytes()) {
+            Some(key) => key,
+            None => panic!("an EXACT rule is longer than KEY_BYTES"),
+        };
+        i += 1;
+    }
+    keys
+}
+
+/// `bytes` as a big-endian `u64`, zero-padded on the right; `None` when
+/// longer than [`KEY_BYTES`]. For strings without zero bytes, key order
+/// is byte order.
+const fn pack(bytes: &[u8]) -> Option<u64> {
+    if bytes.len() > KEY_BYTES {
+        return None;
+    }
+    let mut key = 0;
+    let mut i = 0;
+    while i < KEY_BYTES {
+        key <<= 8;
+        if i < bytes.len() {
+            key |= bytes[i] as u64;
+        }
+        i += 1;
+    }
+    Some(key)
+}
 
 /// Wildcard rules: `*.ck` means every label under `ck` is a public suffix.
 pub const WILDCARD: &[&str] = &["ck", "er", "fk"];
@@ -60,134 +101,113 @@ pub const WILDCARD: &[&str] = &["ck", "er", "fk"];
 /// Exception rules: these domains are registrable despite a wildcard match.
 pub const EXCEPTIONS: &[&str] = &["www.ck"];
 
-/// How many trailing labels of `labels` form the public suffix.
+/// How many trailing labels of `host` form the public suffix.
 ///
-/// `labels` must be lowercased domain labels in their natural order
-/// (e.g. `["www", "amazon", "co", "uk"]` → `2`).
+/// `host` must be a lowercased domain name of non-empty labels joined by
+/// `.` (e.g. `www.amazon.co.uk` → `2`).
 ///
 /// Returns at least 1 for a non-empty input (implicit `*` rule) and at
-/// most `labels.len()` (a bare public suffix like `com` is its own
+/// most the number of labels (a bare public suffix like `com` is its own
 /// suffix, leaving no registrable part).
 ///
 /// # Examples
 ///
 /// ```
-/// let labels = ["www", "amazon", "co", "uk"].map(String::from);
-/// assert_eq!(kyp_url::psl::suffix_label_count(&labels), 2);
+/// assert_eq!(kyp_url::psl::suffix_label_count("www.amazon.co.uk"), 2);
 /// ```
-pub fn suffix_label_count(labels: &[String]) -> usize {
-    if labels.is_empty() {
+pub fn suffix_label_count(host: &str) -> usize {
+    if host.is_empty() {
         return 0;
     }
     // Exception rules win outright: the matched portion *minus its first
     // label* is the suffix.
     for rule in EXCEPTIONS {
-        if tail_matches(labels, rule) {
+        if host == *rule || is_strict_suffix(host, rule) {
             return rule_label_count(rule) - 1;
         }
     }
-    let n = labels.len();
     let mut best = 1; // implicit `*` rule
-    for k in 1..=MAX_RULE_LABELS.min(n) {
-        let tail = &labels[n - k..];
-        if EXACT
-            .binary_search_by(|rule| cmp_dotted(rule, tail))
-            .is_ok()
-        {
-            best = k;
+    if let Some(last_dot) = host.rfind('.') {
+        let tail_start = host[..last_dot].rfind('.').map_or(0, |i| i + 1);
+        let key = pack(&host.as_bytes()[tail_start..]);
+        if key.is_some_and(|key| PACKED.binary_search(&key).is_ok()) {
+            best = 2;
         }
     }
     for rule in WILDCARD {
         // `*.ck` matches any domain with at least one label before `ck`.
-        let rule_labels = rule_label_count(rule);
-        if n > rule_labels && tail_matches(labels, rule) {
-            best = best.max(rule_labels + 1);
+        if is_strict_suffix(host, rule) {
+            best = best.max(rule_label_count(rule) + 1);
         }
     }
-    best.min(n)
+    best
 }
 
 /// Returns `true` when a string is a known public suffix on its own
 /// (useful for generators that must pick valid suffixes).
 pub fn is_public_suffix(suffix: &str) -> bool {
-    let labels: Vec<String> = suffix.split('.').map(str::to_owned).collect();
-    if labels.iter().any(String::is_empty) {
+    if suffix.split('.').any(str::is_empty) {
         return false;
     }
-    suffix_label_count(&labels) == labels.len()
+    suffix_label_count(suffix) == rule_label_count(suffix)
 }
 
 fn rule_label_count(rule: &str) -> usize {
     rule.split('.').count()
 }
 
-/// `true` when `labels` ends with the labels of the dotted `rule`.
-fn tail_matches(labels: &[String], rule: &str) -> bool {
-    let mut labels = labels.iter().rev();
-    rule.rsplit('.')
-        .all(|r| labels.next().is_some_and(|l| l == r))
-}
-
-/// Orders `rule` against `tail` joined by `.`, byte by byte, without
-/// building the joined string.
-fn cmp_dotted(rule: &str, tail: &[String]) -> Ordering {
-    let joined = tail.iter().enumerate().flat_map(|(i, label)| {
-        let dot: &[u8] = if i == 0 { b"" } else { b"." };
-        dot.iter().chain(label.as_bytes()).copied()
-    });
-    rule.bytes().cmp(joined)
+/// `true` when `host` ends with `.` followed by `rule`.
+fn is_strict_suffix(host: &str, rule: &str) -> bool {
+    host.strip_suffix(rule)
+        .is_some_and(|head| head.ends_with('.'))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn labels(s: &str) -> Vec<String> {
-        s.split('.').map(str::to_owned).collect()
-    }
-
     #[test]
     fn single_label_tld() {
-        assert_eq!(suffix_label_count(&labels("example.com")), 1);
-        assert_eq!(suffix_label_count(&labels("a.b.example.org")), 1);
+        assert_eq!(suffix_label_count("example.com"), 1);
+        assert_eq!(suffix_label_count("a.b.example.org"), 1);
     }
 
     #[test]
     fn multi_label_suffix() {
-        assert_eq!(suffix_label_count(&labels("amazon.co.uk")), 2);
-        assert_eq!(suffix_label_count(&labels("www.amazon.co.uk")), 2);
-        assert_eq!(suffix_label_count(&labels("shop.example.com.au")), 2);
+        assert_eq!(suffix_label_count("amazon.co.uk"), 2);
+        assert_eq!(suffix_label_count("www.amazon.co.uk"), 2);
+        assert_eq!(suffix_label_count("shop.example.com.au"), 2);
     }
 
     #[test]
     fn unknown_tld_falls_back_to_one() {
-        assert_eq!(suffix_label_count(&labels("example.zzztld")), 1);
+        assert_eq!(suffix_label_count("example.zzztld"), 1);
     }
 
     #[test]
     fn wildcard_rule() {
         // *.ck: anything.ck is a suffix, so foo.bar.ck has RDN foo.bar.ck? No:
         // bar.ck is the suffix (2 labels), foo.bar.ck is registrable.
-        assert_eq!(suffix_label_count(&labels("foo.bar.ck")), 2);
-        assert_eq!(suffix_label_count(&labels("bar.ck")), 2);
+        assert_eq!(suffix_label_count("foo.bar.ck"), 2);
+        assert_eq!(suffix_label_count("bar.ck"), 2);
     }
 
     #[test]
     fn exception_rule() {
         // !www.ck: www.ck is registrable, suffix is just "ck".
-        assert_eq!(suffix_label_count(&labels("www.ck")), 1);
-        assert_eq!(suffix_label_count(&labels("a.www.ck")), 1);
+        assert_eq!(suffix_label_count("www.ck"), 1);
+        assert_eq!(suffix_label_count("a.www.ck"), 1);
     }
 
     #[test]
     fn bare_suffix_is_whole_input() {
-        assert_eq!(suffix_label_count(&labels("com")), 1);
-        assert_eq!(suffix_label_count(&labels("co.uk")), 2);
+        assert_eq!(suffix_label_count("com"), 1);
+        assert_eq!(suffix_label_count("co.uk"), 2);
     }
 
     #[test]
     fn empty_input() {
-        assert_eq!(suffix_label_count(&[]), 0);
+        assert_eq!(suffix_label_count(""), 0);
     }
 
     #[test]
@@ -201,28 +221,35 @@ mod tests {
     }
 
     #[test]
-    fn exact_rules_are_sorted_and_deduplicated() {
-        for pair in EXACT.windows(2) {
-            assert!(
-                pair[0] < pair[1],
-                "{:?} must sort before {:?}",
-                pair[0],
-                pair[1]
-            );
-        }
+    fn exact_rules_have_at_most_two_labels() {
+        // The lookup only searches the two-label tail.
+        let longest = EXACT.iter().map(|r| rule_label_count(r)).max();
+        assert_eq!(longest, Some(2));
     }
 
     #[test]
-    fn max_rule_labels_covers_every_exact_rule() {
-        let longest = EXACT.iter().map(|r| rule_label_count(r)).max();
-        assert_eq!(longest, Some(MAX_RULE_LABELS));
+    fn packed_keys_fit_and_strictly_increase() {
+        for rule in EXACT {
+            assert!(rule.len() <= KEY_BYTES, "{rule:?} does not fit a key");
+            assert!(!rule.contains('\0'), "{rule:?} would alias its padding");
+        }
+        for (i, pair) in PACKED.windows(2).enumerate() {
+            assert!(
+                pair[0] < pair[1],
+                "key of {:?} must sort before {:?}",
+                EXACT[i],
+                EXACT[i + 1]
+            );
+        }
+        assert_eq!(pack(b"co.uk"), Some(u64::from_be_bytes(*b"co.uk\0\0\0")));
+        assert_eq!(pack(b"ninebytes"), None);
     }
 
     #[test]
     fn longest_rule_wins() {
         // "uk" and "co.uk" both match; co.uk must win.
-        assert_eq!(suffix_label_count(&labels("x.co.uk")), 2);
+        assert_eq!(suffix_label_count("x.co.uk"), 2);
         // "uk" alone for a non-listed second level.
-        assert_eq!(suffix_label_count(&labels("x.zzz.uk")), 1);
+        assert_eq!(suffix_label_count("x.zzz.uk"), 1);
     }
 }

@@ -254,11 +254,8 @@ pub fn resolve_href(base: &Url, href: &str) -> Option<Url> {
     if href.contains("://") {
         return Url::parse(href).ok();
     }
-    let host = match base.fqdn() {
-        Some(f) => f.to_string(),
-        None => base.host().to_string(),
-    };
-    let scheme = base.scheme().as_str();
+    let host = base.host_str();
+    let scheme = base.scheme();
     if let Some(rest) = href.strip_prefix("//") {
         return Url::parse(&format!("{scheme}://{rest}")).ok();
     }
@@ -419,7 +416,7 @@ mod tests {
         w.add_redirect("http://b.example.net/", "http://c.example.net/");
         w.add_page("http://c.example.net/", Page::new("<body>end</body>"));
         let v = Browser::new(&w).visit("http://a.example.net/").unwrap();
-        let hops: Vec<String> = v
+        let hops: Vec<&str> = v
             .redirection_chain
             .iter()
             .filter_map(Url::fqdn_str)

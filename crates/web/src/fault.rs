@@ -148,7 +148,7 @@ impl<'w> FlakyWorld<'w> {
     pub fn attempts_for(&self, url: &Url) -> u32 {
         self.attempts
             .borrow()
-            .get(&WebWorld::key_of(url))
+            .get(url.canonical_key())
             .copied()
             .unwrap_or(0)
     }
@@ -166,10 +166,10 @@ impl<'w> FlakyWorld<'w> {
 
 impl World for FlakyWorld<'_> {
     fn fetch(&self, url: &Url) -> FetchResult {
-        let key = WebWorld::key_of(url);
+        let key = url.canonical_key();
         let attempt = {
             let mut map = self.attempts.borrow_mut();
-            let n = map.entry(key.clone()).or_insert(0);
+            let n = map.entry(key.to_owned()).or_insert(0);
             *n += 1;
             *n
         };
@@ -179,7 +179,7 @@ impl World for FlakyWorld<'_> {
         };
         // The underlying truth, before any disturbance.
         let truth = self.inner.fetch(url).outcome;
-        let Some(fault) = self.decide(&key, attempt) else {
+        let Some(fault) = self.decide(key, attempt) else {
             return clean(truth);
         };
         let h = mix(

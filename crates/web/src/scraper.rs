@@ -362,8 +362,8 @@ impl<'w, W: World> ResilientBrowser<'w, W> {
         url: &str,
         obs: &mut dyn kyp_obs::PipelineObserver,
     ) -> Result<ScrapedPage, ScrapeFailure> {
-        let host = match Url::parse(url) {
-            Ok(u) => u.fqdn_str().unwrap_or_else(|| u.host().to_string()),
+        let parsed = match Url::parse(url) {
+            Ok(u) => u,
             Err(e) => {
                 return Err(ScrapeFailure {
                     cause: FailureCause::BadUrl,
@@ -373,9 +373,10 @@ impl<'w, W: World> ResilientBrowser<'w, W> {
                 })
             }
         };
+        let host = parsed.host_str();
         let started_ms = self.clock.now_ms();
         let deadline_ms = started_ms.saturating_add(self.policy.deadline_ms);
-        if !self.breaker.allow(&host, started_ms) {
+        if !self.breaker.allow(host, started_ms) {
             return Err(ScrapeFailure {
                 cause: FailureCause::CircuitOpen,
                 error: None,
@@ -400,7 +401,7 @@ impl<'w, W: World> ResilientBrowser<'w, W> {
                     self.clock.advance(outcome.cost_ms);
                     obs.clock(self.clock.now_ms());
                     obs.fetch_attempt(url, outcome.cost_ms, true);
-                    self.breaker.record_success(&host);
+                    self.breaker.record_success(host);
                     return Ok(ScrapedPage {
                         visit: outcome.visit,
                         availability: outcome.availability,
@@ -419,7 +420,7 @@ impl<'w, W: World> ResilientBrowser<'w, W> {
                             &self.clock,
                         );
                     }
-                    self.breaker.record_failure(&host, self.clock.now_ms());
+                    self.breaker.record_failure(host, self.clock.now_ms());
                     if attempts >= self.policy.max_attempts {
                         return fail(
                             FailureCause::of(&failure.error),
@@ -443,7 +444,7 @@ impl<'w, W: World> ResilientBrowser<'w, W> {
                         );
                     }
                     self.clock.advance(backoff);
-                    if !self.breaker.allow(&host, self.clock.now_ms()) {
+                    if !self.breaker.allow(host, self.clock.now_ms()) {
                         return fail(FailureCause::CircuitOpen, Some(failure.error), &self.clock);
                     }
                     self.retries += 1;

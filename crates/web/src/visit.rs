@@ -80,10 +80,10 @@ impl VisitedPage {
     /// in the redirection chain (Section III-A, *Control*).
     ///
     /// IP-hosted steps contribute their host string.
-    pub fn controlled_rdns(&self) -> Vec<String> {
-        let mut rdns: Vec<String> = Vec::new();
+    pub fn controlled_rdns(&self) -> Vec<&str> {
+        let mut rdns: Vec<&str> = Vec::new();
         for url in &self.redirection_chain {
-            let rdn = url.rdn().unwrap_or_else(|| url.host().to_string());
+            let rdn = url.rdn().unwrap_or(url.host_str());
             if !rdns.contains(&rdn) {
                 rdns.push(rdn);
             }
@@ -163,7 +163,7 @@ mod tests {
         let (int, ext) = v.logged_split();
         assert_eq!(int.len(), 1);
         assert_eq!(ext.len(), 1);
-        assert_eq!(ext[0].rdn().as_deref(), Some("thirdparty.net"));
+        assert_eq!(ext[0].rdn(), Some("thirdparty.net"));
     }
 
     #[test]

@@ -132,18 +132,10 @@ impl WebWorld {
         Self::default()
     }
 
-    /// Normalised lookup key of a URL: `host/path`.
-    pub(crate) fn key_of(url: &Url) -> String {
-        let host = match url.fqdn() {
-            Some(f) => f.to_string(),
-            None => url.host().to_string(),
-        };
-        format!("{host}/{}", url.path())
-    }
-
-    /// Parses `url` and returns its key, or `None` for unparsable URLs.
+    /// Parses `url` and returns its lookup key ([`Url::canonical_key`]),
+    /// or `None` for unparsable URLs.
     fn key_str(url: &str) -> Option<String> {
-        Url::parse(url).ok().map(|u| Self::key_of(&u))
+        Url::parse(url).ok().map(|u| u.canonical_key().to_owned())
     }
 
     /// Hosts a page at `url`.
@@ -169,7 +161,7 @@ impl WebWorld {
 
     /// Resolves a URL to a page or redirect target.
     pub(crate) fn lookup(&self, url: &Url) -> Option<&Entry> {
-        self.entries.get(&Self::key_of(url))
+        self.entries.get(url.canonical_key())
     }
 
     /// Number of hosted entries (pages + redirects).

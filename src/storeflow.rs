@@ -240,7 +240,7 @@ pub fn write_corpus_sidecars(dir: &Path, corpus: &Corpus) -> Result<(), String> 
         if let Ok(visit) = browser.visit(url) {
             if let (Some(rdn), Some(mld)) = (visit.landing_url.rdn(), visit.landing_url.mld()) {
                 let entry = IndexEntry {
-                    rdn,
+                    rdn: rdn.to_owned(),
                     mld: mld.to_owned(),
                     text: format!("{} {}", visit.title, visit.text),
                 };
