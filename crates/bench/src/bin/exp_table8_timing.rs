@@ -17,8 +17,8 @@
 //!   ([`PhishDetector::score_reference`]);
 //! - **flat** — scratch-reusing chunked extraction
 //!   ([`FeatureExtractor::extract_batch`]) plus the compiled SoA model
-//!   ([`PhishDetector::score_batch`]), with the arena-backed scrape
-//!   stage timed alongside.
+//!   ([`PhishDetector::score_batch`]), with the scrape stage timed
+//!   alongside.
 //!
 //! The two verdict streams must be bit-identical to each other and
 //! across every thread count (`outputs_identical`), and the per-stage
@@ -38,7 +38,6 @@
 
 use kyp_bench::{harness, report, EvalArgs, ExperimentEnv};
 use kyp_core::{DataSources, DetectorConfig, PhishDetector};
-use kyp_html::ParseArena;
 use kyp_web::{Browser, VisitedPage};
 use std::path::Path;
 use std::time::Instant;
@@ -192,21 +191,20 @@ fn main() {
         }
         let flat_wall = flat_extract + flat_score;
 
-        // Scrape stage: the arena-backed parse path, one arena per chunk.
+        // Scrape stage: lenient visits, chunked across the pool.
         let mut scrape_wall = f64::INFINITY;
         for _ in 0..REPS {
             let t0 = Instant::now();
             let scraped: usize = kyp_exec::pool()
                 .par_chunks(&sample, SCRAPE_CHUNK, |_, urls| {
-                    let mut arena = ParseArena::new();
                     urls.iter()
-                        .filter(|url| browser.try_visit_in(url, &mut arena).is_ok())
+                        .filter(|url| browser.try_visit(url).is_ok())
                         .count()
                 })
                 .into_iter()
                 .sum();
             let elapsed = t0.elapsed().as_secs_f64();
-            assert!(scraped >= visits.len(), "arena scrape lost pages");
+            assert!(scraped >= visits.len(), "scrape lost pages");
             if elapsed < scrape_wall {
                 scrape_wall = elapsed;
             }
@@ -330,7 +328,7 @@ const REPS: usize = 3;
 /// Rows scored per flat-inference chunk in the thread sweep.
 const SCORE_CHUNK: usize = 256;
 
-/// URLs visited per arena in the scrape-stage timing.
+/// URLs visited per pool chunk in the scrape-stage timing.
 const SCRAPE_CHUNK: usize = 32;
 
 fn ms(from: Instant) -> f64 {

@@ -22,8 +22,8 @@ use std::fmt::Write as _;
 ///     .copyright("© 2015 Example Bank Inc.")
 ///     .build();
 /// let doc = Document::parse(&html);
-/// assert_eq!(doc.title(), "Example Bank");
-/// assert_eq!(doc.image_count(), 1);
+/// assert_eq!(doc.title, "Example Bank");
+/// assert_eq!(doc.image_count, 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageBuilder {
@@ -178,15 +178,15 @@ mod tests {
             .copyright("© 2015 My Bank")
             .build();
         let doc = Document::parse(&html);
-        assert_eq!(doc.title(), "My Bank & Co");
-        assert_eq!(doc.href_links(), ["https://my-bank.com/login"]);
-        assert_eq!(doc.image_count(), 1);
-        assert_eq!(doc.iframe_count(), 1);
-        assert_eq!(doc.input_count(), 2); // submit button is not a data field
-        assert!(doc.text().contains("Hello there"));
-        assert!(doc.copyright().unwrap().contains("My Bank"));
+        assert_eq!(doc.title, "My Bank & Co");
+        assert_eq!(doc.href_links, ["https://my-bank.com/login"]);
+        assert_eq!(doc.image_count, 1);
+        assert_eq!(doc.iframe_count, 1);
+        assert_eq!(doc.input_count, 2); // submit button is not a data field
+        assert!(doc.text.contains("Hello there"));
+        assert!(doc.copyright.as_deref().unwrap().contains("My Bank"));
         assert_eq!(
-            doc.resource_links(),
+            doc.resource_links,
             [
                 "/css/a.css",
                 "https://cdn.x.com/a.js",
@@ -203,15 +203,15 @@ mod tests {
             .paragraph("a < b & c")
             .build();
         let doc = Document::parse(&html);
-        assert_eq!(doc.title(), "<script>alert(1)</script>");
-        assert!(doc.text().contains("a < b & c"));
-        assert!(doc.resource_links().is_empty());
+        assert_eq!(doc.title, "<script>alert(1)</script>");
+        assert!(doc.text.contains("a < b & c"));
+        assert!(doc.resource_links.is_empty());
     }
 
     #[test]
     fn empty_builder_is_valid_page() {
         let doc = Document::parse(&PageBuilder::new().build());
-        assert_eq!(doc.title(), "");
-        assert_eq!(doc.text(), "");
+        assert_eq!(doc.title, "");
+        assert_eq!(doc.text, "");
     }
 }

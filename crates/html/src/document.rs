@@ -1,20 +1,32 @@
-use crate::arena::{sym, ParseArena};
-use crate::tokenizer::{find_ascii_ci, Token, Tokenizer};
+use crate::tokenizer::{Token, Tokenizer};
 use std::borrow::Cow;
 
 /// The data sources extracted from a page's HTML (paper Section II-C).
 ///
-/// See the [crate docs](crate) for an overview and an example.
+/// A passive result: every field is public, so a consumer such as the
+/// browser takes the owned strings over instead of copying them. See the
+/// [crate docs](crate) for an overview and an example.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Document {
-    title: String,
-    text: String,
-    href_links: Vec<String>,
-    resource_links: Vec<String>,
-    copyright: Option<String>,
-    input_count: usize,
-    image_count: usize,
-    iframe_count: usize,
+    /// The trimmed `<title>` content (paper data source *Title*).
+    pub title: String,
+    /// The rendered body text, trimmed text runs joined by single spaces
+    /// (paper data source *Text*).
+    pub text: String,
+    /// Raw `href` targets of outgoing links, fragments excluded (paper
+    /// data source *HREF links*).
+    pub href_links: Vec<String>,
+    /// Raw URLs of embedded resources a browser would fetch while loading
+    /// the page — the seed of the *logged links* data source.
+    pub resource_links: Vec<String>,
+    /// The copyright notice found in [`Document::text`], if any.
+    pub copyright: Option<String>,
+    /// Number of input fields that collect user data (feature set *f5*).
+    pub input_count: usize,
+    /// Number of images (feature set *f5*).
+    pub image_count: usize,
+    /// Number of iframes/frames (feature set *f5*).
+    pub iframe_count: usize,
 }
 
 impl Document {
@@ -24,93 +36,63 @@ impl Document {
     /// means all text outside `<head>` counts as body text, and broken
     /// markup degrades to text.
     pub fn parse(html: &str) -> Self {
-        Self::parse_in(html, &mut ParseArena::new())
-    }
-
-    /// Parses HTML source reusing `arena`'s buffers. Identical output to
-    /// [`Self::parse`]; meant for batch loops, where one arena carried
-    /// across thousands of pages amortises the per-page text-assembly
-    /// and tag-dispatch allocations.
-    pub fn parse_in(html: &str, arena: &mut ParseArena) -> Self {
-        arena.page_reset();
         let mut doc = Document::default();
         let mut in_title = false;
         let mut in_head = false;
 
         for token in Tokenizer::new(html) {
             match token {
-                Token::StartTag { name, attrs, .. } => {
-                    // One interner probe per tag; dispatch on the symbol.
-                    match arena.interner.intern(&name) {
-                        sym::HEAD => in_head = true,
-                        sym::TITLE => in_title = true,
-                        sym::A | sym::AREA => {
-                            if let Some(href) = attr(&attrs, "href") {
-                                if !href.is_empty() && !href.starts_with('#') {
-                                    doc.href_links.push(href.to_owned());
-                                }
+                // The tokenizer lowercases tag names, so one static match
+                // dispatches every tag.
+                Token::StartTag { name, attrs, .. } => match &*name {
+                    "head" => in_head = true,
+                    "title" => in_title = true,
+                    "a" | "area" => {
+                        if let Some(href) = attr(&attrs, "href") {
+                            if !href.is_empty() && !href.starts_with('#') {
+                                doc.href_links.push(href.to_owned());
                             }
                         }
-                        sym::IMG => {
-                            doc.image_count += 1;
-                            if let Some(src) = attr(&attrs, "src") {
-                                if !src.is_empty() {
-                                    doc.resource_links.push(src.to_owned());
-                                }
-                            }
-                        }
-                        sym::SCRIPT | sym::EMBED | sym::SOURCE | sym::AUDIO | sym::VIDEO => {
-                            if let Some(src) = attr(&attrs, "src") {
-                                if !src.is_empty() {
-                                    doc.resource_links.push(src.to_owned());
-                                }
-                            }
-                        }
-                        sym::LINK => {
-                            if let Some(href) = attr(&attrs, "href") {
-                                if !href.is_empty() {
-                                    doc.resource_links.push(href.to_owned());
-                                }
-                            }
-                        }
-                        sym::IFRAME | sym::FRAME => {
-                            doc.iframe_count += 1;
-                            if let Some(src) = attr(&attrs, "src") {
-                                if !src.is_empty() {
-                                    doc.resource_links.push(src.to_owned());
-                                }
-                            }
-                        }
-                        sym::INPUT | sym::TEXTAREA | sym::SELECT => {
-                            // Only fields that collect user data count
-                            // (phishing pages exist to harvest input).
-                            let non_data = attr(&attrs, "type").is_some_and(|t| {
-                                matches!(t, "hidden" | "submit" | "button" | "reset" | "image")
-                            });
-                            if !non_data {
-                                doc.input_count += 1;
-                            }
-                        }
-                        _ => {}
                     }
-                }
-                Token::EndTag { name } => match arena.interner.intern(&name) {
-                    sym::HEAD => in_head = false,
-                    sym::TITLE => in_title = false,
+                    "img" => {
+                        doc.image_count += 1;
+                        push_resource(&mut doc.resource_links, &attrs, "src");
+                    }
+                    "script" | "embed" | "source" | "audio" | "video" => {
+                        push_resource(&mut doc.resource_links, &attrs, "src");
+                    }
+                    "link" => push_resource(&mut doc.resource_links, &attrs, "href"),
+                    "iframe" | "frame" => {
+                        doc.iframe_count += 1;
+                        push_resource(&mut doc.resource_links, &attrs, "src");
+                    }
+                    "input" | "textarea" | "select" => {
+                        // Only fields that collect user data count
+                        // (phishing pages exist to harvest input).
+                        let non_data = attr(&attrs, "type").is_some_and(|t| {
+                            matches!(t, "hidden" | "submit" | "button" | "reset" | "image")
+                        });
+                        if !non_data {
+                            doc.input_count += 1;
+                        }
+                    }
+                    _ => {}
+                },
+                Token::EndTag { name } => match &*name {
+                    "head" => in_head = false,
+                    "title" => in_title = false,
                     _ => {}
                 },
                 Token::Text(t) => {
                     if in_title {
-                        arena.title.push_str(&t);
+                        doc.title.push_str(&t);
                     } else if !in_head {
-                        // Assemble body text directly in the arena buffer
-                        // (what `Vec<String>` + `join(" ")` used to build).
                         let trimmed = t.trim();
                         if !trimmed.is_empty() {
-                            if !arena.text.is_empty() {
-                                arena.text.push(' ');
+                            if !doc.text.is_empty() {
+                                doc.text.push(' ');
                             }
-                            arena.text.push_str(trimmed);
+                            doc.text.push_str(trimmed);
                         }
                     }
                 }
@@ -118,51 +100,12 @@ impl Document {
             }
         }
 
-        doc.text.clone_from(&arena.text);
-        doc.title = String::from(arena.title.trim());
+        let kept = doc.title.trim_end().len();
+        doc.title.truncate(kept);
+        let lead = doc.title.len() - doc.title.trim_start().len();
+        doc.title.drain(..lead);
         doc.copyright = find_copyright(&doc.text);
         doc
-    }
-
-    /// The `<title>` content (paper data source *Title*).
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The rendered body text (paper data source *Text*).
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Raw `href` targets of outgoing links (paper data source *HREF links*).
-    pub fn href_links(&self) -> &[String] {
-        &self.href_links
-    }
-
-    /// Raw URLs of embedded resources a browser would fetch while loading
-    /// the page — the seed of the *logged links* data source.
-    pub fn resource_links(&self) -> &[String] {
-        &self.resource_links
-    }
-
-    /// The copyright notice found in the text, if any.
-    pub fn copyright(&self) -> Option<&str> {
-        self.copyright.as_deref()
-    }
-
-    /// Number of visible input fields (feature set *f5*).
-    pub fn input_count(&self) -> usize {
-        self.input_count
-    }
-
-    /// Number of images (feature set *f5*).
-    pub fn image_count(&self) -> usize {
-        self.image_count
-    }
-
-    /// Number of iframes/frames (feature set *f5*).
-    pub fn iframe_count(&self) -> usize {
-        self.iframe_count
     }
 }
 
@@ -173,15 +116,27 @@ fn attr<'t>(attrs: &'t [(Cow<'_, str>, Cow<'_, str>)], name: &str) -> Option<&'t
         .map(|(_, v)| v.as_ref())
 }
 
+/// Records the `name` attribute of a resource tag, unless it is missing
+/// or empty.
+fn push_resource(links: &mut Vec<String>, attrs: &[(Cow<'_, str>, Cow<'_, str>)], name: &str) {
+    if let Some(url) = attr(attrs, name) {
+        if !url.is_empty() {
+            links.push(url.to_owned());
+        }
+    }
+}
+
 /// Finds the copyright notice inside rendered text: the sentence-ish
 /// segment around `©`, `(c)` or the word "copyright".
 fn find_copyright(text: &str) -> Option<String> {
+    // The anchor's priority, not its position, decides: any `©` wins over
+    // an earlier "copyright", which wins over an earlier "(c)".
     // Byte offsets must index `text` itself: Unicode lowercasing can
     // change byte lengths, so case-insensitive matching is done in place.
     let idx = text
         .find('©')
-        .or_else(|| find_ascii_ci(text, "copyright"))
-        .or_else(|| find_ascii_ci(text, "(c)"))?;
+        .or_else(|| find_ignore_ascii_case(text.as_bytes(), b"copyright"))
+        .or_else(|| find_ignore_ascii_case(text.as_bytes(), b"(c)"))?;
     // Expand to segment boundaries (periods or end of string), capped to a
     // reasonable notice length.
     // kyp-lint: allow(P02) — idx/start/end come from find/rfind of `©` and ASCII patterns, so they are char boundaries with start <= idx <= end
@@ -192,6 +147,27 @@ fn find_copyright(text: &str) -> Option<String> {
     let notice = text[start..end].trim();
     let notice: String = notice.chars().take(200).collect();
     (!notice.is_empty()).then_some(notice)
+}
+
+/// Byte offset of the first ASCII-case-insensitive occurrence of the
+/// ASCII pattern `pat` in `text`. Only the positions holding `pat`'s
+/// first byte, in either case, are compared in full.
+fn find_ignore_ascii_case(text: &[u8], pat: &[u8]) -> Option<usize> {
+    let first = *pat.first()?;
+    let mut from = 0;
+    while let Some(offset) = text
+        .get(from..)?
+        .iter()
+        .position(|b| b.eq_ignore_ascii_case(&first))
+    {
+        let at = from + offset;
+        let window = text.get(at..at + pat.len())?;
+        if window.eq_ignore_ascii_case(pat) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -220,34 +196,16 @@ mod tests {
     #[test]
     fn extracts_title() {
         let doc = Document::parse(PAGE);
-        assert_eq!(doc.title(), "Example Bank — Sign in");
+        assert_eq!(doc.title, "Example Bank — Sign in");
     }
 
     #[test]
     fn extracts_text_without_head_or_scripts() {
         let doc = Document::parse(PAGE);
-        assert!(doc.text().contains("Welcome to Example Bank"));
-        assert!(doc.text().contains("Access your account securely."));
-        assert!(!doc.text().contains("stylesheet"));
-        assert!(!doc.text().contains("lib.js"));
-    }
-
-    #[test]
-    fn arena_reuse_matches_fresh_parse() {
-        // One arena across many pages (and many reuses of the same page)
-        // must produce exactly what the allocate-fresh path produces.
-        let mut arena = ParseArena::new();
-        let pages = [
-            PAGE,
-            "<title>A</title><body>text &amp; more</body>",
-            "",
-            "<P>UPPER <MARQUEE>legacy</MARQUEE></P>",
-        ];
-        for _ in 0..3 {
-            for html in pages {
-                assert_eq!(Document::parse_in(html, &mut arena), Document::parse(html));
-            }
-        }
+        assert!(doc.text.contains("Welcome to Example Bank"));
+        assert!(doc.text.contains("Access your account securely."));
+        assert!(!doc.text.contains("stylesheet"));
+        assert!(!doc.text.contains("lib.js"));
     }
 
     #[test]
@@ -256,24 +214,24 @@ mod tests {
         // arrived before the cut — and never panics, whatever the cut.
         for cut in (0..PAGE.len()).filter(|&c| PAGE.is_char_boundary(c)) {
             let doc = Document::parse(&PAGE[..cut]);
-            assert!(doc.href_links().iter().all(|h| !h.is_empty()));
+            assert!(doc.href_links.iter().all(|h| !h.is_empty()));
         }
         // Cut right after the first two anchors: both survive.
         let upto = PAGE.find("top</a>").unwrap();
         let doc = Document::parse(&PAGE[..upto]);
-        assert_eq!(doc.title(), "Example Bank — Sign in");
+        assert_eq!(doc.title, "Example Bank — Sign in");
         assert_eq!(
-            doc.href_links(),
+            doc.href_links,
             ["/accounts", "https://partner.example.org/offers"]
         );
-        assert!(doc.text().contains("Welcome to Example Bank"));
+        assert!(doc.text.contains("Welcome to Example Bank"));
     }
 
     #[test]
     fn extracts_href_links_skipping_fragments() {
         let doc = Document::parse(PAGE);
         assert_eq!(
-            doc.href_links(),
+            doc.href_links,
             ["/accounts", "https://partner.example.org/offers"]
         );
     }
@@ -282,7 +240,7 @@ mod tests {
     fn extracts_resource_links() {
         let doc = Document::parse(PAGE);
         assert_eq!(
-            doc.resource_links(),
+            doc.resource_links,
             [
                 "/css/main.css",
                 "https://cdn.example.net/lib.js",
@@ -296,55 +254,55 @@ mod tests {
     #[test]
     fn counts_f5_elements() {
         let doc = Document::parse(PAGE);
-        assert_eq!(doc.input_count(), 2, "hidden input must not count");
-        assert_eq!(doc.image_count(), 2);
-        assert_eq!(doc.iframe_count(), 1);
+        assert_eq!(doc.input_count, 2, "hidden input must not count");
+        assert_eq!(doc.image_count, 2);
+        assert_eq!(doc.iframe_count, 1);
     }
 
     #[test]
     fn finds_copyright() {
         let doc = Document::parse(PAGE);
-        let c = doc.copyright().unwrap();
+        let c = doc.copyright.as_deref().unwrap();
         assert!(c.contains("Example Bank Inc"), "got {c:?}");
     }
 
     #[test]
     fn copyright_word_form() {
         let doc = Document::parse("<body>Copyright 2015 Acme Corp. Other text.</body>");
-        assert_eq!(doc.copyright(), Some("Copyright 2015 Acme Corp"));
+        assert_eq!(doc.copyright.as_deref(), Some("Copyright 2015 Acme Corp"));
     }
 
     #[test]
     fn no_copyright() {
         let doc = Document::parse("<body>hello world</body>");
-        assert_eq!(doc.copyright(), None);
+        assert_eq!(doc.copyright.as_deref(), None);
     }
 
     #[test]
     fn empty_page() {
         let doc = Document::parse("");
-        assert_eq!(doc.title(), "");
-        assert_eq!(doc.text(), "");
-        assert!(doc.href_links().is_empty());
-        assert_eq!(doc.input_count(), 0);
+        assert_eq!(doc.title, "");
+        assert_eq!(doc.text, "");
+        assert!(doc.href_links.is_empty());
+        assert_eq!(doc.input_count, 0);
     }
 
     #[test]
     fn text_without_body_tag() {
         let doc = Document::parse("<p>loose text</p>");
-        assert_eq!(doc.text(), "loose text");
+        assert_eq!(doc.text, "loose text");
     }
 
     #[test]
     fn textarea_and_select_count_as_inputs() {
         let doc = Document::parse("<body><textarea></textarea><select></select></body>");
-        assert_eq!(doc.input_count(), 2);
+        assert_eq!(doc.input_count, 2);
     }
 
     #[test]
     fn entities_in_text_and_title() {
         let doc = Document::parse("<title>A &amp; B</title><body>caf&eacute;</body>");
-        assert_eq!(doc.title(), "A & B");
-        assert_eq!(doc.text(), "café");
+        assert_eq!(doc.title, "A & B");
+        assert_eq!(doc.text, "café");
     }
 }

@@ -29,20 +29,18 @@
 //!     <img src="/logo.png">
 //!     <p>&copy; 2015 Example Bank Inc.</p>
 //!   </body></html>"#);
-//! assert_eq!(doc.title(), "Example Bank");
-//! assert_eq!(doc.href_links(), ["https://example.com/login"]);
-//! assert_eq!(doc.resource_links(), ["/logo.png"]);
-//! assert!(doc.copyright().unwrap().contains("Example Bank"));
-//! assert_eq!(doc.image_count(), 1);
+//! assert_eq!(doc.title, "Example Bank");
+//! assert_eq!(doc.href_links, ["https://example.com/login"]);
+//! assert_eq!(doc.resource_links, ["/logo.png"]);
+//! assert!(doc.copyright.as_deref().unwrap().contains("Example Bank"));
+//! assert_eq!(doc.image_count, 1);
 //! ```
 
-mod arena;
 mod builder;
 mod document;
 mod entity;
 mod tokenizer;
 
-pub use arena::{Interner, ParseArena, Sym};
 pub use builder::PageBuilder;
 pub use document::Document;
 pub use entity::decode_entities;

@@ -78,7 +78,6 @@ pub(crate) fn find_ascii_ci(haystack: &str, pat: &str) -> Option<usize> {
     if p.is_empty() || p.len() > h.len() {
         return None;
     }
-    // kyp-lint: allow(P02) — the guard above keeps `p.len() <= h.len()`, so the window stays in bounds
     (0..=h.len() - p.len()).find(|&i| h[i..i + p.len()].eq_ignore_ascii_case(p))
 }
 

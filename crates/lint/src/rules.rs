@@ -194,7 +194,7 @@ mod tests {
         assert!(!rule_by_id("D02").unwrap().scope.applies_to("bench"));
         assert!(rule_by_id("D04").unwrap().scope.applies_to("lint"));
         assert!(!rule_by_id("P01").unwrap().scope.applies_to("text"));
-        // The hot-path kernels (flat model, parse arena) are in scope.
+        // The hot-path kernels (flat model, HTML parser) are in scope.
         assert!(rule_by_id("P01").unwrap().scope.applies_to("ml"));
         assert!(rule_by_id("P01").unwrap().scope.applies_to("html"));
         // The persistent store feeds training and verdicts: its decode

@@ -260,6 +260,22 @@ impl Url {
         parse::parse(input)
     }
 
+    /// Whether `s` starts with a scheme and `://`, the one test
+    /// [`Url::parse`] reads a scheme by: an RFC 3986 scheme,
+    /// `ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )`, directly followed by
+    /// `://`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use kyp_url::Url;
+    /// assert!(Url::starts_with_scheme("https://example.com/"));
+    /// assert!(!Url::starts_with_scheme("/out?to=https://example.com/"));
+    /// ```
+    pub fn starts_with_scheme(s: &str) -> bool {
+        parse::find_scheme_end(s).is_some()
+    }
+
     /// The original string this URL was parsed from.
     pub fn as_str(&self) -> &str {
         &self.buf[..self.input_len]
@@ -509,6 +525,21 @@ mod tests {
         let url = Url::parse("example.com/x").unwrap();
         assert_eq!(url.scheme(), Scheme::Http);
         assert!(!url.is_https());
+    }
+
+    #[test]
+    fn scheme_in_a_query_is_not_the_scheme() {
+        // Everything before the first `://` used to be taken as the
+        // scheme, so the host became the one in the query parameter.
+        let url = Url::parse("secure-paypal.com.evil.xyz/login?r=https://www.paypal.com/").unwrap();
+        assert_eq!(url.scheme(), Scheme::Http);
+        assert_eq!(url.fqdn_str(), Some("secure-paypal.com.evil.xyz"));
+        assert_eq!(url.rdn(), Some("evil.xyz"));
+        assert_eq!(url.path(), "login");
+        assert_eq!(url.query(), Some("r=https://www.paypal.com/"));
+        let url = Url::parse("svn+ssh://code.example.org/repo").unwrap();
+        assert_eq!(url.scheme(), Scheme::Other("svn+ssh"));
+        assert_eq!(url.rdn(), Some("example.org"));
     }
 
     #[test]

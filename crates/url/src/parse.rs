@@ -167,18 +167,19 @@ impl Span {
     }
 }
 
-/// The byte offset of the first `://` in `s`: a `:` scan, cheaper than
-/// a substring search for a needle this short.
-fn find_scheme_end(s: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(i) = s[from..].find(':') {
-        let at = from + i;
-        if s[at + 1..].starts_with("//") {
-            return Some(at);
-        }
-        from = at + 1;
+/// The length of the scheme `s` starts with: an RFC 3986 scheme,
+/// `ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )`, directly followed by
+/// `://`. A `://` later in the string, such as one in a query parameter,
+/// never makes the text before it a scheme.
+pub(crate) fn find_scheme_end(s: &str) -> Option<usize> {
+    let bytes = s.as_bytes();
+    if !bytes.first()?.is_ascii_alphabetic() {
+        return None;
     }
-    None
+    let end = bytes
+        .iter()
+        .position(|&b| !(b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.')))?;
+    (bytes.get(end..end + 3) == Some(b"://")).then_some(end)
 }
 
 fn parse_ipv4(s: &str) -> Option<[u8; 4]> {
@@ -269,6 +270,25 @@ mod tests {
     fn empty_path_after_host() {
         let url = parse("http://example.com/").unwrap();
         assert_eq!(url.path(), "");
+    }
+
+    #[test]
+    fn scheme_must_start_the_url() {
+        assert_eq!(find_scheme_end("https://x.com/"), Some(5));
+        assert_eq!(find_scheme_end("svn+ssh://x.com/"), Some(7));
+        assert_eq!(find_scheme_end("a-b.c9://x.com/"), Some(6));
+        for s in [
+            "x.com/login?r=https://y.com/",
+            "/out?to=https://y.com/",
+            "9http://x.com/",
+            "-x://x.com/",
+            "://x.com/",
+            "http:/x.com/",
+            "http:",
+            "",
+        ] {
+            assert_eq!(find_scheme_end(s), None, "{s:?}");
+        }
     }
 
     #[test]

@@ -127,7 +127,9 @@ fn port() -> impl Strategy<Value = String> {
 }
 
 /// Whole URLs: optional (mixed-case) scheme, userinfo, host, port, path,
-/// query and fragment, with optional surrounding whitespace.
+/// query and fragment, with optional surrounding whitespace. Some
+/// "schemes" break the RFC 3986 grammar, and some queries carry a `://`
+/// of their own, which must never be read as the scheme.
 fn url_string() -> impl Strategy<Value = String> {
     let scheme = prop_oneof![
         Just(""),
@@ -138,6 +140,16 @@ fn url_string() -> impl Strategy<Value = String> {
         Just("ftp://"),
         Just("FTP://"),
         Just("Data://"),
+        Just("svn+ssh://"),
+        Just("a-b.c9://"),
+        Just("9p://"),
+        Just("-x://"),
+        Just("h_t://"),
+        Just("://"),
+    ];
+    let query = prop_oneof![
+        "[a-zA-Z0-9=&./?:]{0,8}",
+        "[a-z]{1,3}=https?://[a-z]{1,4}\\.com/",
     ];
     (
         (
@@ -149,7 +161,7 @@ fn url_string() -> impl Strategy<Value = String> {
         ),
         (
             maybe("[a-zA-Z0-9./_@:-]{0,12}"),
-            maybe("[a-zA-Z0-9=&./?:]{0,8}"),
+            maybe(query),
             maybe("[a-z?#/.]{0,6}"),
             prop_oneof![Just(""), Just(" ")],
         ),

@@ -9,7 +9,8 @@ use kyp_url::{psl, ParseUrlError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefUrl {
     pub raw: String,
-    /// Lowercased; `http` when the input has no `://`.
+    /// Lowercased; `http` unless the input starts with an RFC 3986
+    /// scheme and `://`.
     pub scheme: String,
     pub host: RefHost,
     pub port: Option<u16>,
@@ -146,8 +147,8 @@ pub fn parse(input: &str) -> Result<RefUrl, ParseUrlError> {
     }
 
     let (scheme, rest) = match trimmed.split_once("://") {
-        Some((s, rest)) => (s.to_ascii_lowercase(), rest),
-        None => ("http".to_owned(), trimmed),
+        Some((s, rest)) if is_scheme(s) => (s.to_ascii_lowercase(), rest),
+        _ => ("http".to_owned(), trimmed),
     };
 
     let (rest, fragment) = match rest.split_once('#') {
@@ -201,6 +202,13 @@ pub fn parse(input: &str) -> Result<RefUrl, ParseUrlError> {
         query,
         fragment,
     })
+}
+
+/// RFC 3986: `scheme = ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )`.
+fn is_scheme(s: &str) -> bool {
+    let mut chars = s.chars();
+    chars.next().is_some_and(|c| c.is_ascii_alphabetic())
+        && chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '+' | '-' | '.'))
 }
 
 fn parse_ipv4(s: &str) -> Option<[u8; 4]> {

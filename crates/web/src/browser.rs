@@ -1,6 +1,6 @@
 use crate::visit::{SourceAvailability, VisitedPage};
-use crate::world::{Fetch, WebWorld, World};
-use kyp_html::{Document, ParseArena};
+use crate::world::{Fetch, FetchedPage, WebWorld, World};
+use kyp_html::Document;
 use kyp_url::{ParseUrlError, Url};
 use std::error::Error;
 use std::fmt;
@@ -92,6 +92,9 @@ pub struct VisitFailure {
 /// Generic over the world implementation: [`WebWorld`] (the default) is
 /// perfectly reliable, [`FlakyWorld`](crate::FlakyWorld) injects faults.
 ///
+/// A visit is two steps: a redirect walk to the landing page
+/// ([`Browser::land`]), then the collection of every data source from it.
+///
 /// # Examples
 ///
 /// See the [crate docs](crate).
@@ -129,11 +132,23 @@ impl<'w, W: World> Browser<'w, W> {
     ///   fails (only on fault-injecting worlds),
     /// - [`VisitError::Truncated`] when the landing HTML was cut off.
     pub fn visit(&self, starting_url: &str) -> Result<VisitedPage, VisitError> {
-        let outcome = self.try_visit(starting_url).map_err(|f| f.error)?;
-        if !outcome.availability.html {
-            return Err(VisitError::Truncated(outcome.visit.landing_url.to_string()));
+        Ok(self.land(starting_url)?.collect().visit)
+    }
+
+    /// The redirect walk of [`Browser::visit`], without collecting the
+    /// data sources: the landing URL and the page served there, for a
+    /// caller that needs no more than that page. It fails exactly where
+    /// [`Browser::visit`] fails.
+    ///
+    /// # Errors
+    ///
+    /// See [`Browser::visit`].
+    pub fn land(&self, starting_url: &str) -> Result<Landing, VisitError> {
+        let landing = self.walk(starting_url).map_err(|f| f.error)?;
+        if landing.fetched.truncated {
+            return Err(VisitError::Truncated(landing.url.to_string()));
         }
-        Ok(outcome.visit)
+        Ok(landing)
     }
 
     /// Lenient visit: accepts partially delivered pages, reporting what
@@ -150,21 +165,12 @@ impl<'w, W: World> Browser<'w, W> {
     ///
     /// See [`Browser::visit`]; `Truncated` is never returned here.
     pub fn try_visit(&self, starting_url: &str) -> Result<VisitOutcome, VisitFailure> {
-        self.try_visit_in(starting_url, &mut ParseArena::new())
+        self.walk(starting_url).map(Landing::collect)
     }
 
-    /// Lenient visit reusing `arena`'s HTML-parse buffers. Identical
-    /// output to [`Browser::try_visit`]; meant for batch scrape loops,
-    /// where one arena serves thousands of visits without reallocating.
-    ///
-    /// # Errors
-    ///
-    /// See [`Browser::try_visit`].
-    pub fn try_visit_in(
-        &self,
-        starting_url: &str,
-        arena: &mut ParseArena,
-    ) -> Result<VisitOutcome, VisitFailure> {
+    /// Follows redirects from `starting_url` to the first page served,
+    /// whatever its delivery defects.
+    fn walk(&self, starting_url: &str) -> Result<Landing, VisitFailure> {
         let mut cost_ms = 0u64;
         let fail = |error, cost_ms| Err(VisitFailure { error, cost_ms });
         let start = match Url::parse(starting_url) {
@@ -173,108 +179,165 @@ impl<'w, W: World> Browser<'w, W> {
         };
         let mut chain = vec![start.clone()];
         let mut current = start.clone();
+        let mut buf = String::new();
         for _ in 0..=MAX_REDIRECTS {
             let result = self.world.fetch(&current);
             cost_ms += result.cost_ms;
-            let fetched = match result.outcome {
+            match result.outcome {
                 Fetch::Redirect(target) => {
-                    let Some(next) = resolve_href(&current, &target) else {
+                    let Some(next) = resolve_href(&current, &target, &mut buf) else {
                         return fail(VisitError::NotFound(target), cost_ms);
                     };
                     chain.push(next.clone());
                     current = next;
-                    continue;
                 }
                 Fetch::NotFound => return fail(VisitError::NotFound(current.to_string()), cost_ms),
                 Fetch::Transient => {
                     return fail(VisitError::Transient(current.to_string()), cost_ms)
                 }
                 Fetch::TimedOut => return fail(VisitError::Timeout(current.to_string()), cost_ms),
-                Fetch::Page(fetched) => fetched,
-            };
-
-            let page = &fetched.page;
-            let doc = Document::parse_in(&page.html, arena);
-            let landing = current.clone();
-            let logged_links = doc
-                .resource_links()
-                .iter()
-                .filter_map(|href| resolve_href(&landing, href))
-                .collect();
-            let href_links = doc
-                .href_links()
-                .iter()
-                .filter_map(|href| resolve_href(&landing, href))
-                .collect();
-            let screenshot_text = if fetched.screenshot_missing {
-                String::new()
-            } else {
-                page.rendered_text
-                    .clone()
-                    .unwrap_or_else(|| doc.text().to_owned())
-            };
-
-            let visit = VisitedPage {
-                starting_url: start,
-                landing_url: landing,
-                redirection_chain: chain,
-                logged_links,
-                href_links,
-                text: doc.text().to_owned(),
-                title: doc.title().to_owned(),
-                copyright: doc.copyright().map(str::to_owned),
-                screenshot_text,
-                input_count: doc.input_count(),
-                image_count: doc.image_count(),
-                iframe_count: doc.iframe_count(),
-            };
-            return Ok(VisitOutcome {
-                visit,
-                availability: SourceAvailability {
-                    html: !fetched.truncated,
-                    links: !fetched.truncated,
-                    screenshot: !fetched.screenshot_missing,
-                },
-                cost_ms,
-            });
+                Fetch::Page(fetched) => {
+                    return Ok(Landing {
+                        start,
+                        chain,
+                        url: current,
+                        fetched,
+                        cost_ms,
+                    })
+                }
+            }
         }
         fail(VisitError::TooManyRedirects, cost_ms)
     }
 }
 
+/// Where a redirect walk ended: the URLs it crossed and the page served
+/// at the last one, as returned by [`Browser::land`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Landing {
+    start: Url,
+    /// Every URL crossed, from `start` to `url` inclusive.
+    chain: Vec<Url>,
+    url: Url,
+    fetched: FetchedPage,
+    cost_ms: u64,
+}
+
+impl Landing {
+    /// The landing URL: the final URL in the address bar.
+    pub fn url(&self) -> &Url {
+        &self.url
+    }
+
+    /// The HTML source served at the landing URL.
+    pub fn html(&self) -> &str {
+        &self.fetched.page.html
+    }
+
+    /// Collects every data source of the landing page: parses its HTML
+    /// once, takes the document's strings over and resolves its links
+    /// against the landing URL.
+    fn collect(self) -> VisitOutcome {
+        let Landing {
+            start,
+            chain,
+            url,
+            fetched,
+            cost_ms,
+        } = self;
+        let FetchedPage {
+            page,
+            truncated,
+            screenshot_missing,
+        } = fetched;
+        let doc = Document::parse(&page.html);
+        let mut buf = String::new();
+        let logged_links = resolve_all(&url, &doc.resource_links, &mut buf);
+        let href_links = resolve_all(&url, &doc.href_links, &mut buf);
+        let screenshot_text = if screenshot_missing {
+            String::new()
+        } else {
+            page.rendered_text.unwrap_or_else(|| doc.text.clone())
+        };
+        let visit = VisitedPage {
+            starting_url: start,
+            landing_url: url,
+            redirection_chain: chain,
+            logged_links,
+            href_links,
+            text: doc.text,
+            title: doc.title,
+            copyright: doc.copyright,
+            screenshot_text,
+            input_count: doc.input_count,
+            image_count: doc.image_count,
+            iframe_count: doc.iframe_count,
+        };
+        VisitOutcome {
+            visit,
+            availability: SourceAvailability {
+                html: !truncated,
+                links: !truncated,
+                screenshot: !screenshot_missing,
+            },
+            cost_ms,
+        }
+    }
+}
+
+/// Resolves every link of `hrefs` against `base`, dropping the ones that
+/// do not resolve.
+fn resolve_all(base: &Url, hrefs: &[String], buf: &mut String) -> Vec<Url> {
+    hrefs
+        .iter()
+        .filter_map(|href| resolve_href(base, href, buf))
+        .collect()
+}
+
 /// Resolves an href/src attribute against a base URL, the way a browser
-/// would: absolute URLs parse as-is, protocol-relative URLs inherit the
-/// scheme, absolute paths keep the host, relative paths append to the
-/// base directory.
-pub fn resolve_href(base: &Url, href: &str) -> Option<Url> {
+/// would: an href that starts with a scheme and `://` parses as-is,
+/// protocol-relative URLs inherit the scheme, absolute paths keep the
+/// host, relative paths append to the base directory. The URL text is
+/// assembled in `buf`, scratch space reused from link to link.
+fn resolve_href(base: &Url, href: &str, buf: &mut String) -> Option<Url> {
     let href = href.trim();
     if href.is_empty() || href.starts_with('#') {
         return None;
     }
-    if href.contains("://") {
+    if Url::starts_with_scheme(href) {
         return Url::parse(href).ok();
     }
-    let host = base.host_str();
-    let scheme = base.scheme();
+    buf.clear();
+    buf.push_str(base.scheme().as_str());
+    buf.push_str("://");
     if let Some(rest) = href.strip_prefix("//") {
-        return Url::parse(&format!("{scheme}://{rest}")).ok();
+        buf.push_str(rest);
+    } else {
+        buf.push_str(base.host_str());
+        buf.push('/');
+        if let Some(path) = href.strip_prefix('/') {
+            buf.push_str(path);
+        } else {
+            // Relative path: resolve against the base's directory.
+            let base_path = base.path();
+            if let Some(i) = base_path.rfind('/') {
+                buf.push_str(&base_path[..=i]);
+            }
+            buf.push_str(href);
+        }
     }
-    if let Some(path) = href.strip_prefix('/') {
-        return Url::parse(&format!("{scheme}://{host}/{path}")).ok();
-    }
-    // Relative path: resolve against the base's directory.
-    let base_path = base.path();
-    let dir = match base_path.rfind('/') {
-        Some(i) => &base_path[..=i],
-        None => "",
-    };
-    Url::parse(&format!("{scheme}://{host}/{dir}{href}")).ok()
+    Url::parse(buf).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::world::Page;
+    use crate::{FaultKind, FaultPlan, FlakyWorld};
+
+    fn resolve(base: &Url, href: &str) -> Option<Url> {
+        resolve_href(base, href, &mut String::new())
+    }
 
     fn world() -> WebWorld {
         let mut w = WebWorld::new();
@@ -377,23 +440,96 @@ mod tests {
     fn resolve_href_cases() {
         let base = Url::parse("https://www.example.com/dir/page.html").unwrap();
         assert_eq!(
-            resolve_href(&base, "other.html").unwrap().as_str(),
+            resolve(&base, "other.html").unwrap().as_str(),
             "https://www.example.com/dir/other.html"
         );
         assert_eq!(
-            resolve_href(&base, "/root.html").unwrap().as_str(),
+            resolve(&base, "/root.html").unwrap().as_str(),
             "https://www.example.com/root.html"
         );
         assert_eq!(
-            resolve_href(&base, "//cdn.net/x").unwrap().as_str(),
+            resolve(&base, "//cdn.net/x").unwrap().as_str(),
             "https://cdn.net/x"
         );
         assert_eq!(
-            resolve_href(&base, "http://abs.net/").unwrap().as_str(),
+            resolve(&base, "http://abs.net/").unwrap().as_str(),
             "http://abs.net/"
         );
-        assert_eq!(resolve_href(&base, "#frag"), None);
-        assert_eq!(resolve_href(&base, ""), None);
+        assert_eq!(resolve(&base, "#frag"), None);
+        assert_eq!(resolve(&base, ""), None);
+    }
+
+    #[test]
+    fn href_is_absolute_only_when_it_starts_with_a_scheme() {
+        // A `://` inside the query of a same-site path used to make the
+        // whole href parse as an absolute URL on another host.
+        let base = Url::parse("https://www.example.com/dir/page.html").unwrap();
+        let out = resolve(&base, "/out?to=https://bank.example.net/login").unwrap();
+        assert_eq!(
+            out.as_str(),
+            "https://www.example.com/out?to=https://bank.example.net/login"
+        );
+        assert_eq!(out.rdn(), Some("example.com"));
+        let rel = resolve(&base, "go?u=http://x.net/").unwrap();
+        assert_eq!(
+            rel.as_str(),
+            "https://www.example.com/dir/go?u=http://x.net/"
+        );
+        let proto = resolve(&base, "//cdn.net/x?u=http://y.org/").unwrap();
+        assert_eq!(proto.rdn(), Some("cdn.net"));
+        assert_eq!(
+            resolve(&base, " HTTPS://Other.NET/a ").unwrap().rdn(),
+            Some("other.net")
+        );
+
+        let mut w = WebWorld::new();
+        w.add_page(
+            "https://shop.example.com/",
+            Page::new(r#"<body><a href="/out?to=https://bank.example.net/login">x</a></body>"#),
+        );
+        let v = Browser::new(&w).visit("https://shop.example.com/").unwrap();
+        let (internal, external) = v.href_split();
+        assert_eq!((internal.len(), external.len()), (1, 0));
+    }
+
+    #[test]
+    fn land_reaches_the_page_visit_collects() {
+        let w = world();
+        let landing = Browser::new(&w).land("http://short.ly/x").unwrap();
+        let v = Browser::new(&w).visit("http://short.ly/x").unwrap();
+        assert_eq!(landing.url(), &v.landing_url);
+        let doc = Document::parse(landing.html());
+        assert_eq!((doc.title, doc.text), (v.title, v.text));
+        assert_eq!(
+            Browser::new(&w)
+                .land("http://missing.example.com/")
+                .unwrap_err(),
+            Browser::new(&w)
+                .visit("http://missing.example.com/")
+                .unwrap_err()
+        );
+    }
+
+    #[test]
+    fn land_rejects_what_visit_rejects() {
+        let w = world();
+        for kind in [
+            FaultKind::TruncateHtml,
+            FaultKind::Transient,
+            FaultKind::Timeout,
+            FaultKind::DropRedirect,
+            FaultKind::GarbleHtml,
+            FaultKind::DropScreenshot,
+        ] {
+            let flaky = FlakyWorld::new(&w, FaultPlan::only(3, 1.0, &[kind]));
+            let landed = Browser::new(&flaky).land("http://short.ly/x").map(|_| ());
+            let flaky = FlakyWorld::new(&w, FaultPlan::only(3, 1.0, &[kind]));
+            let visited = Browser::new(&flaky).visit("http://short.ly/x").map(|_| ());
+            assert_eq!(landed, visited, "{kind:?}");
+        }
+        let flaky = FlakyWorld::new(&w, FaultPlan::only(3, 1.0, &[FaultKind::TruncateHtml]));
+        let err = Browser::new(&flaky).land("http://short.ly/x").unwrap_err();
+        assert!(matches!(err, VisitError::Truncated(_)));
     }
 
     #[test]
@@ -470,9 +606,6 @@ mod tests {
     #[test]
     fn resolve_href_ip_base() {
         let base = Url::parse("http://10.0.0.1/a/b").unwrap();
-        assert_eq!(
-            resolve_href(&base, "/c").unwrap().as_str(),
-            "http://10.0.0.1/c"
-        );
+        assert_eq!(resolve(&base, "/c").unwrap().as_str(), "http://10.0.0.1/c");
     }
 }

@@ -65,7 +65,7 @@ mod scraper;
 mod visit;
 mod world;
 
-pub use browser::{Browser, VisitError, VisitFailure, VisitOutcome};
+pub use browser::{Browser, Landing, VisitError, VisitFailure, VisitOutcome};
 pub use clock::VirtualClock;
 pub use fault::{mix, stable_hash, FaultKind, FaultPlan, FlakyWorld};
 pub use ranking::{DomainRanker, UNRANKED};

@@ -24,6 +24,7 @@
 use crate::core::features::FEATURE_COUNT;
 use crate::core::{ClassifiedPage, FeatureExtractor, PhishDetector, Pipeline, ScrapeReport};
 use crate::datagen::{CampaignConfig, Corpus};
+use crate::html::Document;
 use crate::ml::Dataset;
 use crate::serve::StoredPages;
 use crate::web::{Browser, ResilientBrowser, ScrapedPage, SourceAvailability, VisitedPage, World};
@@ -233,23 +234,28 @@ pub fn write_corpus_sidecars(dir: &Path, corpus: &Corpus) -> Result<(), String> 
 
     // Re-derive index entries from the legitimate sites the engine
     // knows. (The campaign indexes each site's crawlable text; we
-    // persist what a crawler would store.)
+    // persist what a crawler would store.) An entry needs the landing
+    // page's title and text only, so each site's redirects are followed
+    // and its landing HTML parsed, but no link is resolved.
     let browser = Browser::new(&corpus.world);
-    let mut index_file = fs::File::create(dir.join("index.jsonl")).map_err(|e| e.to_string())?;
+    let index_file = File::create(dir.join("index.jsonl")).map_err(|e| e.to_string())?;
+    let mut index = BufWriter::new(index_file);
     for url in corpus.leg_train.iter().chain(corpus.english_test()) {
-        if let Ok(visit) = browser.visit(url) {
-            if let (Some(rdn), Some(mld)) = (visit.landing_url.rdn(), visit.landing_url.mld()) {
-                let entry = IndexEntry {
-                    rdn: rdn.to_owned(),
-                    mld: mld.to_owned(),
-                    text: format!("{} {}", visit.title, visit.text),
-                };
-                let line = serde_json::to_string(&entry).map_err(|e| e.to_string())?;
-                writeln!(index_file, "{line}").map_err(|e| e.to_string())?;
-            }
+        let Ok(landing) = browser.land(url) else {
+            continue;
+        };
+        if let (Some(rdn), Some(mld)) = (landing.url().rdn(), landing.url().mld()) {
+            let doc = Document::parse(landing.html());
+            let entry = IndexEntry {
+                rdn: rdn.to_owned(),
+                mld: mld.to_owned(),
+                text: format!("{} {}", doc.title, doc.text),
+            };
+            let line = serde_json::to_string(&entry).map_err(|e| e.to_string())?;
+            writeln!(index, "{line}").map_err(|e| e.to_string())?;
         }
     }
-    Ok(())
+    index.flush().map_err(|e| e.to_string())
 }
 
 /// Opens the feature stream of a store directory, hard-failing unless

@@ -127,9 +127,9 @@ proptest! {
     fn html_parser_never_panics(html in ".{0,400}") {
         let doc = knowyourphish::html::Document::parse(&html);
         // Counts are consistent with extracted links.
-        let _ = doc.text();
-        let _ = doc.title();
-        prop_assert!(doc.href_links().iter().all(|h| !h.is_empty()));
+        let _ = doc.text;
+        let _ = doc.title;
+        prop_assert!(doc.href_links.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
