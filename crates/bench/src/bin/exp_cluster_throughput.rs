@@ -49,7 +49,6 @@ fn cluster_config(shards: usize, replicas: usize, crash_rate: f64, seed: u64) ->
                 max_delay_ms: 25,
             },
             cache: Some(CacheConfig::default()),
-            ..ServeConfig::default()
         },
         crash: (crash_rate > 0.0).then(|| {
             let mut plan = CrashPlan::new(seed, crash_rate);
@@ -210,10 +209,9 @@ fn main() {
                         ("unfetchable", report::uint(run_report.unfetchable)),
                         ("shed", report::uint(run_report.shed)),
                         ("shed_ratio", report::float(run_report.shed_ratio)),
-                        ("shed_admission", report::uint(run_report.shed_by.admission)),
                         (
                             "shed_retries_exhausted",
-                            report::uint(run_report.shed_by.retries_exhausted),
+                            report::uint(run_report.failover.retries_exhausted),
                         ),
                         ("crashes", report::uint(run_report.failover.crashes)),
                         ("detections", report::uint(run_report.failover.detections)),

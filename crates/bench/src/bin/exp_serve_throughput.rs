@@ -131,7 +131,6 @@ fn main() {
                                 max_delay_ms: 25,
                             },
                             cache: cache_on.then(CacheConfig::default),
-                            ..ServeConfig::default()
                         },
                     );
                     let t0 = Instant::now();

@@ -170,7 +170,7 @@ fn main() {
             }
         }
         let in_memory: Vec<String> = pipeline
-            .classify_scraped(&batch)
+            .classify_scraped(&batch, &mut knowyourphish::obs::NoopObserver)
             .iter()
             .map(storeflow::verdict_line)
             .collect();

@@ -14,7 +14,7 @@
 //! - **baseline** — the pre-rewrite implementation kept alive for
 //!   measurement: per-page feature extraction with freshly allocated
 //!   scratch plus the boxed-enum Gradient Boosting tree walk
-//!   ([`PhishDetector::score_reference`]);
+//!   ([`GradientBoosting::predict_proba`] on [`PhishDetector::model`]);
 //! - **flat** — scratch-reusing chunked extraction
 //!   ([`FeatureExtractor::extract_batch`]) plus the compiled SoA model
 //!   ([`PhishDetector::score_batch`]), with the scrape stage timed
@@ -33,7 +33,8 @@
 //! Run: `cargo run --release -p kyp-bench --bin exp_table8_timing -- --scale 0.02 --threads 1,2,4`
 //!
 //! [`FeatureExtractor::extract_batch`]: kyp_core::FeatureExtractor::extract_batch
-//! [`PhishDetector::score_reference`]: kyp_core::PhishDetector::score_reference
+//! [`GradientBoosting::predict_proba`]: kyp_ml::GradientBoosting::predict_proba
+//! [`PhishDetector::model`]: kyp_core::PhishDetector::model
 //! [`PhishDetector::score_batch`]: kyp_core::PhishDetector::score_batch
 
 use kyp_bench::{harness, report, EvalArgs, ExperimentEnv};
@@ -157,7 +158,8 @@ fn main() {
                 kyp_exec::pool().par_map(&visits, |v| env.extractor.extract(v));
             let extract_s = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            let run: Vec<f64> = kyp_exec::pool().par_map(&rows, |f| detector.score_reference(f));
+            let run: Vec<f64> =
+                kyp_exec::pool().par_map(&rows, |f| detector.model().predict_proba(f));
             let score_s = t1.elapsed().as_secs_f64();
             if extract_s + score_s < base_extract + base_score {
                 base_extract = extract_s;

@@ -10,8 +10,8 @@
 //!
 //! ```text
 //!                 ┌───────────────────────────────────────────────┐
-//!  requests ────▶ │ router: token-bucket admission (sheds here,   │
-//!                 │ and only here) → fetch once into SharedStore  │
+//!  requests ────▶ │ router: URL stage (the service's front door)  │
+//!                 │ → fetch once into SharedStore                 │
 //!                 └──────┬────────────────────────────────────────┘
 //!                        │ HashRing(canonical landing URL)
 //!                        │   · hot URLs fan out over R replicas
@@ -30,9 +30,10 @@
 //!
 //! The id-sorted verdict stream ([`verdict_stream`]) is **byte-identical**
 //! across shard counts, ring placements, thread counts and crash
-//! schedules: fetches happen once, at the router, in trace order; sheds
-//! are decided at the router from arrival times alone; verdicts are pure
-//! functions of the fetched pages. Per-node backpressure and crashes move
+//! schedules: fetches happen once, at the router, in trace order; node
+//! backpressure never sheds (the router sheds only a request that
+//! exhausts its failover retry budget); verdicts are pure functions of
+//! the fetched pages. Per-node backpressure and crashes move
 //! *when* and *where* a request is answered, never *what* the answer is.
 //! See [`router`] for the full argument and `tests/cluster_determinism.rs`
 //! at the workspace root for the matrix that enforces it.
@@ -49,10 +50,9 @@ pub mod router;
 pub mod store;
 
 pub use crash::CrashPlan;
-pub use report::{ClusterReport, FailoverCounters, NodeReport, RoutingCounters, ShedCounters};
+pub use report::{ClusterReport, FailoverCounters, NodeReport, RoutingCounters};
 pub use ring::HashRing;
 pub use router::{
-    verdict_stream, AdmissionPolicy, ClusterConfig, ClusterResponse, ClusterService,
-    SHED_CLUSTER_OVERLOAD, SHED_RETRIES_EXHAUSTED,
+    verdict_stream, ClusterConfig, ClusterResponse, ClusterService, SHED_RETRIES_EXHAUSTED,
 };
 pub use store::SharedStore;

@@ -4,7 +4,8 @@
 //! so a report — like the per-node [`ServeReport`]s it embeds — is
 //! byte-identical across thread counts for a given configuration.
 
-use kyp_serve::{CascadeCounters, LatencySummary, ServeReport};
+use kyp_core::CascadeCounters;
+use kyp_serve::{LatencySummary, ServeReport};
 use serde::{Deserialize, Serialize};
 
 /// Crash/failover accounting over one cluster run.
@@ -18,7 +19,8 @@ pub struct FailoverCounters {
     pub recoveries: u64,
     /// Requests re-dispatched off a dead node at detection.
     pub redispatched: u64,
-    /// Requests shed after exhausting the failover retry budget.
+    /// Requests shed after exhausting the failover retry budget — the
+    /// router's only shed reason.
     pub retries_exhausted: u64,
 }
 
@@ -35,22 +37,6 @@ pub struct RoutingCounters {
     pub parked: u64,
     /// Dispatches of hot landing URLs spread over the replica set.
     pub hot_fanout: u64,
-}
-
-/// Cluster-level shed accounting (placement-independent by construction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShedCounters {
-    /// Requests refused by cluster admission (token bucket) on arrival.
-    pub admission: u64,
-    /// Requests dropped after the failover retry budget ran out.
-    pub retries_exhausted: u64,
-}
-
-impl ShedCounters {
-    /// Every shed request, whatever the reason.
-    pub fn total(&self) -> u64 {
-        self.admission + self.retries_exhausted
-    }
 }
 
 /// One node's slice of the cluster report.
@@ -74,7 +60,8 @@ pub struct ClusterReport {
     pub requests: u64,
     /// Requests answered with a verdict.
     pub answered: u64,
-    /// Requests shed (admission + retry exhaustion).
+    /// Requests shed: those that exhausted their failover retry budget
+    /// (equal to `failover.retries_exhausted`).
     pub shed: u64,
     /// `shed / requests` in `[0, 1]` (0.0 when no requests arrived).
     pub shed_ratio: f64,
@@ -82,8 +69,6 @@ pub struct ClusterReport {
     pub unfetchable: u64,
     /// Answered requests served from a degraded capture.
     pub degraded: u64,
-    /// Shed accounting by reason.
-    pub shed_by: ShedCounters,
     /// Whether the URL-only cascade pre-filter screened at the router.
     pub cascade_enabled: bool,
     /// Router-level cascade pre-filter accounting.
@@ -106,7 +91,7 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// Exports the report into `registry`: `cluster.report.*` totals,
-    /// `cluster.shed.*`, `cluster.failover.*` and `cluster.routing.*`
+    /// `cluster.cascade.*`, `cluster.failover.*` and `cluster.routing.*`
     /// counters, and `cluster.node.<i>.*` per-node gauges, plus the
     /// end-to-end latency histogram under `cluster.latency_ms` (set by
     /// the service, which owns the histogram).
@@ -136,12 +121,6 @@ impl ClusterReport {
             registry,
             "cluster.cascade.unscorable",
             self.cascade.unscorable,
-        );
-        gauge(registry, "cluster.shed.admission", self.shed_by.admission);
-        gauge(
-            registry,
-            "cluster.shed.retries_exhausted",
-            self.shed_by.retries_exhausted,
         );
         gauge(registry, "cluster.failover.crashes", self.failover.crashes);
         gauge(
@@ -211,15 +190,6 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shed_counters_total() {
-        let s = ShedCounters {
-            admission: 3,
-            retries_exhausted: 2,
-        };
-        assert_eq!(s.total(), 5);
-    }
 
     #[test]
     fn counters_roundtrip_through_json() {

@@ -1,5 +1,5 @@
-//! The cluster router: admission, placement, dispatch, failure detection
-//! and failover over a fleet of scoring nodes.
+//! The cluster router: URL-stage screening, placement, dispatch, failure
+//! detection and failover over a fleet of scoring nodes.
 //!
 //! # Event model
 //!
@@ -21,10 +21,11 @@
 //! - **Fetch at the router.** Pages are fetched once, at arrival, in
 //!   trace order, whatever the cluster shape ([`crate::SharedStore`]).
 //!   Stateful sources see one canonical fetch sequence; nodes only read.
-//! - **Shed at the router.** Cluster admission is a token bucket over
-//!   arrival instants only. Per-node backpressure never sheds: a refusal
-//!   routes around to the next ring candidate or parks for retry, so
-//!   which node refused can never change *whether* a request is answered.
+//! - **Never shed on backpressure.** Per-node backpressure never sheds: a
+//!   refusal routes around to the next ring candidate or parks for
+//!   retry, so which node refused can never change *whether* a request
+//!   is answered. The router sheds only a request that exhausts its
+//!   failover retry budget.
 //! - **Pure verdicts.** A verdict is a pure function of the fetched page,
 //!   so *which* node classifies it (and whether its cache shard was warm
 //!   or lost in a crash) cannot change the bytes.
@@ -35,36 +36,36 @@
 
 use crate::crash::CrashPlan;
 use crate::node::{NodeSlot, Pending};
-use crate::report::{ClusterReport, FailoverCounters, NodeReport, RoutingCounters, ShedCounters};
+use crate::report::{ClusterReport, FailoverCounters, NodeReport, RoutingCounters};
 use crate::ring::HashRing;
 use crate::store::SharedStore;
-use kyp_core::{CascadeClassifier, CascadeDecision, Pipeline};
+use kyp_core::{CascadeClassifier, CascadeCounters, CascadeDecision, Pipeline};
 use kyp_obs::VerdictStage;
 use kyp_serve::{
-    CacheState, CascadeCounters, LatencyHistogram, PageSource, ScoringService, ServeConfig,
-    ServeOutcome, ServeRequest, ServeResponse,
+    canonical_url, LatencyHistogram, PageSource, ScoringService, ServeConfig, ServeOutcome,
+    ServeRequest, ServeResponse,
 };
 use std::collections::{BTreeMap, VecDeque};
-
-/// Shed reason when cluster admission (the token bucket) refuses a
-/// request on arrival.
-pub const SHED_CLUSTER_OVERLOAD: &str = "cluster_overload";
 
 /// Shed reason when a request exhausts its failover retry budget.
 pub const SHED_RETRIES_EXHAUSTED: &str = "retries_exhausted";
 
-/// Cluster-level admission: a token bucket over virtual arrival instants.
-///
-/// Deliberately placement-independent — refills depend only on arrival
-/// times, so the set of admitted requests is invariant across shard
-/// counts, placements and crash schedules (the determinism contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionPolicy {
-    /// Sustained admission rate, requests per virtual second.
-    pub rate_per_sec: u64,
-    /// Bucket depth: the largest burst admitted at once (clamped ≥ 1).
-    pub burst: u64,
-}
+/// Virtual tokens per node on the hash ring.
+const VNODES: usize = 16;
+
+/// Heartbeat period of the virtual failure detector, in ms.
+const HEARTBEAT_INTERVAL_MS: u64 = 100;
+
+/// Consecutive missed heartbeats before a node is declared dead.
+const MISS_THRESHOLD: u64 = 3;
+
+/// Failover re-dispatches a request may consume before it is shed with
+/// [`SHED_RETRIES_EXHAUSTED`].
+const RETRY_BUDGET: u32 = 16;
+
+/// Requests to one landing URL before it counts as hot and fans out over
+/// the replica set.
+const HOT_THRESHOLD: u64 = 3;
 
 /// Tuning of a [`ClusterService`].
 #[derive(Debug, Clone)]
@@ -73,25 +74,10 @@ pub struct ClusterConfig {
     pub shards: usize,
     /// Replica fan-out for hot landing URLs, clamped to `1..=shards`.
     pub replicas: usize,
-    /// Virtual tokens per node on the hash ring, clamped ≥ 1.
-    pub vnodes: usize,
     /// Seed of the ring placement; verdict bytes are invariant under it.
     pub placement_seed: u64,
     /// Configuration of every node's scoring service.
     pub node: ServeConfig,
-    /// Cluster admission policy; `None` admits everything.
-    pub admission: Option<AdmissionPolicy>,
-    /// Heartbeat period of the virtual failure detector, clamped ≥ 1 ms.
-    pub heartbeat_interval_ms: u64,
-    /// Consecutive missed heartbeats before a node is declared dead,
-    /// clamped ≥ 1.
-    pub miss_threshold: u32,
-    /// Failover re-dispatches a request may consume before it is shed
-    /// with [`SHED_RETRIES_EXHAUSTED`].
-    pub retry_budget: u32,
-    /// Requests to one landing URL before it counts as hot and fans out
-    /// over the replica set.
-    pub hot_threshold: u64,
     /// Crash/recovery schedule; `None` keeps every node up forever.
     pub crash: Option<CrashPlan>,
 }
@@ -101,14 +87,8 @@ impl Default for ClusterConfig {
         ClusterConfig {
             shards: 4,
             replicas: 1,
-            vnodes: 16,
             placement_seed: 1,
             node: ServeConfig::default(),
-            admission: None,
-            heartbeat_interval_ms: 100,
-            miss_threshold: 3,
-            retry_budget: 16,
-            hot_threshold: 3,
             crash: None,
         }
     }
@@ -121,7 +101,7 @@ impl Default for ClusterConfig {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ClusterResponse {
     /// The node that produced the response; `None` for router-level
-    /// outcomes (admission shed, unfetchable, retry exhaustion).
+    /// outcomes (URL-stage verdict, unfetchable, retry exhaustion).
     pub node: Option<usize>,
     /// Failover re-dispatches this request consumed.
     pub retries: u32,
@@ -129,16 +109,9 @@ pub struct ClusterResponse {
     pub response: ServeResponse,
 }
 
-impl ClusterResponse {
-    /// The timing-, cache-, node- and placement-independent projection of
-    /// this response — exactly [`ServeResponse::verdict_line`].
-    pub fn verdict_line(&self) -> String {
-        self.response.verdict_line()
-    }
-}
-
 /// The canonical verdict stream of a cluster run: every response's
-/// [`ClusterResponse::verdict_line`], sorted by request id.
+/// [`ServeResponse::verdict_line`] — the timing-, cache-, node- and
+/// placement-independent projection — sorted by request id.
 ///
 /// Completion order is a timing artifact (batch boundaries move with the
 /// cluster shape); the id-sorted projection is what the determinism
@@ -147,7 +120,7 @@ impl ClusterResponse {
 pub fn verdict_stream(responses: &[ClusterResponse]) -> Vec<String> {
     let mut keyed: Vec<(u64, String)> = responses
         .iter()
-        .map(|r| (r.response.id, r.verdict_line()))
+        .map(|r| (r.response.id, r.response.verdict_line()))
         .collect();
     keyed.sort_by_key(|&(id, _)| id);
     keyed.into_iter().map(|(_, line)| line).collect()
@@ -195,9 +168,6 @@ pub struct ClusterService<S> {
     hot: BTreeMap<String, u64>,
     /// Requests every live candidate refused, awaiting capacity.
     parked: VecDeque<(u64, Pending)>,
-    /// Token bucket state, in millitokens.
-    bucket_milli: u64,
-    last_refill_ms: u64,
     /// Crash downtime clamped above the detection window.
     downtime_ms: u64,
     last_arrival_ms: u64,
@@ -207,7 +177,6 @@ pub struct ClusterService<S> {
     answered: u64,
     unfetchable: u64,
     degraded: u64,
-    shed_by: ShedCounters,
     failover: FailoverCounters,
     routing: RoutingCounters,
     latency: LatencyHistogram,
@@ -221,14 +190,11 @@ impl<S: PageSource> ClusterService<S> {
         let config = ClusterConfig {
             shards: config.shards.max(1),
             replicas: config.replicas.clamp(1, config.shards.max(1)),
-            vnodes: config.vnodes.max(1),
-            heartbeat_interval_ms: config.heartbeat_interval_ms.max(1),
-            miss_threshold: config.miss_threshold.max(1),
             ..config
         };
-        let ring = HashRing::new(config.shards, config.vnodes, config.placement_seed);
+        let ring = HashRing::new(config.shards, VNODES, config.placement_seed);
         let store = SharedStore::new();
-        let detection_window = u64::from(config.miss_threshold) * config.heartbeat_interval_ms;
+        let detection_window = MISS_THRESHOLD * HEARTBEAT_INTERVAL_MS;
         let downtime_ms = config
             .crash
             .as_ref()
@@ -242,9 +208,6 @@ impl<S: PageSource> ClusterService<S> {
             }
             nodes.push(slot);
         }
-        let bucket_milli = config
-            .admission
-            .map_or(0, |p| p.burst.max(1).saturating_mul(1_000));
         ClusterService {
             ring,
             source,
@@ -254,8 +217,6 @@ impl<S: PageSource> ClusterService<S> {
             cascade_counters: CascadeCounters::default(),
             hot: BTreeMap::new(),
             parked: VecDeque::new(),
-            bucket_milli,
-            last_refill_ms: 0,
             downtime_ms,
             last_arrival_ms: 0,
             first_arrival_ms: None,
@@ -264,7 +225,6 @@ impl<S: PageSource> ClusterService<S> {
             answered: 0,
             unfetchable: 0,
             degraded: 0,
-            shed_by: ShedCounters::default(),
             failover: FailoverCounters::default(),
             routing: RoutingCounters::default(),
             latency: LatencyHistogram::new(),
@@ -272,13 +232,8 @@ impl<S: PageSource> ClusterService<S> {
         }
     }
 
-    /// The configuration in force (after clamping).
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// Installs the URL-only cascade pre-filter at the router: admitted
-    /// requests whose URL score falls outside the uncertainty band are
+    /// Installs the URL-only cascade pre-filter at the router: requests
+    /// whose URL score falls outside the uncertainty band are
     /// answered immediately at arrival — no fetch, no placement, no node
     /// — tagged [`VerdictStage::UrlOnly`]. Prescreening is a pure
     /// function of the URL string, so the decision (and the verdict
@@ -287,11 +242,6 @@ impl<S: PageSource> ClusterService<S> {
     pub fn with_cascade(mut self, cascade: CascadeClassifier) -> Self {
         self.cascade = Some(cascade);
         self
-    }
-
-    /// The installed cascade pre-filter, if any.
-    pub fn cascade(&self) -> Option<&CascadeClassifier> {
-        self.cascade.as_ref()
     }
 
     /// Feeds one arrival into the cluster, returning every response
@@ -308,56 +258,35 @@ impl<S: PageSource> ClusterService<S> {
         self.drain_parked(arrival, &mut out);
 
         self.requests += 1;
-        if !self.admit(arrival) {
-            self.shed_by.admission += 1;
-            out.push(router_outcome(
-                request.id,
-                request.url,
-                ServeOutcome::Shed {
-                    reason: SHED_CLUSTER_OVERLOAD.to_owned(),
-                },
-                arrival,
-                0,
-            ));
-            return out;
-        }
 
-        // Stage one: the URL-only pre-filter, after admission but before
-        // the fetch — a cascade-final request costs neither a scrape nor
-        // a node dispatch.
+        // Stage one: the URL-only pre-filter, before the fetch — a
+        // cascade-final request costs neither a scrape nor a node
+        // dispatch.
         if let Some(cascade) = &self.cascade {
             let decision = cascade.prescreen(&request.url);
-            self.cascade_counters.screened += 1;
-            match decision {
-                CascadeDecision::Final(verdict) => {
-                    self.cascade_counters.url_only += 1;
-                    self.answered += 1;
-                    self.latency.record(0);
-                    out.push(ClusterResponse {
-                        node: None,
-                        retries: 0,
-                        response: ServeResponse {
-                            id: request.id,
-                            url: request.url,
-                            outcome: ServeOutcome::from_verdict(&verdict.verdict),
-                            cache: CacheState::Skipped,
-                            degraded: false,
-                            latency_ms: 0,
-                            completed_ms: arrival,
-                            stage: VerdictStage::UrlOnly,
-                        },
-                    });
-                    return out;
-                }
-                CascadeDecision::Uncertain { .. } => self.cascade_counters.fallthrough += 1,
-                CascadeDecision::Unscorable => self.cascade_counters.unscorable += 1,
+            self.cascade_counters.record(&decision);
+            if let CascadeDecision::Final(verdict) = decision {
+                self.answered += 1;
+                self.latency.record(0);
+                out.push(ClusterResponse {
+                    node: None,
+                    retries: 0,
+                    response: ServeResponse::immediate(
+                        request.id,
+                        request.url,
+                        ServeOutcome::from_verdict(&verdict.verdict),
+                        arrival,
+                        verdict.stage,
+                    ),
+                });
+                return out;
             }
         }
 
         // Fetch once, at the router, in trace order — the determinism
         // anchor: the page source sees the same fetch sequence whatever
         // the cluster shape.
-        let store_key = SharedStore::key_of(&request.url);
+        let store_key = canonical_url(&request.url);
         if !self.store.contains(&store_key) {
             let result = self.source.fetch(&request.url);
             self.store.put(store_key.clone(), result);
@@ -374,15 +303,19 @@ impl<S: PageSource> ClusterService<S> {
                 };
                 self.unfetchable += 1;
                 self.latency.record(0);
-                out.push(router_outcome(
-                    request.id,
-                    request.url,
-                    ServeOutcome::Unfetchable {
-                        cause: cause.wire_name().to_owned(),
-                    },
-                    arrival,
-                    0,
-                ));
+                out.push(ClusterResponse {
+                    node: None,
+                    retries: 0,
+                    response: ServeResponse::immediate(
+                        request.id,
+                        request.url,
+                        ServeOutcome::Unfetchable {
+                            cause: cause.wire_name().to_owned(),
+                        },
+                        arrival,
+                        VerdictStage::Full,
+                    ),
+                });
                 return out;
             }
         };
@@ -438,7 +371,7 @@ impl<S: PageSource> ClusterService<S> {
         } else {
             0.0
         };
-        let shed = self.shed_by.total();
+        let shed = self.failover.retries_exhausted;
         let shed_ratio = if self.requests > 0 {
             shed as f64 / self.requests as f64
         } else {
@@ -462,7 +395,6 @@ impl<S: PageSource> ClusterService<S> {
             shed_ratio,
             unfetchable: self.unfetchable,
             degraded: self.degraded,
-            shed_by: self.shed_by,
             cascade_enabled: self.cascade.is_some(),
             cascade: self.cascade_counters,
             failover: self.failover,
@@ -484,33 +416,8 @@ impl<S: PageSource> ClusterService<S> {
         registry.set_histogram("cluster.latency_ms", self.latency.as_histogram().clone());
     }
 
-    /// Unique URLs fetched over the run.
-    pub fn unique_fetches(&self) -> usize {
-        self.store.len()
-    }
-
     fn note_time(&mut self, t: u64) {
         self.last_event_ms = self.last_event_ms.max(t);
-    }
-
-    /// Token-bucket admission at `arrival`. Pure in the arrival sequence.
-    fn admit(&mut self, arrival_ms: u64) -> bool {
-        let Some(policy) = self.config.admission else {
-            return true;
-        };
-        let dt = arrival_ms.saturating_sub(self.last_refill_ms);
-        self.last_refill_ms = arrival_ms;
-        let cap = policy.burst.max(1).saturating_mul(1_000);
-        self.bucket_milli = self
-            .bucket_milli
-            .saturating_add(dt.saturating_mul(policy.rate_per_sec))
-            .min(cap);
-        if self.bucket_milli >= 1_000 {
-            self.bucket_milli -= 1_000;
-            true
-        } else {
-            false
-        }
     }
 
     /// The candidate nodes for `pending`, in preference order: the ring
@@ -520,9 +427,9 @@ impl<S: PageSource> ClusterService<S> {
         let order = self.ring.successors(&pending.landing_key);
         let r = self.config.replicas.min(order.len()).max(1);
         let seen = self.hot.get(&pending.landing_key).copied().unwrap_or(1);
-        if r > 1 && seen >= self.config.hot_threshold {
+        if r > 1 && seen >= HOT_THRESHOLD {
             self.routing.hot_fanout += 1;
-            let start = ((seen - self.config.hot_threshold) % r as u64) as usize;
+            let start = ((seen - HOT_THRESHOLD) % r as u64) as usize;
             let mut rotated = Vec::with_capacity(order.len());
             for i in 0..r {
                 rotated.push(order[(start + i) % r]);
@@ -652,7 +559,9 @@ impl<S: PageSource> ClusterService<S> {
                 }
             }
             EventKind::NodeDue => {
-                let responses = self.nodes[ev.node].service.advance_to(ev.at);
+                let responses = self.nodes[ev.node]
+                    .service
+                    .advance_to(ev.at, &mut kyp_obs::NoopObserver);
                 self.nodes[ev.node].inflight.extend(responses);
             }
             EventKind::Crash => self.crash_node(ev.node, ev.at),
@@ -671,7 +580,7 @@ impl<S: PageSource> ClusterService<S> {
     /// lost (the queue is physically cleared at restart), its cache shard
     /// will come back cold. The router does not know yet.
     fn crash_node(&mut self, node: usize, at: u64) {
-        let interval = self.config.heartbeat_interval_ms;
+        let interval = HEARTBEAT_INTERVAL_MS;
         let slot = &mut self.nodes[node];
         slot.alive = false;
         slot.crash_at = None;
@@ -681,9 +590,9 @@ impl<S: PageSource> ClusterService<S> {
         // `outstanding` and fail over at detection.
         slot.inflight.clear();
         // Detection: the first heartbeat strictly after the crash is
-        // missed; `miss_threshold` consecutive misses trip the detector.
+        // missed; `MISS_THRESHOLD` consecutive misses trip the detector.
         let first_missed = (at / interval + 1) * interval;
-        let detect = first_missed + u64::from(self.config.miss_threshold - 1) * interval;
+        let detect = first_missed + (MISS_THRESHOLD - 1) * interval;
         // Downtime is clamped above the detection window at construction,
         // so Crash < Detect < Recover ≤ Relive always holds.
         let recover = at + self.downtime_ms;
@@ -706,18 +615,21 @@ impl<S: PageSource> ClusterService<S> {
         for (id, mut pending) in orphans {
             pending.retries += 1;
             self.failover.redispatched += 1;
-            if pending.retries > self.config.retry_budget {
+            if pending.retries > RETRY_BUDGET {
                 self.failover.retries_exhausted += 1;
-                self.shed_by.retries_exhausted += 1;
-                out.push(router_outcome(
-                    id,
-                    pending.url,
-                    ServeOutcome::Shed {
-                        reason: SHED_RETRIES_EXHAUSTED.to_owned(),
-                    },
-                    at,
-                    pending.retries,
-                ));
+                out.push(ClusterResponse {
+                    node: None,
+                    retries: pending.retries,
+                    response: ServeResponse::immediate(
+                        id,
+                        pending.url,
+                        ServeOutcome::Shed {
+                            reason: SHED_RETRIES_EXHAUSTED.to_owned(),
+                        },
+                        at,
+                        VerdictStage::Full,
+                    ),
+                });
             } else {
                 self.dispatch(id, pending, at, out);
             }
@@ -772,30 +684,5 @@ impl<S: PageSource> ClusterService<S> {
             retries: pending.retries,
             response: ServeResponse { latency_ms, ..r },
         });
-    }
-}
-
-/// A router-level response (shed or unfetchable): no node, instant
-/// completion.
-fn router_outcome(
-    id: u64,
-    url: String,
-    outcome: ServeOutcome,
-    completed_ms: u64,
-    retries: u32,
-) -> ClusterResponse {
-    ClusterResponse {
-        node: None,
-        retries,
-        response: ServeResponse {
-            id,
-            url,
-            outcome,
-            cache: CacheState::Skipped,
-            degraded: false,
-            latency_ms: 0,
-            completed_ms,
-            stage: VerdictStage::Full,
-        },
     }
 }

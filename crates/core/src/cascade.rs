@@ -38,9 +38,10 @@
 
 use crate::{DetectorConfig, PipelineVerdict};
 use kyp_ml::Dataset;
-use kyp_obs::{VerdictKind, VerdictStage};
+use kyp_obs::{CascadeOutcome, VerdictKind, VerdictStage};
 use kyp_url::Url;
 use kyp_web::DomainRanker;
+use serde::{Deserialize, Serialize};
 
 /// Number of URL-lexical features the cascade's stage-one model consumes:
 /// the nine per-URL statistics of the full pipeline's f1 family plus
@@ -195,6 +196,44 @@ pub enum CascadeDecision {
     /// The URL did not parse; the full pipeline decides (and reports the
     /// fetch failure as usual).
     Unscorable,
+}
+
+impl CascadeDecision {
+    /// The payload-free observation of this decision.
+    pub fn outcome(&self) -> CascadeOutcome {
+        match self {
+            CascadeDecision::Final(_) => CascadeOutcome::UrlOnlyFinal,
+            CascadeDecision::Uncertain { .. } => CascadeOutcome::Fallthrough,
+            CascadeDecision::Unscorable => CascadeOutcome::Unscorable,
+        }
+    }
+}
+
+/// Event counts of the URL-only cascade pre-filter: the one tally the
+/// store scan, the scoring service and the cluster router keep. All zero
+/// when the cascade is disabled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CascadeCounters {
+    /// Requests the URL stage prescreened (every arrival when enabled).
+    pub screened: u64,
+    /// Requests finalised by the URL stage — each one a scrape avoided.
+    pub url_only: u64,
+    /// Requests whose URL score fell inside the uncertainty band.
+    pub fallthrough: u64,
+    /// Requests whose URL did not parse (the full pipeline decides).
+    pub unscorable: u64,
+}
+
+impl CascadeCounters {
+    /// Counts one prescreen: `screened` plus the counter of its outcome.
+    pub fn record(&mut self, decision: &CascadeDecision) {
+        self.screened += 1;
+        match decision {
+            CascadeDecision::Final(_) => self.url_only += 1,
+            CascadeDecision::Uncertain { .. } => self.fallthrough += 1,
+            CascadeDecision::Unscorable => self.unscorable += 1,
+        }
+    }
 }
 
 /// Extracts [`URL_FEATURE_COUNT`] lexical features from a raw URL —
@@ -746,6 +785,70 @@ mod tests {
             &DetectorConfig::url_stage(),
         );
         assert!(err.unwrap_err().contains("0 phishing"));
+    }
+
+    #[test]
+    fn record_counts_screened_and_exactly_one_outcome() {
+        let decisions = [
+            (
+                CascadeDecision::Final(Verdict::url_only(PipelineVerdict::Legitimate {
+                    score: 0.01,
+                })),
+                CascadeOutcome::UrlOnlyFinal,
+                [1, 0, 0],
+            ),
+            (
+                CascadeDecision::Uncertain { url_score: 0.5 },
+                CascadeOutcome::Fallthrough,
+                [0, 1, 0],
+            ),
+            (
+                CascadeDecision::Unscorable,
+                CascadeOutcome::Unscorable,
+                [0, 0, 1],
+            ),
+        ];
+        let mut total = CascadeCounters::default();
+        for (decision, outcome, [url_only, fallthrough, unscorable]) in decisions {
+            assert_eq!(decision.outcome(), outcome);
+            let mut one = CascadeCounters::default();
+            one.record(&decision);
+            assert_eq!(
+                one,
+                CascadeCounters {
+                    screened: 1,
+                    url_only,
+                    fallthrough,
+                    unscorable,
+                },
+                "{decision:?}"
+            );
+            total.record(&decision);
+        }
+        assert_eq!(
+            total,
+            CascadeCounters {
+                screened: 3,
+                url_only: 1,
+                fallthrough: 1,
+                unscorable: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn counters_keep_their_wire_names() {
+        let json = serde_json::to_string(&CascadeCounters {
+            screened: 4,
+            url_only: 3,
+            fallthrough: 1,
+            unscorable: 0,
+        })
+        .unwrap();
+        assert_eq!(
+            json,
+            r#"{"screened":4,"url_only":3,"fallthrough":1,"unscorable":0}"#
+        );
     }
 
     #[test]

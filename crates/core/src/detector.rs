@@ -84,16 +84,9 @@ impl PhishDetector {
     /// The phishing confidence of a feature vector, in `[0, 1]`.
     ///
     /// Scored through the compiled [`FlatModel`]; bit-identical to the
-    /// boxed ensemble walk (see [`Self::score_reference`]).
+    /// boxed ensemble walk of [`Self::model`].
     pub fn score(&self, features: &[f64]) -> f64 {
         self.flat().predict_proba(features)
-    }
-
-    /// The phishing confidence computed through the original boxed-enum
-    /// tree walk. Reference implementation for equivalence tests and
-    /// before/after benchmarks; production paths use [`Self::score`].
-    pub fn score_reference(&self, features: &[f64]) -> f64 {
-        self.model.predict_proba(features)
     }
 
     /// Confidence scores for a batch of feature vectors, walked
@@ -272,11 +265,14 @@ mod tests {
         let det = PhishDetector::train(&toy_train(), &DetectorConfig::default());
         let probes = [[0.9, 3.0], [0.1, 3.0], [0.42, 5.0], [-2.0, 100.0]];
         for p in &probes {
-            assert_eq!(det.score(p).to_bits(), det.score_reference(p).to_bits());
+            assert_eq!(
+                det.score(p).to_bits(),
+                det.model().predict_proba(p).to_bits()
+            );
         }
         let batch = det.score_batch(&probes);
         for (p, got) in probes.iter().zip(&batch) {
-            assert_eq!(got.to_bits(), det.score_reference(p).to_bits());
+            assert_eq!(got.to_bits(), det.model().predict_proba(p).to_bits());
         }
     }
 
@@ -287,7 +283,7 @@ mod tests {
         det.warm();
         assert_eq!(
             det.score(&[0.9, 3.0]).to_bits(),
-            det.score_reference(&[0.9, 3.0]).to_bits()
+            det.model().predict_proba(&[0.9, 3.0]).to_bits()
         );
     }
 

@@ -50,7 +50,8 @@ mod sources;
 mod target;
 
 pub use cascade::{
-    CascadeBand, CascadeClassifier, CascadeDecision, UrlFeaturizer, Verdict, URL_FEATURE_COUNT,
+    CascadeBand, CascadeClassifier, CascadeCounters, CascadeDecision, UrlFeaturizer, Verdict,
+    URL_FEATURE_COUNT,
 };
 pub use detector::{DetectorConfig, PhishDetector};
 pub use features::{ConsistencyMetric, ExtractorConfig, FeatureExtractor, FeatureSet};

@@ -178,7 +178,9 @@ impl Pipeline {
         verdict
     }
 
-    /// Scrapes and classifies a batch of URLs, degrading gracefully.
+    /// Scrapes and classifies a batch of URLs, degrading gracefully,
+    /// reporting every scrape and classification stage to `obs` (pass
+    /// [`kyp_obs::NoopObserver`] to watch nothing).
     ///
     /// Every URL is attempted through the resilient scraper; pages that
     /// arrive — even partially — are classified (degraded pages via
@@ -198,24 +200,11 @@ impl Pipeline {
     /// page fan out over the default [`kyp_exec`] pool. Verdicts come back
     /// in scrape-completion (= input) order and each page's verdict is a
     /// pure function of its captured bytes, so the [`BatchRun`] is
-    /// bit-identical to the serial path at any thread count.
+    /// bit-identical to the serial path at any thread count. Scrape events
+    /// stream into the observer in fetch order; classification events are
+    /// replayed in input order (see [`Pipeline::classify_scraped`]), so
+    /// the observed stream is bit-identical at any thread count too.
     pub fn classify_all<W: World>(
-        &self,
-        scraper: &mut ResilientBrowser<'_, W>,
-        urls: &[String],
-    ) -> BatchRun {
-        self.classify_all_observed(scraper, urls, &mut kyp_obs::NoopObserver)
-    }
-
-    /// Like [`Pipeline::classify_all`], reporting every scrape and
-    /// classification stage to `obs`.
-    ///
-    /// Scrape events stream into the observer in fetch order as the
-    /// serial scraping loop runs; classification events are recorded
-    /// per page inside the worker pool and replayed in input order, so
-    /// the observed stream — like the [`BatchRun`] itself — is
-    /// bit-identical at any thread count.
-    pub fn classify_all_observed<W: World>(
         &self,
         scraper: &mut ResilientBrowser<'_, W>,
         urls: &[String],
@@ -247,32 +236,27 @@ impl Pipeline {
         report.breaker_trips = scraper.breaker().trips() - trips_before;
         report.virtual_elapsed_ms = scraper.clock().now_ms() - clock_before;
 
-        let classified = self.classify_scraped_observed(&scraped_pages, obs);
+        let classified = self.classify_scraped(&scraped_pages, obs);
         BatchRun { classified, report }
     }
 
-    /// Classifies a batch of already-scraped pages in parallel.
+    /// Classifies a batch of already-scraped pages in parallel, reporting
+    /// every stage to `obs`.
     ///
     /// This is the pure classification core of [`Pipeline::classify_all`]
     /// — degraded-aware feature extraction plus the two-stage verdict —
     /// fanned out over the default [`kyp_exec`] pool, shared verbatim by
-    /// the batch path and the online scoring service (`kyp-serve`).
-    /// Verdicts come back in input order and each page's verdict is a pure
-    /// function of its captured bytes, so the result is bit-identical to a
-    /// serial loop at any thread count.
-    pub fn classify_scraped(&self, pages: &[(String, ScrapedPage)]) -> Vec<ClassifiedPage> {
-        self.classify_scraped_observed(pages, &mut kyp_obs::NoopObserver)
-    }
-
-    /// Like [`Pipeline::classify_scraped`], reporting every stage to
-    /// `obs`.
+    /// the batch path, the store scan and the online scoring service
+    /// (`kyp-serve`). Verdicts come back in input order and each page's
+    /// verdict is a pure function of its captured bytes, so the result is
+    /// bit-identical to a serial loop at any thread count.
     ///
     /// Each worker records its page's events into a private
     /// [`kyp_obs::Recorder`] — a pure function of the page — and the
     /// buffers are replayed into `obs` in input order after the pool
     /// joins, so the observed stream is independent of the thread count
     /// and of how chunks were scheduled.
-    pub fn classify_scraped_observed(
+    pub fn classify_scraped(
         &self,
         pages: &[(String, ScrapedPage)],
         obs: &mut dyn kyp_obs::PipelineObserver,
@@ -525,7 +509,7 @@ mod tests {
             "http://missing.example.com/".into(),
             "not a url".into(),
         ];
-        let run = p.classify_all(&mut scraper, &urls);
+        let run = p.classify_all(&mut scraper, &urls, &mut kyp_obs::NoopObserver);
         assert_eq!(run.report.requested, 4);
         assert_eq!(run.report.completed, 2);
         assert_eq!(run.report.failed, 2);
@@ -551,7 +535,7 @@ mod tests {
         let run = |w: &kyp_web::WebWorld| {
             let flaky = kyp_web::FlakyWorld::new(w, plan.clone());
             let mut scraper = ResilientBrowser::new(&flaky);
-            p.classify_all(&mut scraper, &urls)
+            p.classify_all(&mut scraper, &urls, &mut kyp_obs::NoopObserver)
         };
         let (one, two) = (run(&world), run(&world));
         assert_eq!(one.report, two.report);

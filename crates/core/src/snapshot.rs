@@ -332,7 +332,7 @@ mod tests {
             );
             assert_eq!(
                 back.detector.score(p).to_bits(),
-                back.detector.score_reference(p).to_bits()
+                back.detector.model().predict_proba(p).to_bits()
             );
         }
         let batch = back.detector.score_batch(&probes);

@@ -35,9 +35,6 @@
 //! assert_eq!(doubled, vec![2, 4, 6, 8, 10]);
 //! ```
 
-mod stats;
-pub use stats::{reset_stats, stats, ExecStats};
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -120,7 +117,6 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        stats::record_par(n);
         let workers = self.threads.min(n);
         if workers <= 1 {
             return (0..n).map(f).collect();
@@ -200,7 +196,6 @@ impl Pool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        stats::record_par(items.len());
         let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {

@@ -14,7 +14,6 @@
 pub const ENTRY_POINTS: &[(&str, &str, &str)] = &[
     ("core", "Pipeline", "classify_bundle"),
     ("core", "Pipeline", "classify_all"),
-    ("core", "Pipeline", "classify_all_observed"),
     ("core", "ModelSnapshot", "from_json"),
     ("core", "CascadeClassifier", "*"),
     ("core", "UrlFeaturizer", "*"),

@@ -253,7 +253,7 @@ fn rule_filter_restricts_findings() {
 
 /// The classification seam stays collapsed: `classify_bundle` is the one
 /// canonical entry point, and every other `classify*` name is a blessed
-/// thin wrapper (or its `_observed` twin). Do NOT add a new `classify_*`
+/// thin wrapper or batch entry point. Do NOT add a new `classify_*`
 /// variant — thread a [`kyp_obs::PipelineObserver`] or a
 /// `SourceAvailability` through `classify_bundle` instead, and if a new
 /// wrapper is genuinely unavoidable, bless it here with a justification.
@@ -264,9 +264,7 @@ fn pipeline_classify_variants_are_a_closed_set() {
         "classify_degraded",
         "classify_bundle",
         "classify_all",
-        "classify_all_observed",
         "classify_scraped",
-        "classify_scraped_observed",
     ]);
     let pipeline = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()

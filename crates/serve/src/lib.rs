@@ -12,7 +12,12 @@
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
-//!  requests ──────▶  │ AdmissionQueue (bounded; sheds when full)  │
+//!  requests ──────▶  │ URL stage (optional cascade): final ⇒      │
+//!                    │   ServeResponse::immediate, stage=url_only │
+//!                    └──────────────┬─────────────────────────────┘
+//!                                   ▼
+//!                    ┌────────────────────────────────────────────┐
+//!                    │ AdmissionQueue (bounded; sheds when full)  │
 //!                    └──────────────┬─────────────────────────────┘
 //!                                   │ MicroBatcher: flush on max_batch
 //!                                   ▼            or max_delay_ms
@@ -25,6 +30,11 @@
 //!                    ServeStats: latency histogram, throughput,
 //!                    cache / queue / batch counters → ServeReport
 //! ```
+//!
+//! The front door is shared with the `kyp-cluster` router: both tally
+//! the URL stage with [`kyp_core::CascadeCounters::record`], answer
+//! requests that never reach a batch with [`ServeResponse::immediate`],
+//! and key their fetch memos with [`canonical_url`].
 //!
 //! # Determinism contract
 //!
@@ -57,7 +67,5 @@ pub use protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 pub use queue::{AdmissionQueue, QueueCounters};
 pub use service::{ScoringService, ServeConfig, SHED_QUEUE_FULL};
 pub use source::{canonical_url, PageSource, ScraperSource, StoredPages};
-pub use stats::{
-    CascadeCounters, LatencyHistogram, LatencySummary, ServeReport, LATENCY_BUCKET_BOUNDS_MS,
-};
+pub use stats::{LatencyHistogram, LatencySummary, ServeReport, LATENCY_BUCKET_BOUNDS_MS};
 pub use workload::{generate, ArrivalPattern, WorkloadConfig};

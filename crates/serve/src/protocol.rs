@@ -51,28 +51,16 @@ pub enum ServeOutcome {
 impl ServeOutcome {
     /// Maps a pipeline verdict onto the wire outcome.
     pub fn from_verdict(verdict: &kyp_core::PipelineVerdict) -> Self {
-        use kyp_core::PipelineVerdict;
-        match verdict {
-            PipelineVerdict::Legitimate { score } => ServeOutcome::Verdict {
-                kind: "legitimate".to_owned(),
-                score: *score,
-                targets: Vec::new(),
-            },
-            PipelineVerdict::ConfirmedLegitimate { score, .. } => ServeOutcome::Verdict {
-                kind: "confirmed_legitimate".to_owned(),
-                score: *score,
-                targets: Vec::new(),
-            },
-            PipelineVerdict::Phish { score, candidates } => ServeOutcome::Verdict {
-                kind: "phish".to_owned(),
-                score: *score,
-                targets: candidates.iter().map(|c| c.mld.clone()).collect(),
-            },
-            PipelineVerdict::Suspicious { score } => ServeOutcome::Verdict {
-                kind: "suspicious".to_owned(),
-                score: *score,
-                targets: Vec::new(),
-            },
+        let targets = match verdict {
+            kyp_core::PipelineVerdict::Phish { candidates, .. } => {
+                candidates.iter().map(|c| c.mld.clone()).collect()
+            }
+            _ => Vec::new(),
+        };
+        ServeOutcome::Verdict {
+            kind: verdict.kind().name().to_owned(),
+            score: verdict.score(),
+            targets,
         }
     }
 }
@@ -175,6 +163,28 @@ impl Deserialize for ServeResponse {
 }
 
 impl ServeResponse {
+    /// An answer that never reaches a batch — a URL-stage verdict, a shed
+    /// or a router-level failure: no cache involvement, not degraded,
+    /// zero latency, completed at `completed_ms` and decided by `stage`.
+    pub fn immediate(
+        id: u64,
+        url: String,
+        outcome: ServeOutcome,
+        completed_ms: u64,
+        stage: VerdictStage,
+    ) -> Self {
+        ServeResponse {
+            id,
+            url,
+            outcome,
+            cache: CacheState::Skipped,
+            degraded: false,
+            latency_ms: 0,
+            completed_ms,
+            stage,
+        }
+    }
+
     /// The timing- and cache-independent projection of this response:
     /// request identity plus verdict only.
     ///

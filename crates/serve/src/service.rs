@@ -8,8 +8,9 @@
 //! every batch flush that falls due at or before its arrival instant is
 //! executed, in due order. A flush cuts up to `max_batch` requests off the
 //! queue, scores them (cache, then pipeline for the misses) and completes
-//! them all at `flush + batch_overhead_ms + service_cost_ms × batch_len`.
-//! The scorer is busy until that completion, so flushes serialize.
+//! them all at `flush + BATCH_OVERHEAD_MS + SERVICE_COST_MS × batch_len`
+//! (2 ms and 8 ms of virtual time). The scorer is busy until that
+//! completion, so flushes serialize.
 //!
 //! # Determinism contract
 //!
@@ -36,14 +37,20 @@ use crate::cache::{CacheConfig, VerdictCache};
 use crate::protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 use crate::queue::AdmissionQueue;
 use crate::source::{canonical_url, PageSource};
-use crate::stats::{CascadeCounters, LatencyHistogram, ServeReport};
-use kyp_core::{CascadeClassifier, CascadeDecision, Pipeline, PipelineVerdict};
-use kyp_obs::{CascadeOutcome, VerdictStage};
+use crate::stats::{LatencyHistogram, ServeReport};
+use kyp_core::{CascadeClassifier, CascadeCounters, CascadeDecision, Pipeline, PipelineVerdict};
+use kyp_obs::VerdictStage;
 use kyp_web::{FailureCause, ScrapedPage};
 use std::collections::HashMap;
 
 /// Shed reason reported when the admission queue is full.
 pub const SHED_QUEUE_FULL: &str = "queue_full";
+
+/// Virtual milliseconds of scoring work per request in a batch.
+const SERVICE_COST_MS: u64 = 8;
+
+/// Virtual milliseconds of fixed overhead per batch flush.
+const BATCH_OVERHEAD_MS: u64 = 2;
 
 /// Tuning of a [`ScoringService`].
 #[derive(Debug, Clone, PartialEq)]
@@ -54,10 +61,6 @@ pub struct ServeConfig {
     pub batch: BatchPolicy,
     /// Verdict cache policy; `None` disables the cache.
     pub cache: Option<CacheConfig>,
-    /// Virtual milliseconds of scoring work per request in a batch.
-    pub service_cost_ms: u64,
-    /// Virtual milliseconds of fixed overhead per batch flush.
-    pub batch_overhead_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -66,8 +69,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             batch: BatchPolicy::default(),
             cache: Some(CacheConfig::default()),
-            service_cost_ms: 8,
-            batch_overhead_ms: 2,
         }
     }
 }
@@ -99,7 +100,6 @@ enum Slot {
 pub struct ScoringService<S> {
     pipeline: Pipeline,
     source: S,
-    config: ServeConfig,
     cache: Option<VerdictCache<(PipelineVerdict, bool)>>,
     cascade: Option<CascadeClassifier>,
     cascade_counters: CascadeCounters,
@@ -119,18 +119,14 @@ pub struct ScoringService<S> {
 impl<S: PageSource> ScoringService<S> {
     /// A fresh service scoring pages from `source` with `pipeline`.
     pub fn new(pipeline: Pipeline, source: S, config: ServeConfig) -> Self {
-        let cache = config.cache.clone().map(VerdictCache::new);
-        let queue = AdmissionQueue::new(config.queue_capacity);
-        let batcher = MicroBatcher::new(config.batch.clone());
         ScoringService {
             pipeline,
             source,
-            config,
-            cache,
+            cache: config.cache.map(VerdictCache::new),
             cascade: None,
             cascade_counters: CascadeCounters::default(),
-            queue,
-            batcher,
+            queue: AdmissionQueue::new(config.queue_capacity),
+            batcher: MicroBatcher::new(config.batch),
             latency: LatencyHistogram::new(),
             page_store: HashMap::new(),
             busy_until_ms: 0,
@@ -143,11 +139,6 @@ impl<S: PageSource> ScoringService<S> {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Installs the URL-only cascade pre-filter in front of admission:
     /// requests whose URL score falls outside the cascade's uncertainty
     /// band are answered immediately at their arrival instant — no queue,
@@ -155,11 +146,6 @@ impl<S: PageSource> ScoringService<S> {
     pub fn with_cascade(mut self, cascade: CascadeClassifier) -> Self {
         self.cascade = Some(cascade);
         self
-    }
-
-    /// The installed cascade pre-filter, if any.
-    pub fn cascade(&self) -> Option<&CascadeClassifier> {
-        self.cascade.as_ref()
     }
 
     /// Feeds one arrival into the service, returning every response that
@@ -198,35 +184,21 @@ impl<S: PageSource> ScoringService<S> {
         // any thread count.
         if let Some(cascade) = &self.cascade {
             let decision = cascade.prescreen(&request.url);
-            self.cascade_counters.screened += 1;
+            self.cascade_counters.record(&decision);
             obs.clock(arrival);
-            match decision {
-                CascadeDecision::Final(verdict) => {
-                    self.cascade_counters.url_only += 1;
-                    self.answered += 1;
-                    self.latency.record(0);
-                    obs.cascade_prescreen(CascadeOutcome::UrlOnlyFinal);
-                    obs.verdict_stage(VerdictStage::UrlOnly);
-                    out.push(ServeResponse {
-                        id: request.id,
-                        url: request.url,
-                        outcome: verdict_outcome(&verdict.verdict),
-                        cache: CacheState::Skipped,
-                        degraded: false,
-                        latency_ms: 0,
-                        completed_ms: arrival,
-                        stage: VerdictStage::UrlOnly,
-                    });
-                    return out;
-                }
-                CascadeDecision::Uncertain { .. } => {
-                    self.cascade_counters.fallthrough += 1;
-                    obs.cascade_prescreen(CascadeOutcome::Fallthrough);
-                }
-                CascadeDecision::Unscorable => {
-                    self.cascade_counters.unscorable += 1;
-                    obs.cascade_prescreen(CascadeOutcome::Unscorable);
-                }
+            obs.cascade_prescreen(decision.outcome());
+            if let CascadeDecision::Final(verdict) = decision {
+                self.answered += 1;
+                self.latency.record(0);
+                obs.verdict_stage(verdict.stage);
+                out.push(ServeResponse::immediate(
+                    request.id,
+                    request.url,
+                    ServeOutcome::from_verdict(&verdict.verdict),
+                    arrival,
+                    verdict.stage,
+                ));
+                return out;
             }
         }
 
@@ -238,18 +210,15 @@ impl<S: PageSource> ScoringService<S> {
             obs.clock(arrival);
             obs.shed();
             obs.verdict_stage(VerdictStage::Shed);
-            out.push(ServeResponse {
-                id: rejected.id,
-                url: rejected.url,
-                outcome: ServeOutcome::Shed {
+            out.push(ServeResponse::immediate(
+                rejected.id,
+                rejected.url,
+                ServeOutcome::Shed {
                     reason: SHED_QUEUE_FULL.to_owned(),
                 },
-                cache: CacheState::Skipped,
-                degraded: false,
-                latency_ms: 0,
-                completed_ms: arrival,
-                stage: VerdictStage::Full,
-            });
+                arrival,
+                VerdictStage::Full,
+            ));
         }
         out
     }
@@ -266,18 +235,13 @@ impl<S: PageSource> ScoringService<S> {
 
     /// Advances the service's virtual clock to `now_ms` without feeding an
     /// arrival: executes every batch flush due at or before `now_ms`, in
-    /// due order, and returns the responses.
+    /// due order, reporting events to `obs`, and returns the responses.
     ///
     /// Note that a flush *starting* at or before `now_ms` may *complete*
     /// after it (completion = flush + overhead + per-request cost); the
     /// caller sees those completions in the returned responses' timestamps
     /// and decides how to sequence them against its own events.
-    pub fn advance_to(&mut self, now_ms: u64) -> Vec<ServeResponse> {
-        self.advance_to_observed(now_ms, &mut kyp_obs::NoopObserver)
-    }
-
-    /// Like [`ScoringService::advance_to`], reporting events to `obs`.
-    pub fn advance_to_observed(
+    pub fn advance_to(
         &mut self,
         now_ms: u64,
         obs: &mut dyn kyp_obs::PipelineObserver,
@@ -290,18 +254,6 @@ impl<S: PageSource> ScoringService<S> {
             self.flush_at(due, &mut out, obs);
         }
         out
-    }
-
-    /// Removes and returns every queued (admitted, not yet flushed)
-    /// request, in FIFO order. Queue counters do not move — draining is
-    /// not shedding; the caller owns what happens to the requests next.
-    ///
-    /// This is the crash seam: when a simulated node dies, the router
-    /// drains nothing (the queue contents are simply lost with the node)
-    /// but an orderly shutdown hands the backlog back for re-dispatch.
-    pub fn drain_queue(&mut self) -> Vec<ServeRequest> {
-        let n = self.queue.len();
-        self.queue.take_batch(n)
     }
 
     /// Restarts the service cold after a simulated crash: the queue, the
@@ -324,11 +276,6 @@ impl<S: PageSource> ScoringService<S> {
     /// Current admission-queue depth.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Admission-queue capacity in force.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
     }
 
     /// Drains the queue, flushing every remaining batch in due order, and
@@ -527,8 +474,8 @@ impl<S: PageSource> ScoringService<S> {
         obs.clock(flush_ms);
         obs.batch_flush(batch.len());
         let completion_ms = flush_ms
-            .saturating_add(self.config.batch_overhead_ms)
-            .saturating_add(self.config.service_cost_ms * batch.len() as u64);
+            .saturating_add(BATCH_OVERHEAD_MS)
+            .saturating_add(SERVICE_COST_MS * batch.len() as u64);
         self.busy_until_ms = completion_ms;
         self.last_event_ms = self.last_event_ms.max(completion_ms);
 
@@ -538,7 +485,7 @@ impl<S: PageSource> ScoringService<S> {
         let mut to_classify: Vec<(String, ScrapedPage)> = Vec::new();
         let mut pending_keys: Vec<String> = Vec::new();
         for request in &batch {
-            let store_key = canonical_url(&request.url).unwrap_or_else(|| request.url.clone());
+            let store_key = canonical_url(&request.url);
             // The entry API makes fetch-once memoization a single keyed
             // access: no check-then-get, nothing to expect (kyp-lint P01).
             let source = &mut self.source;
@@ -572,7 +519,7 @@ impl<S: PageSource> ScoringService<S> {
             slots.push(slot);
         }
 
-        let classified = self.pipeline.classify_scraped_observed(&to_classify, obs);
+        let classified = self.pipeline.classify_scraped(&to_classify, obs);
         if let Some(cache) = self.cache.as_mut() {
             for (key, page) in pending_keys.iter().zip(&classified) {
                 cache.insert(
@@ -601,7 +548,8 @@ impl<S: PageSource> ScoringService<S> {
                     // The wire stage stays Full (the stage that decided
                     // the cached verdict); Cached is metrics provenance.
                     obs.verdict_stage(VerdictStage::Cached);
-                    (verdict_outcome(&verdict), CacheState::Hit, degraded)
+                    let outcome = ServeOutcome::from_verdict(&verdict);
+                    (outcome, CacheState::Hit, degraded)
                 }
                 Slot::Pending(idx) => {
                     self.answered += 1;
@@ -613,7 +561,8 @@ impl<S: PageSource> ScoringService<S> {
                     } else {
                         CacheState::Disabled
                     };
-                    (verdict_outcome(&page.verdict), state, page.degraded)
+                    let outcome = ServeOutcome::from_verdict(&page.verdict);
+                    (outcome, state, page.degraded)
                 }
             };
             if degraded {
@@ -632,11 +581,6 @@ impl<S: PageSource> ScoringService<S> {
             });
         }
     }
-}
-
-/// Maps a pipeline verdict onto the wire outcome.
-fn verdict_outcome(verdict: &PipelineVerdict) -> ServeOutcome {
-    ServeOutcome::from_verdict(verdict)
 }
 
 #[cfg(test)]
@@ -892,33 +836,14 @@ mod tests {
             assert!(out.is_empty());
         }
         assert_eq!(svc.next_due(), Some(25));
-        assert!(svc.advance_to(24).is_empty(), "not due yet");
+        let obs = &mut kyp_obs::NoopObserver;
+        assert!(svc.advance_to(24, obs).is_empty(), "not due yet");
         assert_eq!(svc.queue_len(), 2);
-        let out = svc.advance_to(25);
+        let out = svc.advance_to(25, obs);
         assert_eq!(out.len(), 2, "deadline flush fires at 25");
         assert!(out.iter().all(|r| r.completed_ms > 25));
         assert_eq!(svc.next_due(), None);
         assert_eq!(svc.queue_len(), 0);
-    }
-
-    #[test]
-    fn drain_queue_returns_backlog_without_shedding() {
-        let mut svc = service(false);
-        let (_, urls) = store(20);
-        for (i, url) in urls.iter().take(3).enumerate() {
-            let _ = svc.push(ServeRequest {
-                id: i as u64,
-                url: url.clone(),
-                arrival_ms: 0,
-            });
-        }
-        let before = svc.report().queue;
-        let drained = svc.drain_queue();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].id, 0, "FIFO order");
-        assert!(svc.queue_len() == 0);
-        assert_eq!(svc.report().queue, before, "draining is not shedding");
-        assert!(svc.drain_queue().is_empty(), "second drain is a no-op");
     }
 
     #[test]

@@ -20,12 +20,13 @@ pub trait PageSource {
     fn fetch(&mut self, url: &str) -> Result<ScrapedPage, FailureCause>;
 }
 
-/// The canonical cache/store key of a URL string: [`Url::canonical_key`]
+/// The fetch-memo key of a request URL: [`Url::canonical_key`]
 /// (`{fqdn-or-host}/{path}`) — scheme-, port- and query-insensitive, the
-/// key the simulated web itself uses for pages. `None` when the URL does
-/// not parse.
-pub fn canonical_url(url: &str) -> Option<String> {
-    Url::parse(url).ok().map(|u| u.canonical_key().to_owned())
+/// key the simulated web itself uses for pages — or the raw string when
+/// the URL does not parse. The scoring service and the cluster router
+/// both key their memos with it, so they always agree.
+pub fn canonical_url(url: &str) -> String {
+    Url::parse(url).map_or_else(|_| url.to_owned(), |u| u.canonical_key().to_owned())
 }
 
 /// A [`PageSource`] that scrapes live from a [`World`] through the
@@ -76,26 +77,6 @@ impl StoredPages {
             .map(|p| (p.starting_url.canonical_key().to_owned(), p))
             .collect();
         StoredPages { pages }
-    }
-
-    /// A store streamed out of a `kyp gen --store` directory's page
-    /// file, indexed exactly like [`StoredPages::new`] over the pages in
-    /// stored (generation) order — so a store-backed service sees the
-    /// same map as one built from the jsonl bundles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates every [`kyp_store::StoreError`] as a rendered string:
-    /// missing or unreadable files, bad magic, version or kind
-    /// mismatches, checksum failures and truncation.
-    pub fn from_store_dir(dir: &std::path::Path) -> Result<Self, String> {
-        let path = kyp_store::pages_path(dir);
-        let reader = kyp_store::PageStoreReader::open(&path)
-            .map_err(|e| format!("open {}: {e}", path.display()))?;
-        let pages = reader
-            .read_all()
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        Ok(Self::new(pages))
     }
 
     /// Stored pages.
@@ -149,19 +130,19 @@ mod tests {
 
     #[test]
     fn canonical_url_drops_scheme_and_query() {
-        let a = canonical_url("http://www.example.com/login?next=/home").unwrap();
-        let b = canonical_url("https://www.example.com/login").unwrap();
+        let a = canonical_url("http://www.example.com/login?next=/home");
+        let b = canonical_url("https://www.example.com/login");
         assert_eq!(a, b);
         assert_eq!(a, "www.example.com/login");
-        assert!(canonical_url("not a url ://").is_none());
+        assert_eq!(canonical_url("not a url ://"), "not a url ://");
     }
 
     #[test]
     fn canonical_url_keeps_host_and_path_apart() {
         // Regression: keys rendered as `{host}{path}` gave both pages the
         // key "ab.com", so they shared verdict-cache and memo entries.
-        let a = canonical_url("http://ab.co/m").unwrap();
-        let b = canonical_url("http://ab.com/").unwrap();
+        let a = canonical_url("http://ab.co/m");
+        let b = canonical_url("http://ab.com/");
         assert_eq!(a, "ab.co/m");
         assert_eq!(b, "ab.com/");
         let mut store = StoredPages::new(vec![

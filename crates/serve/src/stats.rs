@@ -10,6 +10,7 @@
 use crate::batcher::BatchCounters;
 use crate::cache::CacheCounters;
 use crate::queue::QueueCounters;
+use kyp_core::CascadeCounters;
 use serde::{Deserialize, Serialize};
 
 /// Upper bounds (inclusive) of the histogram's regular buckets, in ms.
@@ -113,20 +114,6 @@ pub struct LatencySummary {
     pub p99_ms: u64,
     /// Exact maximum observed.
     pub max_ms: u64,
-}
-
-/// Event counts of the URL-only cascade pre-filter. All zero when the
-/// cascade is disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CascadeCounters {
-    /// Requests the URL stage prescreened (every arrival when enabled).
-    pub screened: u64,
-    /// Requests finalised by the URL stage — each one a scrape avoided.
-    pub url_only: u64,
-    /// Requests whose URL score fell inside the uncertainty band.
-    pub fallthrough: u64,
-    /// Requests whose URL did not parse (the full pipeline decides).
-    pub unscorable: u64,
 }
 
 /// Serializable end-of-run report of a scoring service.

@@ -25,7 +25,7 @@ use knowyourphish::core::{
 };
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::{metrics, Dataset};
-use knowyourphish::obs::{CascadeOutcome, ObsSink, PipelineObserver};
+use knowyourphish::obs::{ObsSink, PipelineObserver};
 use knowyourphish::search::SearchEngine;
 use knowyourphish::serve::{
     generate, ArrivalPattern, BatchPolicy, CacheConfig, ScoringService, ServeConfig, ServeRequest,
@@ -248,17 +248,17 @@ const COMMANDS: &[CommandSpec] = &[
             ArgSpec {
                 name: "trace-seed",
                 value: "<n>",
-                help: "synthetic trace seed (default 2015)",
+                help: "with --requests: synthetic trace seed (default 2015)",
             },
             ArgSpec {
                 name: "duplicate-rate",
                 value: "<f>",
-                help: "synthetic trace duplicate fraction (default 0.2)",
+                help: "with --requests: synthetic trace duplicate fraction (default 0.2)",
             },
             ArgSpec {
                 name: "arrival-gap-ms",
                 value: "<n>",
-                help: "synthetic trace inter-arrival gap (default 10)",
+                help: "with --requests: synthetic trace inter-arrival gap (default 10)",
             },
             ArgSpec {
                 name: "queue-capacity",
@@ -878,14 +878,21 @@ fn cmd_cascade_train(opts: &ParsedOpts) -> Result<(), String> {
     Ok(())
 }
 
+/// Refuses options the chosen mode would silently ignore: the first of
+/// `options` given is an error naming what it `needs`.
+fn reject_unused(opts: &ParsedOpts, options: &[&str], needs: &str) -> Result<(), String> {
+    match options.iter().find(|o| opts.get(o).is_some()) {
+        Some(option) => Err(format!("--{option} needs {needs}")),
+        None => Ok(()),
+    }
+}
+
 /// Resolves `--cascade` / `--cascade-band` into a ready pre-filter.
 /// `Ok(None)` means the cascade is off; a band without a model is a
 /// hard error, as is a malformed band or a snapshot of the wrong stage.
 fn load_cascade(opts: &ParsedOpts) -> Result<Option<CascadeClassifier>, String> {
     let Some(path) = opts.get("cascade") else {
-        if opts.get("cascade-band").is_some() {
-            return Err("--cascade-band needs --cascade <model.json>".to_owned());
-        }
+        reject_unused(opts, &["cascade-band"], "--cascade <model.json>")?;
         return Ok(None);
     };
     let band = match opts.get("cascade-band") {
@@ -1000,8 +1007,10 @@ fn cmd_scan(opts: &ParsedOpts) -> Result<(), String> {
                     .to_owned(),
             );
         }
+        reject_unused(opts, &["metrics", "trace"], "--page <page.json>")?;
         return scan_store(opts, Path::new(dir));
     }
+    reject_unused(opts, &["verdicts"], "--from-store <dir>")?;
     let bundle = load_model(opts)?;
     let data_dir = PathBuf::from(opts.require("data")?);
     let page_path = PathBuf::from(opts.require("page")?);
@@ -1017,9 +1026,10 @@ fn cmd_scan(opts: &ParsedOpts) -> Result<(), String> {
     println!("title : {:?}", page.title);
     let mut sink = ObsSink::new();
     if let Some(cascade) = load_cascade(opts)? {
-        match cascade.prescreen(page.starting_url.as_ref()) {
+        let decision = cascade.prescreen(page.starting_url.as_ref());
+        sink.cascade_prescreen(decision.outcome());
+        match decision {
             CascadeDecision::Final(verdict) => {
-                sink.cascade_prescreen(CascadeOutcome::UrlOnlyFinal);
                 println!(
                     "cascade: URL score {:.3} outside band {} — final at the URL stage, no scrape",
                     verdict.score(),
@@ -1036,15 +1046,11 @@ fn cmd_scan(opts: &ParsedOpts) -> Result<(), String> {
                 }
                 return write_obs_exports(opts, &sink);
             }
-            CascadeDecision::Uncertain { url_score } => {
-                sink.cascade_prescreen(CascadeOutcome::Fallthrough);
-                println!(
-                    "cascade: URL score {url_score:.3} inside band {} — running the full pipeline",
-                    cascade.band()
-                );
-            }
+            CascadeDecision::Uncertain { url_score } => println!(
+                "cascade: URL score {url_score:.3} inside band {} — running the full pipeline",
+                cascade.band()
+            ),
             CascadeDecision::Unscorable => {
-                sink.cascade_prescreen(CascadeOutcome::Unscorable);
                 println!("cascade: URL unscorable — running the full pipeline");
             }
         }
@@ -1119,10 +1125,33 @@ fn cmd_store_inspect(opts: &ParsedOpts) -> Result<(), String> {
     }
 }
 
+/// The seeded synthetic trace `serve --requests` and `cluster` replay:
+/// `requests` long, shaped by `--trace-seed`, `--duplicate-rate` and
+/// `--arrival-gap-ms`.
+fn synthetic_workload(opts: &ParsedOpts, requests: usize) -> Result<WorkloadConfig, String> {
+    Ok(WorkloadConfig {
+        seed: opts.num("trace-seed", 2015)?,
+        requests,
+        duplicate_rate: opts.num("duplicate-rate", 0.2)?,
+        arrival: ArrivalPattern::Steady {
+            gap_ms: opts.num("arrival-gap-ms", 10)?,
+        },
+        fault_seed: 0,
+        fault_rate: 0.0,
+    })
+}
+
 /// `kyp serve`: online scoring over the captured corpus — newline-
 /// delimited json requests on stdin (or a seeded synthetic trace with
 /// `--requests`), one response per line on stdout, report on stderr.
 fn cmd_serve(opts: &ParsedOpts) -> Result<(), String> {
+    let workload = if opts.get("requests").is_some() {
+        Some(synthetic_workload(opts, opts.num("requests", 0)?)?)
+    } else {
+        let shape = ["trace-seed", "duplicate-rate", "arrival-gap-ms"];
+        reject_unused(opts, &shape, "--requests <n>")?;
+        None
+    };
     let (pipeline, pages, urls) = load_serving_stack(opts)?;
     let cache = match opts.get("cache") {
         None | Some("on") => Some(CacheConfig::default()),
@@ -1136,7 +1165,6 @@ fn cmd_serve(opts: &ParsedOpts) -> Result<(), String> {
             max_delay_ms: opts.num("max-delay-ms", 25)?,
         },
         cache,
-        ..ServeConfig::default()
     };
     let mut service = ScoringService::new(pipeline, pages, config);
     if let Some(cascade) = load_cascade(opts)? {
@@ -1154,19 +1182,7 @@ fn cmd_serve(opts: &ParsedOpts) -> Result<(), String> {
         Ok(())
     };
 
-    if let Some(requests) = opts.get("requests") {
-        let workload = WorkloadConfig {
-            seed: opts.num("trace-seed", 2015)?,
-            requests: requests
-                .parse()
-                .map_err(|_| format!("invalid --requests {requests:?}"))?,
-            duplicate_rate: opts.num("duplicate-rate", 0.2)?,
-            arrival: ArrivalPattern::Steady {
-                gap_ms: opts.num("arrival-gap-ms", 10)?,
-            },
-            fault_seed: 0,
-            fault_rate: 0.0,
-        };
+    if let Some(workload) = workload {
         let trace = generate(&workload, &urls);
         eprintln!(
             "serving {} synthetic requests (seed {}, duplicate rate {})...",
@@ -1214,16 +1230,7 @@ fn cmd_cluster(opts: &ParsedOpts) -> Result<(), String> {
         crash: (crash_rate > 0.0).then(|| CrashPlan::new(crash_seed, crash_rate)),
         ..ClusterConfig::default()
     };
-    let workload = WorkloadConfig {
-        seed: opts.num("trace-seed", 2015)?,
-        requests: opts.num("requests", 500)?,
-        duplicate_rate: opts.num("duplicate-rate", 0.2)?,
-        arrival: ArrivalPattern::Steady {
-            gap_ms: opts.num("arrival-gap-ms", 10)?,
-        },
-        fault_seed: 0,
-        fault_rate: 0.0,
-    };
+    let workload = synthetic_workload(opts, opts.num("requests", 500)?)?;
     let trace = generate(&workload, &urls);
     eprintln!(
         "simulating {} requests over {} nodes (replicas {}, crash rate {})...",
@@ -1331,7 +1338,69 @@ fn cmd_lint(opts: &ParsedOpts) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{COMMANDS, STORE_INSPECT};
+    use super::{cmd_scan, cmd_serve, COMMANDS, STORE_INSPECT};
+    use knowyourphish::cli::{Parsed, ParsedOpts};
+
+    /// Parses `args` against `kyp <command>`'s spec.
+    fn opts(command: &str, args: &[&str]) -> ParsedOpts {
+        let spec = COMMANDS.iter().find(|s| s.name == command).unwrap();
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        match spec.parse(&args).unwrap() {
+            Parsed::Opts(opts) => opts,
+            Parsed::Help => panic!("unexpected --help"),
+        }
+    }
+
+    /// Every path below is missing, so an error that names the option
+    /// proves the combination is refused before any file is opened.
+    const MISSING: &str = "/nonexistent/kyp-test";
+
+    #[test]
+    fn store_scan_refuses_observability_exports() {
+        for option in ["--metrics", "--trace"] {
+            let err = cmd_scan(&opts(
+                "scan",
+                &["--model", MISSING, "--from-store", MISSING, option, MISSING],
+            ))
+            .unwrap_err();
+            assert_eq!(err, format!("{option} needs --page <page.json>"));
+        }
+    }
+
+    #[test]
+    fn page_scan_refuses_a_verdicts_file() {
+        let err = cmd_scan(&opts(
+            "scan",
+            &[
+                "--model",
+                MISSING,
+                "--data",
+                MISSING,
+                "--page",
+                MISSING,
+                "--verdicts",
+                MISSING,
+            ],
+        ))
+        .unwrap_err();
+        assert_eq!(err, "--verdicts needs --from-store <dir>");
+    }
+
+    #[test]
+    fn stdin_serve_refuses_trace_shape_options() {
+        for (option, value) in [
+            ("--trace-seed", "5"),
+            ("--duplicate-rate", "0.9"),
+            ("--arrival-gap-ms", "3"),
+        ] {
+            let err = cmd_serve(&opts(
+                "serve",
+                &["--model", MISSING, "--data", MISSING, option, value],
+            ))
+            .unwrap_err();
+            assert_eq!(err, format!("{option} needs --requests <n>"));
+        }
+    }
 
     #[test]
     fn every_command_accepts_threads() {

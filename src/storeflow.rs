@@ -22,7 +22,10 @@
 //!   page source from a store directory.
 
 use crate::core::features::FEATURE_COUNT;
-use crate::core::{ClassifiedPage, FeatureExtractor, PhishDetector, Pipeline, ScrapeReport};
+use crate::core::{
+    CascadeClassifier, CascadeCounters, CascadeDecision, ClassifiedPage, FeatureExtractor,
+    PhishDetector, Pipeline, ScrapeReport,
+};
 use crate::datagen::{CampaignConfig, Corpus};
 use crate::html::Document;
 use crate::ml::Dataset;
@@ -489,32 +492,7 @@ fn render_verdict_line(
 ///
 /// Store-format failures, rendered as strings.
 pub fn store_verdict_lines(dir: &Path, pipeline: &Pipeline) -> Result<Vec<String>, String> {
-    let path = pages_path(dir);
-    let mut reader =
-        PageStoreReader::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    let mut lines = Vec::new();
-    while let Some(block) = reader
-        .next_block()
-        .map_err(|e| format!("read page store: {e}"))?
-    {
-        let batch: Vec<(String, ScrapedPage)> = block
-            .into_iter()
-            .map(|visit| {
-                let url = visit.starting_url.to_string();
-                let scraped = ScrapedPage {
-                    visit,
-                    availability: SourceAvailability::FULL,
-                    attempts: 1,
-                    elapsed_ms: 0,
-                };
-                (url, scraped)
-            })
-            .collect();
-        for page in pipeline.classify_scraped(&batch) {
-            lines.push(verdict_line(&page));
-        }
-    }
-    Ok(lines)
+    scan_store(dir, pipeline, None).map(|(lines, _)| lines)
 }
 
 /// Like [`store_verdict_lines`], with the URL-only cascade pre-filter in
@@ -532,39 +510,48 @@ pub fn store_verdict_lines(dir: &Path, pipeline: &Pipeline) -> Result<Vec<String
 pub fn store_verdict_lines_cascade(
     dir: &Path,
     pipeline: &Pipeline,
-    cascade: &crate::core::CascadeClassifier,
-) -> Result<(Vec<String>, crate::serve::CascadeCounters), String> {
-    use crate::core::CascadeDecision;
+    cascade: &CascadeClassifier,
+) -> Result<(Vec<String>, CascadeCounters), String> {
+    scan_store(dir, pipeline, Some(cascade))
+}
+
+/// The store scan behind both public entry points: per block, each page
+/// is either final at the URL stage (when a cascade is given) or joins
+/// the block's full-classification batch, and the lines come out in
+/// stored order.
+fn scan_store(
+    dir: &Path,
+    pipeline: &Pipeline,
+    cascade: Option<&CascadeClassifier>,
+) -> Result<(Vec<String>, CascadeCounters), String> {
+    // Per page: either a finished URL-stage line, or an index into the
+    // block's full-classification batch.
+    enum Line {
+        Done(String),
+        Pending(usize),
+    }
     let path = pages_path(dir);
     let mut reader =
         PageStoreReader::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let mut lines = Vec::new();
-    let mut counters = crate::serve::CascadeCounters::default();
+    let mut counters = CascadeCounters::default();
     while let Some(block) = reader
         .next_block()
         .map_err(|e| format!("read page store: {e}"))?
     {
-        // Per page: either a finished URL-stage line, or an index into
-        // the block's full-classification batch (stored order preserved).
-        enum Line {
-            Done(String),
-            Pending(usize),
-        }
         let mut slots = Vec::with_capacity(block.len());
         let mut batch: Vec<(String, ScrapedPage)> = Vec::new();
         for visit in block {
             let url = visit.starting_url.to_string();
-            counters.screened += 1;
-            match cascade.prescreen(&url) {
-                CascadeDecision::Final(v) => {
-                    counters.url_only += 1;
+            if let Some(cascade) = cascade {
+                let decision = cascade.prescreen(&url);
+                counters.record(&decision);
+                if let CascadeDecision::Final(v) = decision {
                     slots.push(Line::Done(render_verdict_line(
                         &url, &v.verdict, false, v.stage,
                     )));
                     continue;
                 }
-                CascadeDecision::Uncertain { .. } => counters.fallthrough += 1,
-                CascadeDecision::Unscorable => counters.unscorable += 1,
             }
             slots.push(Line::Pending(batch.len()));
             batch.push((
@@ -577,7 +564,7 @@ pub fn store_verdict_lines_cascade(
                 },
             ));
         }
-        let classified = pipeline.classify_scraped(&batch);
+        let classified = pipeline.classify_scraped(&batch, &mut crate::obs::NoopObserver);
         for slot in slots {
             match slot {
                 Line::Done(line) => lines.push(line),

@@ -7,7 +7,8 @@
 //! every request falls through to the full pipeline, so the stream must
 //! be byte-identical to a run without the cascade at all — the CLI-level
 //! equivalence CI proves with `cmp`, pinned here at the library level
-//! for serve and cluster both.
+//! for serve and cluster both. The two engines share one URL-stage
+//! tally, so on the same trace they must also agree with each other.
 //!
 //! The tagged URL-stage snapshot round-trips too: `train → save → load →
 //! from_snapshot` must screen exactly like the in-memory classifier, and
@@ -16,7 +17,7 @@
 use knowyourphish::cluster::{verdict_stream, ClusterConfig, ClusterService};
 use knowyourphish::core::{
     cascade::train_url_stage, CascadeBand, CascadeClassifier, CascadeDecision, DetectorConfig,
-    FeatureExtractor, ModelSnapshot, PhishDetector, Pipeline, TargetIdentifier,
+    FeatureExtractor, ModelSnapshot, PhishDetector, Pipeline, TargetIdentifier, VerdictStage,
 };
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::Dataset;
@@ -110,7 +111,6 @@ fn serve_config(cache_on: bool) -> ServeConfig {
             max_delay_ms: 25,
         },
         cache: cache_on.then(CacheConfig::default),
-        ..ServeConfig::default()
     }
 }
 
@@ -267,6 +267,63 @@ fn cluster_cascade_stream_is_invariant_and_forced_full_matches() {
             .any(|l| l.contains(" stage=url_only")),
         "the default band should finalise some URLs at the cluster router"
     );
+    knowyourphish::exec::set_threads(0);
+}
+
+/// The URL-stage tally is written once: on the same trace and cascade,
+/// the scoring service and a 1- and a 3-shard cluster screen to the same
+/// counters and answer the same requests at the URL stage with the same
+/// verdict lines.
+#[test]
+fn service_and_cluster_agree_on_the_url_stage() {
+    let corpus = small_corpus();
+    let pipeline = pipeline_for(&corpus);
+    let trace = serving_trace(&corpus);
+    let cascade = cascade_for(&corpus, CascadeBand::default());
+    let url_stage_lines = |responses: Vec<&ServeResponse>| -> Vec<(u64, String)> {
+        let mut lines: Vec<(u64, String)> = responses
+            .into_iter()
+            .filter(|r| r.stage == VerdictStage::UrlOnly)
+            .map(|r| (r.id, r.verdict_line()))
+            .collect();
+        lines.sort();
+        lines
+    };
+
+    let source = ScraperSource::new(&corpus.world);
+    let mut service = ScoringService::new(pipeline.clone(), source, serve_config(true))
+        .with_cascade(cascade.clone());
+    let served = service.run_trace(&trace);
+    let expected_lines = url_stage_lines(served.iter().collect());
+    let expected = service.report().cascade;
+    assert_eq!(expected.screened, trace.len() as u64);
+    assert!(
+        expected.url_only > 0 && expected.fallthrough > 0,
+        "the trace must exercise both outcomes: {expected:?}"
+    );
+    assert_eq!(expected_lines.len() as u64, expected.url_only);
+
+    for shards in [1, 3] {
+        let config = ClusterConfig {
+            shards,
+            node: serve_config(true),
+            ..ClusterConfig::default()
+        };
+        let source = ScraperSource::new(&corpus.world);
+        let mut cluster =
+            ClusterService::new(pipeline.clone(), source, config).with_cascade(cascade.clone());
+        let responses = cluster.run_trace(&trace);
+        assert_eq!(
+            cluster.report().cascade,
+            expected,
+            "cascade counters diverge at {shards} shards"
+        );
+        assert_eq!(
+            url_stage_lines(responses.iter().map(|r| &r.response).collect()),
+            expected_lines,
+            "URL-stage answers diverge at {shards} shards"
+        );
+    }
     knowyourphish::exec::set_threads(0);
 }
 

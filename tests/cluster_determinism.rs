@@ -108,7 +108,6 @@ fn cluster_config(shards: usize, replicas: usize, crash: bool) -> ClusterConfig 
                 max_delay_ms: 25,
             },
             cache: Some(CacheConfig::default()),
-            ..ServeConfig::default()
         },
         crash: crash.then(crash_plan),
         ..ClusterConfig::default()
@@ -159,7 +158,7 @@ fn cluster_stream_is_invariant_across_shards_replicas_threads_and_crashes() {
                         "every request must be answered ({shape})"
                     );
                     assert_eq!(
-                        report.shed_by.retries_exhausted, 0,
+                        report.failover.retries_exhausted, 0,
                         "the retry budget must absorb this crash schedule ({shape})"
                     );
                     if crash {

@@ -96,7 +96,7 @@ fn classify_all_is_thread_count_invariant() {
         knowyourphish::exec::set_threads(threads);
         let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
         let mut scraper = ResilientBrowser::new(&flaky);
-        let run = pipeline.classify_all(&mut scraper, &urls);
+        let run = pipeline.classify_all(&mut scraper, &urls, &mut knowyourphish::obs::NoopObserver);
         let report_json = serde_json::to_string(&run.report).unwrap();
         let verdicts: Vec<String> = run
             .classified

@@ -305,7 +305,7 @@ fn batch_classification_at_thirty_percent_faults_is_total_and_deterministic() {
     let run_once = || {
         let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(2016, 0.3));
         let mut scraper = ResilientBrowser::new(&flaky);
-        pipeline.classify_all(&mut scraper, &urls)
+        pipeline.classify_all(&mut scraper, &urls, &mut knowyourphish::obs::NoopObserver)
     };
     let run = run_once();
 

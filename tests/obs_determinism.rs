@@ -93,7 +93,6 @@ fn serve_config(cache_on: bool) -> ServeConfig {
             max_delay_ms: 25,
         },
         cache: cache_on.then(CacheConfig::default),
-        ..ServeConfig::default()
     }
 }
 
@@ -228,7 +227,7 @@ fn cache_events_distinguish_the_cache_scenarios() {
     knowyourphish::exec::set_threads(0);
 }
 
-/// The batch path: `classify_all_observed` over a faulty web must render
+/// The batch path: `classify_all` over a faulty web must render
 /// byte-identical artifacts at every thread count — scrape events stream
 /// in fetch order, classification events record per page in the pool and
 /// replay in input order.
@@ -248,7 +247,7 @@ fn observed_batch_artifacts_are_invariant_across_threads() {
         let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
         let mut scraper = ResilientBrowser::new(&flaky);
         let mut sink = ObsSink::new();
-        let run = pipeline.classify_all_observed(&mut scraper, &urls, &mut sink);
+        let run = pipeline.classify_all(&mut scraper, &urls, &mut sink);
         match &baseline_run {
             None => baseline_run = Some(run),
             Some(base) => assert_eq!(*base, run, "BatchRun diverges at {threads} threads"),

@@ -94,7 +94,6 @@ fn serve_config(cache_on: bool) -> ServeConfig {
             max_delay_ms: 25,
         },
         cache: cache_on.then(CacheConfig::default),
-        ..ServeConfig::default()
     }
 }
 
