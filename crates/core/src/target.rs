@@ -26,28 +26,17 @@ use kyp_web::VisitedPage;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// Number of search results inspected per query.
+const SEARCH_RESULTS: usize = 10;
+
+/// Maximum candidates returned (the paper evaluates top-1/2/3).
+const MAX_CANDIDATES: usize = 3;
+
 /// Configuration of the target identifier.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TargetIdentifierConfig {
-    /// Keyterm list length (the paper's N = 5).
-    pub keyterm_count: usize,
-    /// Number of search results inspected per query.
-    pub search_results: usize,
-    /// Maximum candidates returned (the paper evaluates top-1/2/3).
-    pub max_candidates: usize,
     /// OCR noise profile for step 4.
     pub ocr: OcrConfig,
-}
-
-impl Default for TargetIdentifierConfig {
-    fn default() -> Self {
-        TargetIdentifierConfig {
-            keyterm_count: DEFAULT_KEYTERM_COUNT,
-            search_results: 10,
-            max_candidates: 3,
-            ocr: OcrConfig::default(),
-        }
-    }
 }
 
 /// One candidate target brand, ranked by appearances in the page.
@@ -72,7 +61,7 @@ pub enum TargetVerdict {
     /// Candidate targets found: the page impersonates `candidates[0]`
     /// (best first).
     Phish {
-        /// Ranked candidate targets (at most `max_candidates`).
+        /// Ranked candidate targets (at most three).
         candidates: Vec<TargetCandidate>,
     },
     /// No legitimacy confirmation and no target found (the paper's
@@ -140,11 +129,6 @@ impl TargetIdentifier {
         TargetIdentifier { engine, config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TargetIdentifierConfig {
-        &self.config
-    }
-
     /// Runs the five-step identification process on a page.
     pub fn identify(&self, page: &VisitedPage) -> TargetVerdict {
         let sources = DataSources::from_page(page);
@@ -172,8 +156,7 @@ impl TargetIdentifier {
         obs: &mut dyn kyp_obs::PipelineObserver,
     ) -> TargetVerdict {
         use kyp_obs::TargetStepOutcome;
-        let n = self.config.keyterm_count;
-        let k = self.config.search_results;
+        let n = DEFAULT_KEYTERM_COUNT;
         let suspected = suspected_rdns(page);
         let controlled_terms = controlled_term_set(sources);
 
@@ -184,7 +167,7 @@ impl TargetIdentifier {
             if !composable(mld, &boosted) {
                 continue;
             }
-            let hits = self.engine.query_domain(rdn, k);
+            let hits = self.engine.query_domain(rdn, SEARCH_RESULTS);
             if hits.iter().any(|h| suspected.contains(h.rdn.as_str())) {
                 obs.target_step(1, &TargetStepOutcome::ConfirmedLegitimate);
                 return TargetVerdict::Legitimate { step: 1 };
@@ -202,7 +185,7 @@ impl TargetIdentifier {
             }
             StepOutcome::Candidates(c) => {
                 obs.target_step(2, &TargetStepOutcome::Candidates { count: c.len() });
-                return self.step5_observed(page, sources, c, obs);
+                return Self::step5(page, sources, c, obs);
             }
             StepOutcome::Continue => obs.target_step(2, &TargetStepOutcome::Continue),
         }
@@ -213,7 +196,7 @@ impl TargetIdentifier {
             }
             StepOutcome::Candidates(c) => {
                 obs.target_step(3, &TargetStepOutcome::Candidates { count: c.len() });
-                return self.step5_observed(page, sources, c, obs);
+                return Self::step5(page, sources, c, obs);
             }
             StepOutcome::Continue => obs.target_step(3, &TargetStepOutcome::Continue),
         }
@@ -225,7 +208,7 @@ impl TargetIdentifier {
             }
             StepOutcome::Candidates(c) => {
                 obs.target_step(4, &TargetStepOutcome::Candidates { count: c.len() });
-                return self.step5_observed(page, sources, c, obs);
+                return Self::step5(page, sources, c, obs);
             }
             StepOutcome::Continue => obs.target_step(4, &TargetStepOutcome::Continue),
         }
@@ -243,7 +226,7 @@ impl TargetIdentifier {
         if terms.is_empty() {
             return StepOutcome::Continue;
         }
-        let hits = self.engine.query(terms, self.config.search_results);
+        let hits = self.engine.query(terms, SEARCH_RESULTS);
         if hits.iter().any(|h| suspected.contains(h.rdn.as_str())) {
             return StepOutcome::Legitimate(step);
         }
@@ -260,31 +243,11 @@ impl TargetIdentifier {
 
     /// Step 5: rank candidate mlds by appearances across the page,
     /// reporting the final (capped) candidate count.
-    fn step5_observed(
-        &self,
+    fn step5(
         page: &VisitedPage,
         sources: &DataSources,
         hits: Vec<SearchHit>,
         obs: &mut dyn kyp_obs::PipelineObserver,
-    ) -> TargetVerdict {
-        let verdict = self.step5(page, sources, hits);
-        if let TargetVerdict::Phish { candidates } = &verdict {
-            obs.target_step(
-                5,
-                &kyp_obs::TargetStepOutcome::Candidates {
-                    count: candidates.len(),
-                },
-            );
-        }
-        verdict
-    }
-
-    /// Step 5: rank candidate mlds by appearances across the page.
-    fn step5(
-        &self,
-        page: &VisitedPage,
-        sources: &DataSources,
-        hits: Vec<SearchHit>,
     ) -> TargetVerdict {
         let mut candidates: Vec<TargetCandidate> = Vec::new();
         for hit in hits {
@@ -303,7 +266,13 @@ impl TargetIdentifier {
                 .cmp(&a.appearances)
                 .then_with(|| a.mld.cmp(&b.mld))
         });
-        candidates.truncate(self.config.max_candidates);
+        candidates.truncate(MAX_CANDIDATES);
+        obs.target_step(
+            5,
+            &kyp_obs::TargetStepOutcome::Candidates {
+                count: candidates.len(),
+            },
+        );
         TargetVerdict::Phish { candidates }
     }
 }
@@ -383,7 +352,14 @@ fn mld_appears_in(mld: &str, terms: &BTreeSet<String>) -> bool {
 /// dash or a string of digits (paper Step 1). Short filler runs of at most
 /// two letters (e.g. the "of" in `bankofamerica`) are tolerated, capped at
 /// three filler letters overall, and at least one keyterm must be used.
+///
+/// Whether the rest of the mld can be consumed depends only on the
+/// position, the filler letters left and whether a keyterm was used, so
+/// each such state is solved once and remembered: O(len × Σ|keyterm|),
+/// where plain backtracking is exponential on a hostile label such as
+/// `aaa…abbbb` against keyterms `aaa`, `aaaa`, ….
 pub(crate) fn composable(mld: &str, keyterms: &[String]) -> bool {
+    const MAX_FILLER: usize = 3;
     let mld = mld.to_ascii_lowercase();
     if keyterms.is_empty() || mld.is_empty() {
         return false;
@@ -394,31 +370,41 @@ pub(crate) fn composable(mld: &str, keyterms: &[String]) -> bool {
         filler_left: usize,
         used_keyterm: bool,
         keyterms: &[String],
+        memo: &mut [Option<bool>],
     ) -> bool {
         let Some(&byte) = s.get(pos) else {
             // Consumed the whole mld.
             return used_keyterm;
         };
+        let state = (pos * (MAX_FILLER + 1) + filler_left) * 2 + usize::from(used_keyterm);
+        if let Some(&Some(known)) = memo.get(state) {
+            return known;
+        }
         let c = byte as char;
-        // Separator characters are free.
-        if c == '-' || c.is_ascii_digit() {
-            return rec(s, pos + 1, filler_left, used_keyterm, keyterms);
+        let answer = if c == '-' || c.is_ascii_digit() {
+            // Separator characters are free.
+            rec(s, pos + 1, filler_left, used_keyterm, keyterms, memo)
+        } else {
+            // Try each keyterm as a prefix, then tolerate a short filler
+            // letter. An empty keyterm is skipped: it would consume
+            // nothing and lead back to this same state.
+            let rest = s.get(pos..).unwrap_or_default();
+            keyterms.iter().any(|k| {
+                let kb = k.as_bytes();
+                !kb.is_empty()
+                    && rest.starts_with(kb)
+                    && rec(s, pos + kb.len(), filler_left, true, keyterms, memo)
+            }) || (filler_left > 0
+                && c.is_ascii_alphabetic()
+                && rec(s, pos + 1, filler_left - 1, used_keyterm, keyterms, memo))
+        };
+        if let Some(slot) = memo.get_mut(state) {
+            *slot = Some(answer);
         }
-        // Try each keyterm as a prefix.
-        let rest = s.get(pos..).unwrap_or_default();
-        for k in keyterms {
-            let kb = k.as_bytes();
-            if rest.starts_with(kb) && rec(s, pos + kb.len(), filler_left, true, keyterms) {
-                return true;
-            }
-        }
-        // Tolerate a short filler letter.
-        if filler_left > 0 && c.is_ascii_alphabetic() {
-            return rec(s, pos + 1, filler_left - 1, used_keyterm, keyterms);
-        }
-        false
+        answer
     }
-    rec(mld.as_bytes(), 0, 3, false, keyterms)
+    let mut memo = vec![None; mld.len() * (MAX_FILLER + 1) * 2];
+    rec(mld.as_bytes(), 0, MAX_FILLER, false, keyterms, &mut memo)
 }
 
 /// How many times a candidate mld appears across the page's data sources:
@@ -461,6 +447,7 @@ fn count_appearances(mld: &str, page: &VisitedPage, sources: &DataSources) -> us
 mod tests {
     use super::*;
     use crate::features::test_pages::{legit, phish};
+    use proptest::prelude::*;
 
     fn engine() -> Arc<SearchEngine> {
         let mut e = SearchEngine::new();
@@ -540,6 +527,79 @@ mod tests {
     }
 
     #[test]
+    fn composable_answers_a_hostile_label_at_once() {
+        // Every split of the 59 `a`s into keyterms fails only at the
+        // fourth `b`, so backtracking tries them all: tens of minutes.
+        let kt: Vec<String> = (3..=7).map(|n| "a".repeat(n)).collect();
+        let label = format!("{}bbbb", "a".repeat(59));
+        assert_eq!(label.len(), 63);
+        assert!(!composable(&label, &kt));
+        assert!(composable(&label[..62], &kt));
+    }
+
+    /// `composable` before memoisation: plain backtracking.
+    fn composable_backtracking(mld: &str, keyterms: &[String]) -> bool {
+        let mld = mld.to_ascii_lowercase();
+        if keyterms.is_empty() || mld.is_empty() {
+            return false;
+        }
+        fn rec(
+            s: &[u8],
+            pos: usize,
+            filler_left: usize,
+            used_keyterm: bool,
+            keyterms: &[String],
+        ) -> bool {
+            let Some(&byte) = s.get(pos) else {
+                return used_keyterm;
+            };
+            let c = byte as char;
+            if c == '-' || c.is_ascii_digit() {
+                return rec(s, pos + 1, filler_left, used_keyterm, keyterms);
+            }
+            let rest = s.get(pos..).unwrap_or_default();
+            for k in keyterms {
+                let kb = k.as_bytes();
+                if rest.starts_with(kb) && rec(s, pos + kb.len(), filler_left, true, keyterms) {
+                    return true;
+                }
+            }
+            if filler_left > 0 && c.is_ascii_alphabetic() {
+                return rec(s, pos + 1, filler_left - 1, used_keyterm, keyterms);
+            }
+            false
+        }
+        rec(mld.as_bytes(), 0, 3, false, keyterms)
+    }
+
+    /// Short mlds, mostly over two letters so that keyterms overlap.
+    fn short_mld() -> impl Strategy<Value = String> {
+        prop_oneof!["[abAB1-]{0,14}", "[a-z0-9-]{0,10}"]
+    }
+
+    fn short_keyterm() -> impl Strategy<Value = String> {
+        prop_oneof!["[ab]{1,4}", "[a-z]{1,3}"]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn composable_matches_backtracking(
+            mld in short_mld(),
+            keyterms in collection::vec(short_keyterm(), 0..5),
+        ) {
+            prop_assert_eq!(
+                composable(&mld, &keyterms),
+                composable_backtracking(&mld, &keyterms),
+                "{:?} from {:?}",
+                mld,
+                keyterms
+            );
+        }
+    }
+
+    #[test]
     fn image_based_phish_found_via_ocr() {
         let mut p = phish();
         // Strip HTML text/title so steps 2-3 have nothing to work with;
@@ -555,7 +615,6 @@ mod tests {
                 word_loss_rate: 0.0,
                 seed: 0,
             },
-            ..TargetIdentifierConfig::default()
         };
         let ident = TargetIdentifier::with_config(engine(), cfg);
         let verdict = ident.identify(&p);

@@ -29,8 +29,28 @@
 //! let hits = engine.query(&["bank".into(), "america".into()], 3);
 //! assert_eq!(hits[0].rdn, "bankofamerica.com");
 //! ```
+//!
+//! # Cost
+//!
+//! Besides the postings, the index keeps an RDN → first page map and an
+//! mld → pages map. With `n` pages indexed:
+//!
+//! - [`SearchEngine::index_page`] extracts the page's terms, pushes one
+//!   posting per distinct term and one entry into each of the two maps.
+//! - [`SearchEngine::query_domain`] looks up the guess and every suffix
+//!   of it after a dot as RDNs, and the guess's mld and the whole guess
+//!   as mlds, then merges the pages found in id order: O(labels · hits),
+//!   where hits counts the pages found. It walks no other page.
+//! - [`SearchEngine::query`] takes one zeroed score slot and one RDN slot
+//!   per page (two O(n) allocations, filled in one pass each), adds the
+//!   postings of the query terms into them, keeps each RDN's best page
+//!   and sorts only the top `k` of those: O(n + postings + k log k).
+//!
+//! Both queries return owned hits and allocate their own scratch, because
+//! one engine is shared read-only by every scoring thread.
 
 use kyp_text::extract_terms;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
 /// One search result: a registered domain with its relevance score.
@@ -49,19 +69,28 @@ struct DocInfo {
     rdn: String,
     mld: String,
     norm: f64,
+    /// The first document indexed under the same RDN, which stands for
+    /// the RDN when a query keeps one document per RDN.
+    site: u32,
 }
 
 /// An inverted-index search engine over indexed pages.
 ///
-/// See the [crate docs](crate) for the role this plays and an example.
+/// See the [crate docs](crate) for the role this plays, an example and
+/// what each call costs.
 #[derive(Debug, Clone, Default)]
 pub struct SearchEngine {
     docs: Vec<DocInfo>,
-    /// term → (document id, term frequency) postings. A hash map is fine
-    /// here (kyp-lint D01 permits keyed lookup): postings are only ever
-    /// read by key, and each list is in document-id order by
+    /// term → (document id, term frequency) postings. Hash maps are fine
+    /// here and below (kyp-lint D01 permits keyed lookup): they are only
+    /// ever read by key, and each list is in document-id order by
     /// construction.
     postings: HashMap<String, Vec<(u32, f64)>>,
+    /// RDN → the first document indexed under it. A domain lookup needs
+    /// no other: any later document of the RDN would repeat its hit.
+    by_rdn: HashMap<String, u32>,
+    /// MLD → every document indexed under it.
+    by_mld: HashMap<String, Vec<u32>>,
 }
 
 impl SearchEngine {
@@ -87,10 +116,23 @@ impl SearchEngine {
         for (term, count) in tf {
             self.postings.entry(term).or_default().push((id, count));
         }
+        let site = if let Some(&first) = self.by_rdn.get(rdn) {
+            first
+        } else {
+            self.by_rdn.insert(rdn.to_owned(), id);
+            id
+        };
+        match self.by_mld.get_mut(mld) {
+            Some(docs) => docs.push(id),
+            None => {
+                self.by_mld.insert(mld.to_owned(), vec![id]);
+            }
+        }
         self.docs.push(DocInfo {
             rdn: rdn.to_owned(),
             mld: mld.to_owned(),
             norm,
+            site,
         });
     }
 
@@ -104,84 +146,127 @@ impl SearchEngine {
         self.docs.is_empty()
     }
 
-    fn idf(&self, term: &str) -> f64 {
-        let df = self.postings.get(term).map_or(0, Vec::len) as f64;
+    /// Inverse document frequency of a term found in `df` documents.
+    fn idf(&self, df: usize) -> f64 {
+        let df = df as f64;
         let n = self.docs.len() as f64;
         ((1.0 + n) / (1.0 + df)).ln() + 1.0
     }
 
-    /// Queries the index with keyterms, returning the top-`k` distinct
-    /// RDNs by TF-IDF cosine score (paper Steps 2–4).
-    pub fn query(&self, terms: &[String], k: usize) -> Vec<SearchHit> {
-        // Ordered map (kyp-lint D01): iterated into the ranked hit list.
-        let mut scores: BTreeMap<u32, f64> = BTreeMap::new();
-        for term in terms {
-            let idf = self.idf(term);
-            if let Some(post) = self.postings.get(term.as_str()) {
-                for &(doc, tf) in post {
-                    *scores.entry(doc).or_insert(0.0) += tf * idf * idf;
-                }
-            }
+    fn hit(&self, doc: u32, score: f64) -> SearchHit {
+        let info = &self.docs[doc as usize];
+        SearchHit {
+            rdn: info.rdn.clone(),
+            mld: info.mld.clone(),
+            score,
         }
-        let mut scored: Vec<(u32, f64)> = scores
-            .into_iter()
-            .map(|(d, s)| (d, s / self.docs[d as usize].norm))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    self.docs[a.0 as usize]
-                        .rdn
-                        .cmp(&self.docs[b.0 as usize].rdn)
-                })
-        });
-        let mut hits: Vec<SearchHit> = Vec::new();
-        for (doc, score) in scored {
-            let info = &self.docs[doc as usize];
-            if hits.iter().any(|h| h.rdn == info.rdn) {
-                continue;
-            }
-            hits.push(SearchHit {
-                rdn: info.rdn.clone(),
-                mld: info.mld.clone(),
-                score,
-            });
-            if hits.len() >= k {
-                break;
-            }
-        }
-        hits
     }
 
-    /// Looks up a guessed domain (paper Step 1): returns hits whose RDN or
-    /// mld matches the guess's registrable part.
+    /// Queries the index with keyterms, returning the top-`k` distinct
+    /// RDNs by TF-IDF cosine score (paper Steps 2–4), best first; ties go
+    /// to the smaller RDN. Each RDN is scored by its best document, the
+    /// lower document id among equals. A `k` of 0 still returns the best
+    /// hit.
+    pub fn query(&self, terms: &[String], k: usize) -> Vec<SearchHit> {
+        // Every document's score starts at 0.0 and takes its shares in
+        // query-term order, then posting order, so each sum is the same
+        // f64 whatever the container. A share is tf · idf² ≥ 1, so a zero
+        // score marks a document no term has touched yet.
+        let mut scores = vec![0.0_f64; self.docs.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        for term in terms {
+            let Some(post) = self.postings.get(term.as_str()) else {
+                continue;
+            };
+            let idf = self.idf(post.len());
+            for &(doc, tf) in post {
+                let score = &mut scores[doc as usize];
+                if *score == 0.0 {
+                    touched.push(doc);
+                }
+                *score += tf * idf * idf;
+            }
+        }
+        // Keep each RDN's best document, indexed by the RDN's site.
+        let mut best = vec![u32::MAX; self.docs.len()];
+        let mut ranked: Vec<u32> = Vec::new();
+        for &doc in &touched {
+            let info = &self.docs[doc as usize];
+            scores[doc as usize] /= info.norm;
+            let held = &mut best[info.site as usize];
+            if *held == u32::MAX {
+                ranked.push(info.site);
+                *held = doc;
+            } else if scores[doc as usize] > scores[*held as usize]
+                || (scores[doc as usize] == scores[*held as usize] && doc < *held)
+            {
+                *held = doc;
+            }
+        }
+        for site in &mut ranked {
+            *site = best[*site as usize];
+        }
+        // RDNs are distinct here, so the order is total and the top k come
+        // out the same whichever way the selection partitions.
+        let by_rank = |a: &u32, b: &u32| {
+            scores[*b as usize]
+                .partial_cmp(&scores[*a as usize])
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| self.docs[*a as usize].rdn.cmp(&self.docs[*b as usize].rdn))
+        };
+        let take = k.max(1);
+        if ranked.len() > take {
+            ranked.select_nth_unstable_by(take, by_rank);
+            ranked.truncate(take);
+        }
+        ranked.sort_unstable_by(by_rank);
+        ranked
+            .into_iter()
+            .map(|doc| self.hit(doc, scores[doc as usize]))
+            .collect()
+    }
+
+    /// Looks up a guessed domain (paper Step 1): returns up to `k`
+    /// distinct RDNs, in indexing order, of the documents whose RDN is the
+    /// guess or a suffix of it after a dot, or whose mld is the guess's
+    /// mld or the whole guess. A `k` of 0 still returns the first hit.
     ///
     /// The guess may be a bare FQDN like `bankofamerica.com` or
     /// `www.bankofamerica.com`.
     pub fn query_domain(&self, guess: &str, k: usize) -> Vec<SearchHit> {
         let guess = guess.trim().trim_end_matches('.').to_ascii_lowercase();
-        let guess_mld = guess
-            .rsplit('.')
-            .nth(1)
-            .unwrap_or(guess.as_str())
-            .to_owned();
-        let mut hits = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for info in &self.docs {
-            let matched = guess == info.rdn
-                || guess.ends_with(&format!(".{}", info.rdn))
-                || info.mld == guess_mld
-                || info.mld == guess;
-            if matched && seen.insert(info.rdn.clone()) {
-                hits.push(SearchHit {
-                    rdn: info.rdn.clone(),
-                    mld: info.mld.clone(),
-                    score: 1.0,
-                });
-                if hits.len() >= k {
-                    break;
+        let guess_mld = guess.rsplit('.').nth(1).unwrap_or(guess.as_str());
+        // The guess and every suffix of it after a dot name candidate RDNs.
+        let suffixes =
+            std::iter::successors(Some(guess.as_str()), |s| s.split_once('.').map(|(_, t)| t));
+        let mut lists: Vec<&[u32]> = suffixes
+            .filter_map(|rdn| self.by_rdn.get(rdn))
+            .map(std::slice::from_ref)
+            .chain(
+                [guess_mld, guess.as_str()]
+                    .into_iter()
+                    .filter_map(|mld| self.by_mld.get(mld))
+                    .map(Vec::as_slice),
+            )
+            .collect();
+        // Merge the ascending lists, so each RDN's hit is its first
+        // matching document, as in a walk over every document.
+        let mut hits: Vec<SearchHit> = Vec::new();
+        while let Some(doc) = lists.iter().filter_map(|l| l.first()).min().copied() {
+            for list in &mut lists {
+                if let Some((&head, rest)) = list.split_first() {
+                    if head == doc {
+                        *list = rest;
+                    }
                 }
+            }
+            let info = &self.docs[doc as usize];
+            if hits.iter().any(|h| h.rdn == info.rdn) {
+                continue;
+            }
+            hits.push(self.hit(doc, 1.0));
+            if hits.len() >= k {
+                break;
             }
         }
         hits
