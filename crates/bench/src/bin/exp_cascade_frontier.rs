@@ -15,9 +15,9 @@
 //!   screen-then-maybe-classify loop over the whole test set.
 //!
 //! Results go to `BENCH_cascade.json` at the repo root. With
-//! `--from-store <dir>` the detector trains from a `kyp gen --store`
-//! directory's persisted rows and the sweep runs over its stored pages —
-//! no generation or scraping at all.
+//! `--from-store <dir>` the detector trains from a `kyp gen` directory's
+//! persisted rows and the sweep runs over its stored pages — no
+//! generation or scraping at all.
 //!
 //! Run: `cargo run --release -p kyp-bench --bin exp_cascade_frontier -- --scale 0.02`
 //! or:  `cargo run --release -p kyp-bench --bin exp_cascade_frontier -- --from-store store/`
@@ -29,7 +29,7 @@ use kyp_core::{
 };
 use kyp_ml::metrics;
 use kyp_serve::{PageSource, StoredPages};
-use kyp_web::{DomainRanker, VisitedPage};
+use kyp_web::VisitedPage;
 use std::path::Path;
 use std::time::Instant;
 
@@ -94,10 +94,7 @@ fn generated_inputs(args: &EvalArgs) -> FrontierInputs {
 fn store_inputs(dir: &Path) -> Result<FrontierInputs, String> {
     use knowyourphish::storeflow;
 
-    let ranker_json = std::fs::read_to_string(dir.join("ranker.json"))
-        .map_err(|e| format!("read ranker.json: {e}"))?;
-    let ranker: DomainRanker = serde_json::from_str(&ranker_json).map_err(|e| e.to_string())?;
-
+    let ranker = storeflow::load_ranker(dir)?;
     let train = storeflow::load_split_dataset(dir, "leg_train", "phish_train")?;
     let detector = PhishDetector::train(&train, &DetectorConfig::default());
     let (leg_urls, phish_urls) = storeflow::load_split_urls(dir, "leg_train", "phish_train")?;

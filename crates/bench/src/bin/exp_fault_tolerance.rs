@@ -58,20 +58,14 @@ fn main() {
         let mut scores = Vec::new();
         let mut labels = Vec::new();
         for (url, label) in &test {
-            report.requested += 1;
-            match scraper.scrape(url) {
-                Ok(page) => {
-                    report.completed += 1;
-                    if page.availability.is_degraded() {
-                        report.degraded += 1;
-                    }
-                    let features = env
-                        .extractor
-                        .extract_degraded(&page.visit, &page.availability);
-                    scores.push(detector.score(&features));
-                    labels.push(*label);
-                }
-                Err(_) => report.failed += 1,
+            let outcome = scraper.scrape(url);
+            report.record(&outcome);
+            if let Ok(page) = outcome {
+                let features = env
+                    .extractor
+                    .extract_degraded(&page.visit, &page.availability);
+                scores.push(detector.score(&features));
+                labels.push(*label);
             }
         }
         report.retries = scraper.total_retries();

@@ -9,7 +9,8 @@ use crate::{
     DataSources, FeatureExtractor, PhishDetector, TargetCandidate, TargetIdentifier, TargetVerdict,
 };
 use kyp_web::{
-    FailureCause, ResilientBrowser, ScrapedPage, SourceAvailability, VisitedPage, World,
+    FailureCause, ResilientBrowser, ScrapeFailure, ScrapedPage, SourceAvailability, VisitedPage,
+    World,
 };
 use serde::{Deserialize, Serialize};
 
@@ -217,19 +218,10 @@ impl Pipeline {
         let mut report = ScrapeReport::default();
         let mut scraped_pages = Vec::new();
         for url in urls {
-            report.requested += 1;
-            match scraper.scrape_observed(url, obs) {
-                Ok(scraped) => {
-                    report.completed += 1;
-                    if scraped.availability.is_degraded() {
-                        report.degraded += 1;
-                    }
-                    scraped_pages.push((url.clone(), scraped));
-                }
-                Err(failure) => {
-                    report.failed += 1;
-                    report.count_cause(failure.cause);
-                }
+            let outcome = scraper.scrape_observed(url, obs);
+            report.record(&outcome);
+            if let Ok(scraped) = outcome {
+                scraped_pages.push((url.clone(), scraped));
             }
         }
         report.retries = scraper.total_retries() - retries_before;
@@ -361,12 +353,28 @@ impl ScrapeReport {
         }
     }
 
+    /// Counts one scrape attempt's outcome: a request, then a completed
+    /// (perhaps degraded) page or a failure under its cause, so
+    /// [`ScrapeReport::failures_total`] stays equal to `failed`. Every
+    /// loop that drives a scraper tallies through this.
+    pub fn record(&mut self, outcome: &Result<ScrapedPage, ScrapeFailure>) {
+        self.requested += 1;
+        match outcome {
+            Ok(scraped) => {
+                self.completed += 1;
+                if scraped.availability.is_degraded() {
+                    self.degraded += 1;
+                }
+            }
+            Err(failure) => {
+                self.failed += 1;
+                self.count_cause(failure.cause);
+            }
+        }
+    }
+
     /// Adds one failure of `cause` to the matching per-cause counter.
-    ///
-    /// Callers driving a scraper directly (rather than through
-    /// [`Pipeline::classify_all`]) use this to keep
-    /// [`ScrapeReport::failures_total`] consistent with `failed`.
-    pub fn count_cause(&mut self, cause: FailureCause) {
+    fn count_cause(&mut self, cause: FailureCause) {
         match cause {
             FailureCause::Transient => self.failed_transient += 1,
             FailureCause::Timeout => self.failed_timeout += 1,
@@ -543,6 +551,31 @@ mod tests {
         let a = serde_json::to_string(&one.report).unwrap();
         let b = serde_json::to_string(&two.report).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn recorded_failures_are_counted_under_their_cause() {
+        let world = tiny_world();
+        let plan = kyp_web::FaultPlan::new(3, 0.9);
+        let flaky = kyp_web::FlakyWorld::new(&world, plan);
+        let mut scraper = ResilientBrowser::new(&flaky);
+        let mut report = ScrapeReport::default();
+        for url in [
+            "http://a.example.com/",
+            "http://b.example.com/",
+            "http://missing.example.com/",
+            "not a url",
+        ]
+        .iter()
+        .cycle()
+        .take(24)
+        {
+            report.record(&scraper.scrape(url));
+        }
+        assert_eq!(report.requested, 24);
+        assert_eq!(report.completed + report.failed, 24);
+        assert!(report.completed > 0 && report.failed_not_found > 0 && report.failed_bad_url > 0);
+        assert_eq!(report.failures_total(), report.failed);
     }
 
     #[test]

@@ -312,9 +312,9 @@ impl Corpus {
     }
 
     /// The four named scrape bundles in their canonical order —
-    /// `(name, urls, is_phish)` — shared by the jsonl and store output
-    /// pipelines so that both write (and later read back) the exact
-    /// same pages in the exact same order.
+    /// `(name, urls, is_phish)` — shared by the store writer and every
+    /// reference that re-scrapes the corpus (tests, benchmarks), so all
+    /// of them scrape the exact same pages in the exact same order.
     pub fn scrape_bundles(&self) -> Vec<(&'static str, Vec<String>, bool)> {
         vec![
             (

@@ -3,7 +3,7 @@
 //! The service is generic over [`PageSource`] so the same scoring loop
 //! runs against a simulated web (tests, benchmarks — via
 //! [`ScraperSource`]) or against a previously captured page set (the CLI,
-//! whose jsonl bundles carry visited pages but no raw HTML — via
+//! whose page store carries visited pages but no raw HTML — via
 //! [`StoredPages`]).
 
 use kyp_url::Url;

@@ -184,7 +184,7 @@ impl fmt::Display for StoreError {
             StoreError::VersionMismatch { found, expected } => write!(
                 f,
                 "store format version {found} is not supported (this build \
-                 reads version {expected}; re-run `kyp gen --store` with a \
+                 reads version {expected}; re-run `kyp gen --out` with a \
                  matching build)"
             ),
             StoreError::KindMismatch { found, expected } => write!(

@@ -6,9 +6,9 @@
 //!
 //! Every experiment used to regenerate the simulated web and re-extract
 //! all 212 features in memory, capping corpus size at what fits in RAM.
-//! This crate is the durable middle: `kyp gen --store <dir>` streams
+//! This crate is the durable middle: `kyp gen --out <dir>` streams
 //! scraped page bundles *and* their extracted feature matrices to disk,
-//! and `kyp train/eval/scan --from-store` stream them back through the
+//! and `kyp train/eval/scan --data <dir>` stream them back through the
 //! flat inference hot path without re-scraping or re-extracting — the
 //! generate-once/score-many shape of the paper's captured-corpus
 //! evaluation (Section VI).

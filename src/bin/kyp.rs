@@ -1,8 +1,10 @@
 //! `kyp` — command-line workflow for the Know Your Phish reproduction.
 //!
-//! Operates on the paper's json interchange format: scraped pages are
-//! [`VisitedPage`] json (one per line in `.jsonl` files), the trained
-//! model is a self-contained json bundle.
+//! Operates on one corpus format: the directory `kyp gen` writes, whose
+//! layout [`knowyourphish::storeflow`] owns (scraped pages and their
+//! feature rows in the columnar store, the ranking and search-index
+//! sidecars, a sample page). The trained model is a self-contained json
+//! snapshot.
 //!
 //! ```console
 //! $ kyp gen   --scale 0.02 --out data/           # synthesise + scrape a corpus
@@ -20,27 +22,22 @@
 use knowyourphish::cli::{ArgSpec, CommandSpec, Parsed, ParsedOpts};
 use knowyourphish::cluster::{verdict_stream, ClusterConfig, ClusterService, CrashPlan};
 use knowyourphish::core::{
-    CascadeBand, CascadeClassifier, CascadeDecision, DetectorConfig, FeatureExtractor,
-    ModelSnapshot, PhishDetector, Pipeline, PipelineVerdict, ScrapeReport, TargetIdentifier,
+    CascadeBand, CascadeClassifier, CascadeDecision, DetectorConfig, ModelSnapshot, PhishDetector,
+    Pipeline, PipelineVerdict,
 };
 use knowyourphish::datagen::{CampaignConfig, Corpus};
-use knowyourphish::ml::{metrics, Dataset};
+use knowyourphish::ml::metrics;
 use knowyourphish::obs::{ObsSink, PipelineObserver};
-use knowyourphish::search::SearchEngine;
 use knowyourphish::serve::{
     generate, ArrivalPattern, BatchPolicy, CacheConfig, ScoringService, ServeConfig, ServeRequest,
     StoredPages, WorkloadConfig,
 };
-use knowyourphish::storeflow::{self, IndexEntry};
-use knowyourphish::web::{
-    Browser, DomainRanker, FaultPlan, FlakyWorld, ResilientBrowser, SourceAvailability,
-    VisitedPage, World,
-};
+use knowyourphish::storeflow;
+use knowyourphish::web::{FaultPlan, FlakyWorld, SourceAvailability, VisitedPage};
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const THREADS_ARG: ArgSpec = ArgSpec {
     name: "threads",
@@ -74,22 +71,23 @@ const CASCADE_BAND_ARG: ArgSpec = ArgSpec {
     help: "cascade uncertainty band in [0,1] (default 0.15,0.85; `0,1` forces every page full)",
 };
 
+const DATA_ARG: ArgSpec = ArgSpec {
+    name: "data",
+    value: "<dir>",
+    help: "`kyp gen` corpus directory (required)",
+};
+
 /// Every `kyp` subcommand, with the full set of options it accepts.
 const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "gen",
-        summary: "synthesise a corpus and scrape it into jsonl bundles and/or a columnar store",
+        summary: "synthesise a corpus, scrape it and stream pages + features into a columnar store",
         positional: None,
         args: &[
             ArgSpec {
                 name: "out",
                 value: "<dir>",
-                help: "jsonl output directory (this, --store, or both)",
-            },
-            ArgSpec {
-                name: "store",
-                value: "<dir>",
-                help: "also/instead stream pages + features into a columnar store directory",
+                help: "corpus directory to write (required)",
             },
             ArgSpec {
                 name: "scale",
@@ -116,19 +114,10 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "train",
-        summary: "train the detector from the jsonl bundles or a feature store",
+        summary: "train the detector from the stored training rows (no re-extraction)",
         positional: None,
         args: &[
-            ArgSpec {
-                name: "data",
-                value: "<dir>",
-                help: "`kyp gen` jsonl directory (this or --from-store)",
-            },
-            ArgSpec {
-                name: "from-store",
-                value: "<dir>",
-                help: "stream training rows from a `kyp gen --store` directory (no re-extraction)",
-            },
+            DATA_ARG,
             ArgSpec {
                 name: "out",
                 value: "<model.json>",
@@ -142,16 +131,7 @@ const COMMANDS: &[CommandSpec] = &[
         summary: "train the URL-only cascade pre-filter from the training URLs",
         positional: None,
         args: &[
-            ArgSpec {
-                name: "data",
-                value: "<dir>",
-                help: "`kyp gen` jsonl directory (this or --from-store)",
-            },
-            ArgSpec {
-                name: "from-store",
-                value: "<dir>",
-                help: "read the training URLs from a `kyp gen --store` directory instead",
-            },
+            DATA_ARG,
             ArgSpec {
                 name: "out",
                 value: "<model.json>",
@@ -162,19 +142,10 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "eval",
-        summary: "Table VI-style metrics on the held-out test bundles",
+        summary: "Table VI-style metrics on the held-out test rows",
         positional: None,
         args: &[
-            ArgSpec {
-                name: "data",
-                value: "<dir>",
-                help: "`kyp gen` jsonl directory (this or --from-store)",
-            },
-            ArgSpec {
-                name: "from-store",
-                value: "<dir>",
-                help: "stream test rows from a `kyp gen --store` directory (no re-extraction)",
-            },
+            DATA_ARG,
             ArgSpec {
                 name: "model",
                 value: "<model.json>",
@@ -185,7 +156,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "scan",
-        summary: "classify one scraped page — or every stored page — and identify targets",
+        summary: "classify every stored page — or one scraped page — and identify targets",
         positional: None,
         args: &[
             ArgSpec {
@@ -193,25 +164,16 @@ const COMMANDS: &[CommandSpec] = &[
                 value: "<model.json>",
                 help: "trained model snapshot (required)",
             },
-            ArgSpec {
-                name: "data",
-                value: "<dir>",
-                help: "`kyp gen` output directory (required unless --from-store)",
-            },
+            DATA_ARG,
             ArgSpec {
                 name: "page",
                 value: "<page.json>",
-                help: "scraped page to classify (required unless --from-store)",
-            },
-            ArgSpec {
-                name: "from-store",
-                value: "<dir>",
-                help: "classify every page of a `kyp gen --store` directory instead",
+                help: "classify this scraped page instead of every stored page",
             },
             ArgSpec {
                 name: "verdicts",
                 value: "<path>",
-                help: "with --from-store: write the verdict stream here instead of stdout",
+                help: "without --page: write the verdict stream here instead of stdout",
             },
             CASCADE_ARG,
             CASCADE_BAND_ARG,
@@ -230,16 +192,7 @@ const COMMANDS: &[CommandSpec] = &[
                 value: "<model.json>",
                 help: "trained model snapshot (required)",
             },
-            ArgSpec {
-                name: "data",
-                value: "<dir>",
-                help: "`kyp gen` jsonl directory (this or --from-store)",
-            },
-            ArgSpec {
-                name: "from-store",
-                value: "<dir>",
-                help: "serve the pages of a `kyp gen --store` directory instead",
-            },
+            DATA_ARG,
             ArgSpec {
                 name: "requests",
                 value: "<n>",
@@ -297,16 +250,7 @@ const COMMANDS: &[CommandSpec] = &[
                 value: "<model.json>",
                 help: "trained model snapshot (required)",
             },
-            ArgSpec {
-                name: "data",
-                value: "<dir>",
-                help: "`kyp gen` jsonl directory (this or --from-store)",
-            },
-            ArgSpec {
-                name: "from-store",
-                value: "<dir>",
-                help: "serve the pages of a `kyp gen --store` directory instead",
-            },
+            DATA_ARG,
             ArgSpec {
                 name: "shards",
                 value: "<n>",
@@ -416,7 +360,7 @@ const STORE_INSPECT: CommandSpec = CommandSpec {
     positional: Some(&ArgSpec {
         name: "dir",
         value: "<dir>",
-        help: "`kyp gen --store` directory to inspect",
+        help: "`kyp gen` directory to inspect",
     }),
     args: &[THREADS_ARG],
 };
@@ -516,16 +460,13 @@ kyp — Know Your Phish reproduction CLI
 USAGE:
   kyp gen   --out <dir> [--scale <f>] [--seed <n>]   generate + scrape a corpus
             [--fault-rate <f>] [--fault-seed <n>]    ...through an unreliable web
-            [--store <dir>]                          ...into a columnar store too
   kyp train --data <dir> --out <model.json>          train the detector
-            [--from-store <dir>]                     ...from stored feature rows
   kyp cascade-train --data <dir> --out <model.json>  train the URL-only pre-filter
-            [--from-store <dir>]                     ...from stored training URLs
   kyp eval  --data <dir> --model <model.json>        evaluate on the test sets
-            [--from-store <dir>]                     ...from stored feature rows
-  kyp scan  --model <model.json> --data <dir> --page <page.json>
-            [--metrics <path>] [--trace <path>]      classify one scraped page
-            [--from-store <dir>] [--verdicts <path>] ...or every stored page
+  kyp scan  --model <model.json> --data <dir>        classify every stored page
+            [--verdicts <path>]                      ...into a verdict file
+            [--page <page.json>]                     ...or one scraped page
+            [--metrics <path>] [--trace <path>]      ...with observability exports
             [--cascade <model.json>] [--cascade-band <lo,hi>]
   kyp serve --model <model.json> --data <dir>        online scoring service
             [--requests <n>] [--trace-seed <n>]      built-in seeded workload...
@@ -548,13 +489,14 @@ USAGE:
 Run `kyp <command> --help` for the full option list of one command.
 Unknown or valueless options are hard errors in every subcommand.
 
-`kyp gen --store <dir>` streams scraped pages AND their extracted
-feature rows into a checksummed columnar store (pages.kyps +
-features.kypf) in bounded memory; `--from-store` then trains, evaluates,
-scans or serves straight from those files without re-scraping or
-re-extracting anything. Models, metrics and verdict streams from a
-store are byte-identical to the jsonl path at any --threads value.
-`serve` and `cluster` accept --from-store in place of --data.
+`kyp gen --out <dir>` scrapes the corpus once and streams the pages
+AND their extracted feature rows into a checksummed columnar store
+(pages.kyps + features.kypf) in bounded memory, next to the ranking
+(ranker.json), the search index (index.jsonl) and a sample page
+(sample_phish.json). Every other command reads that directory with
+--data: train, eval, scan, serve and cluster stream the stored rows and
+pages without re-scraping or re-extracting anything. Models, metrics
+and verdict streams are byte-identical at any --threads value.
 
 `kyp serve` speaks newline-delimited json. Without --requests it reads
 one request object per stdin line and writes one response object per
@@ -617,73 +559,10 @@ fn write_obs_exports(opts: &ParsedOpts, sink: &ObsSink) -> Result<(), String> {
     Ok(())
 }
 
-/// Scrapes the named URL bundles through a resilient scraper, writing one
-/// `VisitedPage` json line per captured page, and accounts every attempt
-/// in the returned [`ScrapeReport`].
-fn scrape_bundles<W: World>(
-    scraper: &mut ResilientBrowser<'_, W>,
-    bundles: &[(&str, &[String])],
-    out: &Path,
-) -> Result<ScrapeReport, String> {
-    let mut report = ScrapeReport::default();
-    for (name, urls) in bundles {
-        let path = out.join(format!("{name}.jsonl"));
-        let mut file = fs::File::create(&path).map_err(|e| format!("create {path:?}: {e}"))?;
-        let mut n = 0;
-        for url in *urls {
-            report.requested += 1;
-            match scraper.scrape(url) {
-                Ok(scraped) => {
-                    report.completed += 1;
-                    if scraped.availability.is_degraded() {
-                        report.degraded += 1;
-                    }
-                    let line = serde_json::to_string(&scraped.visit).map_err(|e| e.to_string())?;
-                    writeln!(file, "{line}").map_err(|e| e.to_string())?;
-                    n += 1;
-                }
-                Err(failure) => {
-                    report.failed += 1;
-                    report.count_cause(failure.cause);
-                }
-            }
-        }
-        eprintln!("  {name}.jsonl: {n} pages");
-    }
-    report.retries = scraper.total_retries();
-    report.breaker_trips = scraper.breaker().trips();
-    report.virtual_elapsed_ms = scraper.clock().now_ms();
-    Ok(report)
-}
-
-/// Prints the shared scrape accounting lines of `kyp gen`.
-fn report_scrape(report: &ScrapeReport) {
-    eprintln!(
-        "scrape report: {}/{} pages captured ({} degraded), {} retries, {} breaker trips",
-        report.completed, report.requested, report.degraded, report.retries, report.breaker_trips
-    );
-    if report.failed > 0 {
-        eprintln!(
-            "  failures: {} transient, {} timeout, {} deadline, {} circuit-open, {} not-found, {} bad-url, {} redirect-loop",
-            report.failed_transient,
-            report.failed_timeout,
-            report.failed_deadline,
-            report.failed_circuit_open,
-            report.failed_not_found,
-            report.failed_bad_url,
-            report.failed_too_many_redirects
-        );
-    }
-}
-
-/// `kyp gen`: synthesise a corpus and write the jsonl scrape bundles,
-/// a columnar store directory, or both.
+/// `kyp gen`: synthesise a corpus, scrape it once and stream pages and
+/// feature rows into the columnar store, next to the corpus sidecars.
 fn cmd_gen(opts: &ParsedOpts) -> Result<(), String> {
-    let out = opts.get("out").map(PathBuf::from);
-    let store_dir = opts.get("store").map(PathBuf::from);
-    if out.is_none() && store_dir.is_none() {
-        return Err("kyp gen needs --out <dir>, --store <dir>, or both".to_owned());
-    }
+    let dir = Path::new(opts.require("out")?);
     let scale: f64 = opts.num("scale", 0.02)?;
     let mut config = CampaignConfig::scaled(scale);
     config.seed = opts.num("seed", config.seed)?;
@@ -692,141 +571,56 @@ fn cmd_gen(opts: &ParsedOpts) -> Result<(), String> {
 
     eprintln!("generating corpus at scale {scale}...");
     let corpus = Corpus::generate(&config);
-
-    if let Some(out) = &out {
-        fs::create_dir_all(out).map_err(|e| format!("create {out:?}: {e}"))?;
-        let phish_train: Vec<String> = corpus.phish_train.iter().map(|r| r.url.clone()).collect();
-        let phish_test: Vec<String> = corpus.phish_test.iter().map(|r| r.url.clone()).collect();
-        let leg_test = corpus.english_test().to_vec();
-        let bundles: [(&str, &[String]); 4] = [
-            ("phish_train", &phish_train),
-            ("phish_test", &phish_test),
-            ("leg_train", &corpus.leg_train),
-            ("leg_test", &leg_test),
-        ];
-        let report = if fault_rate > 0.0 {
-            eprintln!("scraping through a faulty web (rate {fault_rate}, seed {fault_seed})...");
-            let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(fault_seed, fault_rate));
-            let mut scraper = ResilientBrowser::new(&flaky);
-            scrape_bundles(&mut scraper, &bundles, out)?
-        } else {
-            let mut scraper = ResilientBrowser::new(&corpus.world);
-            scrape_bundles(&mut scraper, &bundles, out)?
-        };
-        report_scrape(&report);
-
-        // The offline popularity ranking and the search-engine index.
-        storeflow::write_corpus_sidecars(out, &corpus)?;
-
-        // One sample phish bundle for `kyp scan` demos.
-        let browser = Browser::new(&corpus.world);
-        if let Ok(visit) = browser.visit(&phish_test[0]) {
-            let json = serde_json::to_string_pretty(&visit).map_err(|e| e.to_string())?;
-            fs::write(out.join("sample_phish.json"), json).map_err(|e| e.to_string())?;
-        }
-        eprintln!("wrote corpus to {out:?}");
+    eprintln!("streaming pages + features into the columnar store...");
+    let report = if fault_rate > 0.0 {
+        eprintln!("scraping through a faulty web (rate {fault_rate}, seed {fault_seed})...");
+        let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(fault_seed, fault_rate));
+        storeflow::build_store(dir, &corpus, &config, &flaky, fault_rate, fault_seed)?
+    } else {
+        storeflow::build_store(dir, &corpus, &config, &corpus.world, fault_rate, fault_seed)?
+    };
+    for (name, n) in &report.bundle_pages {
+        eprintln!("  {name}: {n} pages");
     }
-
-    if let Some(dir) = &store_dir {
-        eprintln!("streaming pages + features into the columnar store...");
-        let report = if fault_rate > 0.0 {
-            eprintln!("scraping through a faulty web (rate {fault_rate}, seed {fault_seed})...");
-            let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(fault_seed, fault_rate));
-            storeflow::build_store(dir, &corpus, &config, &flaky, fault_rate, fault_seed)?
-        } else {
-            storeflow::build_store(dir, &corpus, &config, &corpus.world, fault_rate, fault_seed)?
-        };
-        for (name, n) in &report.bundle_pages {
-            eprintln!("  {name}: {n} pages");
-        }
-        report_scrape(&report.scrape);
+    let scrape = &report.scrape;
+    eprintln!(
+        "scrape report: {}/{} pages captured ({} degraded), {} retries, {} breaker trips",
+        scrape.completed, scrape.requested, scrape.degraded, scrape.retries, scrape.breaker_trips
+    );
+    if scrape.failed > 0 {
         eprintln!(
-            "wrote store to {dir:?}: {} pages ({} bytes) + {} feature rows ({} bytes)",
-            report.pages, report.page_bytes, report.rows, report.feature_bytes
+            "  failures: {} transient, {} timeout, {} deadline, {} circuit-open, {} not-found, {} bad-url, {} redirect-loop",
+            scrape.failed_transient,
+            scrape.failed_timeout,
+            scrape.failed_deadline,
+            scrape.failed_circuit_open,
+            scrape.failed_not_found,
+            scrape.failed_bad_url,
+            scrape.failed_too_many_redirects
         );
     }
+    storeflow::write_sample_phish(dir, &corpus)?;
+    eprintln!(
+        "wrote corpus to {dir:?}: {} pages ({} bytes) + {} feature rows ({} bytes)",
+        report.pages, report.page_bytes, report.rows, report.feature_bytes
+    );
     Ok(())
 }
 
-fn read_jsonl(path: &Path) -> Result<Vec<VisitedPage>, String> {
-    let file = fs::File::open(path).map_err(|e| format!("open {path:?}: {e}"))?;
-    let mut pages = Vec::new();
-    for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| e.to_string())?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let page: VisitedPage =
-            serde_json::from_str(&line).map_err(|e| format!("{path:?} line {}: {e}", i + 1))?;
-        pages.push(page);
-    }
-    Ok(pages)
-}
-
-fn load_ranker(dir: &Path) -> Result<DomainRanker, String> {
-    let json = fs::read_to_string(dir.join("ranker.json"))
-        .map_err(|e| format!("read ranker.json: {e}"))?;
-    serde_json::from_str(&json).map_err(|e| e.to_string())
-}
-
-fn featurize(
-    extractor: &FeatureExtractor,
-    legit: &[VisitedPage],
-    phish: &[VisitedPage],
-) -> Dataset {
-    let mut data = Dataset::with_capacity(
-        knowyourphish::core::features::FEATURE_COUNT,
-        legit.len() + phish.len(),
-    );
-    for row in extractor.extract_batch(legit) {
-        data.push_row(&row, false);
-    }
-    for row in extractor.extract_batch(phish) {
-        data.push_row(&row, true);
-    }
-    data
-}
-
-/// Resolves the `--data` / `--from-store` pair of a subcommand: exactly
-/// one must be given. Returns `(dir, from_store)`.
-fn data_source(opts: &ParsedOpts) -> Result<(PathBuf, bool), String> {
-    match (opts.get("from-store"), opts.get("data")) {
-        (Some(_), Some(_)) => {
-            Err("--from-store and --data are mutually exclusive (pick one source)".to_owned())
-        }
-        (Some(dir), None) => Ok((PathBuf::from(dir), true)),
-        (None, Some(dir)) => Ok((PathBuf::from(dir), false)),
-        (None, None) => Err("missing required option --data (or --from-store)".to_owned()),
-    }
-}
-
-/// `kyp train`: fit the detector from the jsonl bundles or straight
-/// from a feature store's persisted rows (no re-extraction).
+/// `kyp train`: fit the detector straight from the stored training rows
+/// (no re-extraction).
 fn cmd_train(opts: &ParsedOpts) -> Result<(), String> {
-    let (data_dir, from_store) = data_source(opts)?;
+    let data_dir = PathBuf::from(opts.require("data")?);
     let out = PathBuf::from(opts.require("out")?);
 
-    let ranker = load_ranker(&data_dir)?;
-    let train = if from_store {
-        let train = storeflow::load_split_dataset(&data_dir, "leg_train", "phish_train")?;
-        let phish = train.labels().iter().filter(|l| **l).count();
-        eprintln!(
-            "training on {} legitimate + {} phish stored rows...",
-            train.labels().len() - phish,
-            phish
-        );
-        train
-    } else {
-        let extractor = FeatureExtractor::new(ranker.clone());
-        let legit = read_jsonl(&data_dir.join("leg_train.jsonl"))?;
-        let phish = read_jsonl(&data_dir.join("phish_train.jsonl"))?;
-        eprintln!(
-            "training on {} legitimate + {} phish pages...",
-            legit.len(),
-            phish.len()
-        );
-        featurize(&extractor, &legit, &phish)
-    };
+    let ranker = storeflow::load_ranker(&data_dir)?;
+    let train = storeflow::load_split_dataset(&data_dir, "leg_train", "phish_train")?;
+    let phish = train.labels().iter().filter(|l| **l).count();
+    eprintln!(
+        "training on {} legitimate + {} phish stored rows...",
+        train.labels().len() - phish,
+        phish
+    );
     let detector = PhishDetector::train(&train, &DetectorConfig::default());
     let snapshot = ModelSnapshot::new(detector, ranker);
     snapshot
@@ -840,22 +634,12 @@ fn cmd_train(opts: &ParsedOpts) -> Result<(), String> {
 }
 
 /// `kyp cascade-train`: fit the URL-only first stage of the cascade
-/// from the training bundles' raw URLs — no page content, no scraping.
+/// from the stored training pages' raw URLs — no page content.
 fn cmd_cascade_train(opts: &ParsedOpts) -> Result<(), String> {
-    let (data_dir, from_store) = data_source(opts)?;
+    let data_dir = PathBuf::from(opts.require("data")?);
     let out = PathBuf::from(opts.require("out")?);
-    let ranker = load_ranker(&data_dir)?;
-    let (legit, phish) = if from_store {
-        storeflow::load_split_urls(&data_dir, "leg_train", "phish_train")?
-    } else {
-        let url_strings = |pages: Vec<VisitedPage>| -> Vec<String> {
-            pages.iter().map(|p| p.starting_url.to_string()).collect()
-        };
-        (
-            url_strings(read_jsonl(&data_dir.join("leg_train.jsonl"))?),
-            url_strings(read_jsonl(&data_dir.join("phish_train.jsonl"))?),
-        )
-    };
+    let ranker = storeflow::load_ranker(&data_dir)?;
+    let (legit, phish) = storeflow::load_split_urls(&data_dir, "leg_train", "phish_train")?;
     eprintln!(
         "training the URL stage on {} legitimate + {} phish URLs...",
         legit.len(),
@@ -911,22 +695,13 @@ fn load_model(opts: &ParsedOpts) -> Result<ModelSnapshot, String> {
     ModelSnapshot::load(&path).map_err(|e| format!("load {path:?}: {e}"))
 }
 
-/// `kyp eval`: Table VI-style metrics on the held-out test bundles,
-/// from jsonl or streamed block-by-block out of a feature store.
+/// `kyp eval`: Table VI-style metrics on the held-out test rows,
+/// streamed block by block out of the feature store.
 fn cmd_eval(opts: &ParsedOpts) -> Result<(), String> {
-    let (data_dir, from_store) = data_source(opts)?;
+    let data_dir = PathBuf::from(opts.require("data")?);
     let bundle = load_model(opts)?;
-
-    let (scores, labels) = if from_store {
-        storeflow::score_split_streaming(&data_dir, &bundle.detector, "leg_test", "phish_test")?
-    } else {
-        let extractor = FeatureExtractor::new(bundle.ranker.clone());
-        let legit = read_jsonl(&data_dir.join("leg_test.jsonl"))?;
-        let phish = read_jsonl(&data_dir.join("phish_test.jsonl"))?;
-        let test = featurize(&extractor, &legit, &phish);
-        let scores = bundle.detector.score_dataset(&test);
-        (scores, test.labels().to_vec())
-    };
+    let (scores, labels) =
+        storeflow::score_split_streaming(&data_dir, &bundle.detector, "leg_test", "phish_test")?;
 
     let conf = metrics::Confusion::at_threshold(&scores, &labels, bundle.detector.threshold());
     let phish = labels.iter().filter(|l| **l).count();
@@ -943,30 +718,11 @@ fn cmd_eval(opts: &ParsedOpts) -> Result<(), String> {
     Ok(())
 }
 
-fn load_engine(dir: &Path) -> Result<SearchEngine, String> {
-    let path = dir.join("index.jsonl");
-    let file = fs::File::open(&path).map_err(|e| format!("open {path:?}: {e}"))?;
-    let mut engine = SearchEngine::new();
-    for line in BufReader::new(file).lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let entry: IndexEntry = serde_json::from_str(&line).map_err(|e| e.to_string())?;
-        engine.index_page(&entry.rdn, &entry.mld, &entry.text);
-    }
-    Ok(engine)
-}
-
-/// `kyp scan --from-store`: classify every stored page block by block
-/// and emit the deterministic verdict stream (scores as exact IEEE-754
-/// bit patterns) to stdout or `--verdicts`.
+/// `kyp scan` without `--page`: classify every stored page block by
+/// block and emit the deterministic verdict stream (scores as exact
+/// IEEE-754 bit patterns) to stdout or `--verdicts`.
 fn scan_store(opts: &ParsedOpts, dir: &Path) -> Result<(), String> {
-    let bundle = load_model(opts)?;
-    let engine = load_engine(dir)?;
-    let extractor = FeatureExtractor::new(bundle.ranker.clone());
-    let identifier = TargetIdentifier::new(Arc::new(engine));
-    let pipeline = Pipeline::new(extractor, bundle.detector, identifier);
+    let pipeline = storeflow::load_pipeline(dir, load_model(opts)?)?;
     let lines = if let Some(cascade) = load_cascade(opts)? {
         let (lines, counters) = storeflow::store_verdict_lines_cascade(dir, &pipeline, &cascade)?;
         eprintln!(
@@ -997,30 +753,19 @@ fn scan_store(opts: &ParsedOpts, dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// `kyp scan`: classify a single scraped page and identify its target —
-/// or, with `--from-store`, every page of a store directory.
+/// `kyp scan`: classify every stored page — or, with `--page`, one
+/// scraped page against the directory's index — and identify targets.
 fn cmd_scan(opts: &ParsedOpts) -> Result<(), String> {
-    if let Some(dir) = opts.get("from-store") {
-        if opts.get("data").is_some() || opts.get("page").is_some() {
-            return Err(
-                "--from-store replaces --data and --page (it classifies the stored corpus)"
-                    .to_owned(),
-            );
-        }
-        reject_unused(opts, &["metrics", "trace"], "--page <page.json>")?;
-        return scan_store(opts, Path::new(dir));
-    }
-    reject_unused(opts, &["verdicts"], "--from-store <dir>")?;
-    let bundle = load_model(opts)?;
     let data_dir = PathBuf::from(opts.require("data")?);
-    let page_path = PathBuf::from(opts.require("page")?);
-    let json = fs::read_to_string(&page_path).map_err(|e| format!("read {page_path:?}: {e}"))?;
+    let Some(page_path) = opts.get("page") else {
+        reject_unused(opts, &["metrics", "trace"], "--page <page.json>")?;
+        return scan_store(opts, &data_dir);
+    };
+    reject_unused(opts, &["verdicts"], "a scan without --page")?;
+    let bundle = load_model(opts)?;
+    let json = fs::read_to_string(page_path).map_err(|e| format!("read {page_path:?}: {e}"))?;
     let page: VisitedPage = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-
-    let engine = load_engine(&data_dir)?;
-    let extractor = FeatureExtractor::new(bundle.ranker.clone());
-    let identifier = TargetIdentifier::new(Arc::new(engine));
-    let pipeline = Pipeline::new(extractor, bundle.detector, identifier);
+    let pipeline = storeflow::load_pipeline(&data_dir, bundle)?;
 
     println!("page  : {}", page.landing_url);
     println!("title : {:?}", page.title);
@@ -1082,33 +827,13 @@ fn cmd_scan(opts: &ParsedOpts) -> Result<(), String> {
 }
 
 /// Assembles the serving pipeline and page store from a model snapshot
-/// and a `kyp gen` data directory — jsonl bundles or a columnar store.
+/// and a `kyp gen` corpus directory.
 fn load_serving_stack(opts: &ParsedOpts) -> Result<(Pipeline, StoredPages, Vec<String>), String> {
     let snapshot = load_model(opts)?;
-    let (data_dir, from_store) = data_source(opts)?;
-    let engine = load_engine(&data_dir)?;
-    let extractor = FeatureExtractor::new(snapshot.ranker.clone());
-    let identifier = TargetIdentifier::new(Arc::new(engine));
-    let pipeline = Pipeline::new(extractor, snapshot.detector, identifier);
-
-    if from_store {
-        let (pages, urls) = storeflow::load_serving_pages(&data_dir)?;
-        return Ok((pipeline, pages, urls));
-    }
-    let mut pages = Vec::new();
-    for name in ["phish_train", "phish_test", "leg_train", "leg_test"] {
-        let path = data_dir.join(format!("{name}.jsonl"));
-        if path.exists() {
-            pages.extend(read_jsonl(&path)?);
-        }
-    }
-    if pages.is_empty() {
-        return Err(format!(
-            "no scraped pages found under {data_dir:?} (run `kyp gen` first)"
-        ));
-    }
-    let urls: Vec<String> = pages.iter().map(|p| p.starting_url.to_string()).collect();
-    Ok((pipeline, StoredPages::new(pages), urls))
+    let data_dir = PathBuf::from(opts.require("data")?);
+    let pipeline = storeflow::load_pipeline(&data_dir, snapshot)?;
+    let (pages, urls) = storeflow::load_serving_pages(&data_dir)?;
+    Ok((pipeline, pages, urls))
 }
 
 /// `kyp store inspect <dir>`: validate both store files (headers,
@@ -1360,7 +1085,7 @@ mod tests {
         for option in ["--metrics", "--trace"] {
             let err = cmd_scan(&opts(
                 "scan",
-                &["--model", MISSING, "--from-store", MISSING, option, MISSING],
+                &["--model", MISSING, "--data", MISSING, option, MISSING],
             ))
             .unwrap_err();
             assert_eq!(err, format!("{option} needs --page <page.json>"));
@@ -1383,7 +1108,7 @@ mod tests {
             ],
         ))
         .unwrap_err();
-        assert_eq!(err, "--verdicts needs --from-store <dir>");
+        assert_eq!(err, "--verdicts needs a scan without --page");
     }
 
     #[test]
@@ -1456,16 +1181,24 @@ mod tests {
     }
 
     #[test]
-    fn store_consumers_accept_from_store() {
-        for name in ["train", "eval", "scan", "serve", "cluster"] {
+    fn corpus_consumers_read_one_data_directory() {
+        for spec in COMMANDS {
+            let names: Vec<&str> = spec.args.iter().map(|a| a.name).collect();
+            assert!(
+                !names.contains(&"from-store") && !names.contains(&"store"),
+                "`kyp {}` still names a second corpus format",
+                spec.name
+            );
+        }
+        for name in ["train", "cascade-train", "eval", "scan", "serve", "cluster"] {
             let spec = COMMANDS.iter().find(|s| s.name == name).unwrap();
             assert!(
-                spec.args.iter().any(|a| a.name == "from-store"),
-                "`kyp {name}` is missing --from-store"
+                spec.args.iter().any(|a| a.name == "data"),
+                "`kyp {name}` is missing --data"
             );
         }
         let gen = COMMANDS.iter().find(|s| s.name == "gen").unwrap();
-        assert!(gen.args.iter().any(|a| a.name == "store"));
+        assert!(gen.args.iter().any(|a| a.name == "out"));
     }
 
     #[test]
@@ -1480,7 +1213,7 @@ mod tests {
             }
         }
         let trainer = COMMANDS.iter().find(|s| s.name == "cascade-train").unwrap();
-        assert!(trainer.args.iter().any(|a| a.name == "from-store"));
+        assert!(trainer.args.iter().any(|a| a.name == "data"));
         assert!(trainer.args.iter().any(|a| a.name == "out"));
     }
 

@@ -1,19 +1,22 @@
-//! The generate-once/train-forever pipeline over a store directory.
+//! The generate-once/train-forever pipeline over a corpus directory.
 //!
-//! This module is the seam between corpus generation and the persistent
-//! [`kyp_store`] format, shared by the `kyp` CLI, the determinism tests
-//! and the `exp_store_throughput` benchmark so all three stream the
-//! exact same bytes:
+//! A `kyp gen` directory is the one corpus format on disk, and this
+//! module alone knows its layout: the columnar page and feature stores
+//! (`pages.kyps`, `features.kypf`), the offline popularity ranking
+//! (`ranker.json`), the search-engine index over the legitimate corpus
+//! (`index.jsonl`) and one sample phish for single-page scans
+//! (`sample_phish.json`). The `kyp` CLI, the determinism tests and the
+//! benchmarks all go through it, so all of them stream the same bytes:
 //!
 //! - [`build_store`] scrapes a generated [`Corpus`] bundle by bundle
 //!   and streams both the visited pages *and* their extracted feature
 //!   rows to disk in bounded memory (one block at a time);
 //! - [`load_split_dataset`] streams feature blocks back into the
-//!   legit-rows-then-phish-rows [`Dataset`] layout `kyp train` has
-//!   always used, so a store-trained model is byte-identical to a
-//!   jsonl-trained one;
+//!   legit-rows-then-phish-rows [`Dataset`] layout `kyp train` fits;
 //! - [`score_split_streaming`] pushes feature blocks through the
 //!   compiled flat model without ever materialising the full matrix;
+//! - [`load_ranker`] and [`load_pipeline`] read the sidecars back into
+//!   a ranking and a scoring pipeline;
 //! - [`store_verdict_lines`] classifies every stored page and renders
 //!   the deterministic verdict stream (scores as exact bit patterns)
 //!   that CI byte-compares across thread counts and against the
@@ -24,13 +27,17 @@
 use crate::core::features::FEATURE_COUNT;
 use crate::core::{
     CascadeClassifier, CascadeCounters, CascadeDecision, ClassifiedPage, FeatureExtractor,
-    PhishDetector, Pipeline, ScrapeReport,
+    ModelSnapshot, PhishDetector, Pipeline, PipelineVerdict, ScrapeReport, TargetIdentifier,
+    VerdictStage,
 };
 use crate::datagen::{CampaignConfig, Corpus};
 use crate::html::Document;
 use crate::ml::Dataset;
+use crate::search::SearchEngine;
 use crate::serve::StoredPages;
-use crate::web::{Browser, ResilientBrowser, ScrapedPage, SourceAvailability, VisitedPage, World};
+use crate::web::{
+    Browser, DomainRanker, ResilientBrowser, ScrapedPage, SourceAvailability, VisitedPage, World,
+};
 use kyp_store::{
     features_path, pages_path, validate_pair, FeatureStoreReader, FeatureStoreWriter, FrameReader,
     PageStoreReader, PageStoreWriter, StoreHeader, StoreKind, WorldStamp, BLOCK_RECORDS,
@@ -38,19 +45,20 @@ use kyp_store::{
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
 use std::path::Path;
+use std::sync::Arc;
 
 /// One searchable page of the legitimate index (`index.jsonl`) — the
 /// persisted form of what a crawler would store about a site.
 #[derive(Debug, Serialize, Deserialize)]
-pub struct IndexEntry {
+struct IndexEntry {
     /// Registered domain of the landing URL.
-    pub rdn: String,
+    rdn: String,
     /// Main level domain of the landing URL.
-    pub mld: String,
+    mld: String,
     /// Title and body text, the engine's indexable content.
-    pub text: String,
+    text: String,
 }
 
 /// The [`WorldStamp`] describing a generation run: the campaign sizes
@@ -116,9 +124,9 @@ fn flush_chunk(
 }
 
 /// Streams a generated corpus into `dir`: scrapes every bundle through
-/// a resilient browser over `world` (in the same bundle and URL order
-/// as the jsonl pipeline, so the captured page sequence is identical),
-/// persisting pages and extracted feature rows one block at a time.
+/// a resilient browser over `world`, in [`Corpus::scrape_bundles`]
+/// order, persisting pages and extracted feature rows one block at a
+/// time.
 ///
 /// Also writes the corpus sidecars (`ranker.json`, `index.jsonl`) so a
 /// store directory is self-sufficient for train/eval/scan/serve.
@@ -166,30 +174,22 @@ pub fn build_store<W: World>(
     for (bundle_id, (name, urls, is_phish)) in bundles.iter().enumerate() {
         let mut captured = 0u64;
         for url in urls {
-            report.requested += 1;
-            match scraper.scrape(url) {
-                Ok(scraped) => {
-                    report.completed += 1;
-                    if scraped.availability.is_degraded() {
-                        report.degraded += 1;
-                    }
-                    captured += 1;
-                    chunk.push(scraped.visit);
-                    if chunk.len() >= BLOCK_RECORDS {
-                        flush_chunk(
-                            &extractor,
-                            &mut page_writer,
-                            &mut feature_writer,
-                            bundle_id as u32,
-                            *is_phish,
-                            &mut chunk,
-                        )?;
-                    }
-                }
-                Err(failure) => {
-                    report.failed += 1;
-                    report.count_cause(failure.cause);
-                }
+            let outcome = scraper.scrape(url);
+            report.record(&outcome);
+            let Ok(scraped) = outcome else {
+                continue;
+            };
+            captured += 1;
+            chunk.push(scraped.visit);
+            if chunk.len() >= BLOCK_RECORDS {
+                flush_chunk(
+                    &extractor,
+                    &mut page_writer,
+                    &mut feature_writer,
+                    bundle_id as u32,
+                    *is_phish,
+                    &mut chunk,
+                )?;
             }
         }
         // Bundle boundary: a block never spans bundles.
@@ -261,6 +261,65 @@ pub fn write_corpus_sidecars(dir: &Path, corpus: &Corpus) -> Result<(), String> 
     index.flush().map_err(|e| e.to_string())
 }
 
+/// Writes `sample_phish.json`: the first test phish as the clean web
+/// serves it, pretty-printed, for single-page `kyp scan --page` demos.
+/// A first test phish that does not load writes nothing.
+///
+/// # Errors
+///
+/// Filesystem failures, rendered as strings.
+pub fn write_sample_phish(dir: &Path, corpus: &Corpus) -> Result<(), String> {
+    let Some(first) = corpus.phish_test.first() else {
+        return Ok(());
+    };
+    let Ok(visit) = Browser::new(&corpus.world).visit(&first.url) else {
+        return Ok(());
+    };
+    let json = serde_json::to_string_pretty(&visit).map_err(|e| e.to_string())?;
+    fs::write(dir.join("sample_phish.json"), json).map_err(|e| e.to_string())
+}
+
+/// Reads the offline popularity ranking (`ranker.json`) of a corpus
+/// directory.
+///
+/// # Errors
+///
+/// Filesystem and json failures, rendered as strings.
+pub fn load_ranker(dir: &Path) -> Result<DomainRanker, String> {
+    let json = fs::read_to_string(dir.join("ranker.json"))
+        .map_err(|e| format!("read ranker.json: {e}"))?;
+    serde_json::from_str(&json).map_err(|e| e.to_string())
+}
+
+/// Rebuilds the search engine from a corpus directory's `index.jsonl`.
+fn load_engine(dir: &Path) -> Result<SearchEngine, String> {
+    let path = dir.join("index.jsonl");
+    let file = File::open(&path).map_err(|e| format!("open {path:?}: {e}"))?;
+    let mut engine = SearchEngine::new();
+    for line in BufReader::new(file).lines() {
+        let line = line.map_err(|e| e.to_string())?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let entry: IndexEntry = serde_json::from_str(&line).map_err(|e| e.to_string())?;
+        engine.index_page(&entry.rdn, &entry.mld, &entry.text);
+    }
+    Ok(engine)
+}
+
+/// Assembles the scoring pipeline of a model snapshot over a corpus
+/// directory: the snapshot's detector and ranking, and a target
+/// identifier over the directory's search index.
+///
+/// # Errors
+///
+/// Filesystem and json failures reading `index.jsonl`, as strings.
+pub fn load_pipeline(dir: &Path, snapshot: ModelSnapshot) -> Result<Pipeline, String> {
+    let identifier = TargetIdentifier::new(Arc::new(load_engine(dir)?));
+    let extractor = FeatureExtractor::new(snapshot.ranker);
+    Ok(Pipeline::new(extractor, snapshot.detector, identifier))
+}
+
 /// Opens the feature stream of a store directory, hard-failing unless
 /// the pages and features headers stamp the same generated world.
 ///
@@ -299,9 +358,7 @@ fn bundle_ids(
 
 /// Streams the feature rows of two bundles into the canonical training
 /// layout — every legitimate row, then every phishing row, each side in
-/// stored (generation) order. This is exactly the row order the jsonl
-/// `featurize` path produces, so models trained from either source are
-/// byte-identical.
+/// stored (generation) order.
 ///
 /// # Errors
 ///
@@ -441,42 +498,36 @@ pub fn score_split_streaming(
 /// as exact IEEE-754 bit patterns, so equal lines mean bit-equal
 /// classifications and `cmp` on the whole stream is meaningful.
 pub fn verdict_line(page: &ClassifiedPage) -> String {
-    render_verdict_line(
-        &page.url,
-        &page.verdict,
-        page.degraded,
-        crate::core::VerdictStage::Full,
-    )
+    render_verdict_line(&page.url, &page.verdict, page.degraded, VerdictStage::Full)
 }
 
-/// The shared line renderer behind [`verdict_line`]: the stage tag is
-/// appended only when it differs from [`VerdictStage::Full`], so every
-/// pre-cascade stream keeps its exact bytes.
+/// The shared line renderer behind [`verdict_line`]: the kind is
+/// spelled as every other output spells it ([`kyp_obs::VerdictKind`]),
+/// and the stage tag is appended only when it differs from
+/// [`VerdictStage::Full`], so every pre-cascade stream keeps its exact
+/// bytes.
 ///
-/// [`VerdictStage::Full`]: crate::core::VerdictStage::Full
+/// [`kyp_obs::VerdictKind`]: crate::obs::VerdictKind
 fn render_verdict_line(
     url: &str,
-    verdict: &crate::core::PipelineVerdict,
+    verdict: &PipelineVerdict,
     degraded: bool,
-    stage: crate::core::VerdictStage,
+    stage: VerdictStage,
 ) -> String {
-    use crate::core::PipelineVerdict;
-    let (kind, score, extra) = match verdict {
-        PipelineVerdict::Legitimate { score } => ("legitimate", *score, String::new()),
-        PipelineVerdict::ConfirmedLegitimate { score, step } => {
-            ("confirmed-legitimate", *score, format!(" step={step}"))
-        }
-        PipelineVerdict::Phish { score, candidates } => {
+    let extra = match verdict {
+        PipelineVerdict::ConfirmedLegitimate { step, .. } => format!(" step={step}"),
+        PipelineVerdict::Phish { candidates, .. } => {
             let targets: Vec<&str> = candidates.iter().map(|c| c.mld.as_str()).collect();
-            ("phish", *score, format!(" targets={}", targets.join(",")))
+            format!(" targets={}", targets.join(","))
         }
-        PipelineVerdict::Suspicious { score } => ("suspicious", *score, String::new()),
+        PipelineVerdict::Legitimate { .. } | PipelineVerdict::Suspicious { .. } => String::new(),
     };
     let mut line = format!(
-        "{url}\t{kind}{extra} score_bits={:016x} degraded={degraded}",
-        score.to_bits(),
+        "{url}\t{}{extra} score_bits={:016x} degraded={degraded}",
+        verdict.kind().name(),
+        verdict.score().to_bits(),
     );
-    if stage != crate::core::VerdictStage::Full {
+    if stage != VerdictStage::Full {
         line.push_str(" stage=");
         line.push_str(stage.name());
     }
@@ -575,9 +626,8 @@ fn scan_store(
     Ok((lines, counters))
 }
 
-/// Rebuilds the serving page source from a store directory: the same
-/// [`StoredPages`] map and request-pool URL list (in stored order) that
-/// the jsonl bundles produce.
+/// Rebuilds the serving page source from a store directory: the
+/// [`StoredPages`] map and the request-pool URL list, in stored order.
 ///
 /// # Errors
 ///
@@ -591,7 +641,7 @@ pub fn load_serving_pages(dir: &Path) -> Result<(StoredPages, Vec<String>), Stri
         .map_err(|e| format!("read {}: {e}", path.display()))?;
     if pages.is_empty() {
         return Err(format!(
-            "store at {} holds no pages (run `kyp gen --store` first)",
+            "store at {} holds no pages (run `kyp gen` first)",
             dir.display()
         ));
     }

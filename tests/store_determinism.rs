@@ -1,4 +1,4 @@
-//! The store's determinism contract: `kyp gen --store` must write
+//! The store's determinism contract: `kyp gen` must write
 //! byte-identical files at any thread count and across repeated runs,
 //! and everything later streamed *out* of a store — training matrices,
 //! models, scores, verdict streams, serving pages — must be
@@ -102,7 +102,7 @@ fn stored_rows_train_and_score_identically_to_in_memory() {
     build(&dir, &corpus, &config);
 
     // In-memory reference: scrape the same bundles in the same order and
-    // featurize legit-then-phish, exactly like `kyp train --data`.
+    // featurize legit-then-phish, the layout `load_split_dataset` keeps.
     let extractor = FeatureExtractor::new(corpus.ranker.clone());
     let mut scraper = ResilientBrowser::new(&corpus.world);
     let mut visits: Vec<(bool, Vec<knowyourphish::web::VisitedPage>)> = Vec::new();
@@ -122,6 +122,9 @@ fn stored_rows_train_and_score_identically_to_in_memory() {
     for row in extractor.extract_batch(&visits[0].1) {
         in_memory.push_row(&row, true);
     }
+    // Test rows, as `kyp eval` scores them: leg_test, then phish_test.
+    let mut test_rows = extractor.extract_batch(&visits[3].1);
+    test_rows.extend(extractor.extract_batch(&visits[1].1));
 
     let mut baseline: Option<(String, Vec<u64>)> = None;
     for threads in THREAD_COUNTS {
@@ -143,6 +146,15 @@ fn stored_rows_train_and_score_identically_to_in_memory() {
                 .unwrap();
         let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
         assert_eq!(labels.iter().filter(|l| **l).count(), visits[1].1.len());
+        let memory_bits: Vec<u64> = memory_model
+            .score_batch(&test_rows)
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        assert_eq!(
+            bits, memory_bits,
+            "store-streamed scores diverge from in-memory at {threads} threads"
+        );
         match &baseline {
             None => baseline = Some((stored_json, bits)),
             Some((base_model, base_bits)) => {
