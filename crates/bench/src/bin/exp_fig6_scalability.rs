@@ -6,13 +6,10 @@
 //! and `phishTest`, re-measuring precision/recall/FPR at each size.
 //!
 //! Output: one row per increment plus `results/fig6_scalability.dat`.
-//! With `--threads n[,n...]` the full-test-pool scoring pass is re-timed
-//! at each thread count (bit-identical scores asserted) and the sweep is
-//! merged into `BENCH_pipeline.json` at the repo root.
 //!
-//! Run: `cargo run --release -p kyp-bench --bin exp_fig6_scalability -- --scale 0.05 --threads 1,2,4`
+//! Run: `cargo run --release -p kyp-bench --bin exp_fig6_scalability -- --scale 0.05`
 
-use kyp_bench::{harness, report, EvalArgs, ExperimentEnv};
+use kyp_bench::{harness, EvalArgs, ExperimentEnv};
 use kyp_core::{DetectorConfig, PhishDetector};
 use kyp_ml::metrics::Confusion;
 use rand::seq::SliceRandom;
@@ -20,8 +17,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fs;
 use std::io::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 fn main() {
     let args = EvalArgs::parse();
@@ -87,63 +82,4 @@ fn main() {
     f.write_all(dat.as_bytes()).expect("write dat");
     println!();
     println!("Series written to results/fig6_scalability.dat");
-
-    // --- Scoring-throughput thread sweep over the full test pool --------
-    if args.threads.len() > 1 {
-        let pages = leg_data.len() + phish_data.len();
-        println!();
-        println!("Scoring sweep over the full test pool ({pages} rows)");
-        println!(
-            "{:>8} {:>12} {:>12} {:>12} {:>10}",
-            "Threads", "Score ms", "Rows/sec", "Speedup", "Identical"
-        );
-        let mut baseline_wall: Option<f64> = None;
-        let mut baseline_bits: Option<Vec<u64>> = None;
-        let mut entries = Vec::new();
-        for &threads in &args.threads {
-            kyp_exec::set_threads(threads);
-            let t0 = Instant::now();
-            let mut run = detector.score_dataset(&leg_data);
-            run.extend(detector.score_dataset(&phish_data));
-            let wall = t0.elapsed().as_secs_f64();
-
-            let bits: Vec<u64> = run.iter().map(|s| s.to_bits()).collect();
-            let identical = match &baseline_bits {
-                None => {
-                    baseline_bits = Some(bits);
-                    true
-                }
-                Some(base) => *base == bits,
-            };
-            assert!(
-                identical,
-                "scores must be bit-identical at {threads} threads"
-            );
-            let speedup = match baseline_wall {
-                None => {
-                    baseline_wall = Some(wall);
-                    1.0
-                }
-                Some(base) => base / wall,
-            };
-            println!(
-                "{threads:>8} {:>12.2} {:>12.0} {:>12.2} {:>10}",
-                wall * 1e3,
-                pages as f64 / wall,
-                speedup,
-                identical
-            );
-            entries.push(report::timing_entry(threads, pages, wall, speedup));
-        }
-        kyp_exec::set_threads(0); // back to auto-detection
-        let section = report::object([
-            ("scale", report::float(args.scale)),
-            ("seed", report::uint(args.seed)),
-            ("rows", report::uint(pages as u64)),
-            ("sweep", serde_json::Value::Array(entries)),
-        ]);
-        let path = Path::new(report::BENCH_REPORT_PATH);
-        report::write_bench_section(path, "fig6_scalability", section).expect("write bench report");
-        println!("Sweep merged into {}", path.display());
-    }
 }

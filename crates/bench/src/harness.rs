@@ -3,67 +3,89 @@
 use kyp_core::FeatureExtractor;
 use kyp_datagen::{CampaignConfig, Corpus};
 use kyp_ml::Dataset;
-use kyp_serve::PageSource;
-use kyp_web::{Browser, FailureCause, ScrapedPage, VisitedPage};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use kyp_web::{Browser, VisitedPage};
+use std::path::Path;
 
 /// Command-line arguments common to every experiment binary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalArgs {
     /// Fraction of the paper's Table V sizes to generate.
     pub scale: f64,
     /// Corpus seed.
     pub seed: u64,
-    /// Thread counts from `--threads` (e.g. `--threads 4` or a sweep
-    /// `--threads 1,2,4`). Empty when the flag was not given.
-    pub threads: Vec<usize>,
+    /// Worker threads from `--threads <n>`; `None` keeps [`kyp_exec`]'s
+    /// default.
+    pub threads: Option<usize>,
+}
+
+impl Default for EvalArgs {
+    fn default() -> Self {
+        EvalArgs {
+            scale: 0.05,
+            seed: 2015,
+            threads: None,
+        }
+    }
 }
 
 impl EvalArgs {
-    /// Parses `--scale <f>`, `--seed <n>` and `--threads <n[,n...]>` from
-    /// `std::env::args`.
+    /// Parses the process arguments with [`EvalArgs::from_args`] and
+    /// makes `--threads` the process-wide [`kyp_exec`] thread count.
     ///
-    /// A single-valued `--threads` immediately becomes the process-wide
-    /// [`kyp_exec`] thread count; a comma list is left for the binary to
-    /// sweep over. Unknown arguments are ignored so binaries can add
-    /// their own.
+    /// A bad argument prints one line naming the binary and the problem
+    /// to stderr, then exits with status 1.
     pub fn parse() -> Self {
-        let mut args = EvalArgs {
-            scale: 0.05,
-            seed: 2015,
-            threads: Vec::new(),
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--scale" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.scale = v;
-                    }
+        let mut argv = std::env::args();
+        let argv0 = argv.next().unwrap_or_default();
+        let program = Path::new(&argv0).file_stem().unwrap_or_default();
+        match Self::from_args(argv) {
+            Ok(args) => {
+                if let Some(n) = args.threads {
+                    kyp_exec::set_threads(n);
                 }
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        args.seed = v;
-                    }
-                }
-                "--threads" => {
-                    if let Some(list) = iter.next() {
-                        args.threads = list
-                            .split(',')
-                            .filter_map(|v| v.trim().parse().ok())
-                            .filter(|&v| v >= 1)
-                            .collect();
-                    }
-                }
-                _ => {}
+                args
+            }
+            Err(e) => {
+                eprintln!("{}: {e}", program.to_string_lossy());
+                std::process::exit(1);
             }
         }
-        if args.threads.len() == 1 {
-            kyp_exec::set_threads(args.threads[0]);
+    }
+
+    /// Parses `--scale <f>`, `--seed <n>` and `--threads <n>` from an
+    /// argument list that excludes the program name. Any other argument,
+    /// a missing or malformed value, or a `--threads` that is not one
+    /// positive integer is an error; a repeated option keeps its last
+    /// value.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut parsed = EvalArgs::default();
+        let mut iter = args.into_iter();
+        while let Some(flag) = iter.next() {
+            if !matches!(flag.as_str(), "--scale" | "--seed" | "--threads") {
+                return Err(format!(
+                    "unknown option {flag:?} (options: --scale <f>, --seed <n>, --threads <n>)"
+                ));
+            }
+            let Some(value) = iter.next() else {
+                return Err(format!(
+                    "option {flag} is missing a value (expected {flag} <value>)"
+                ));
+            };
+            let invalid = |want: &str| format!("invalid {flag} {value:?} (want {want})");
+            match flag.as_str() {
+                "--scale" => parsed.scale = value.parse().map_err(|_| invalid("a number"))?,
+                "--seed" => {
+                    parsed.seed = value
+                        .parse()
+                        .map_err(|_| invalid("a non-negative integer"))?;
+                }
+                _ => match value.parse::<usize>() {
+                    Ok(n) if n >= 1 => parsed.threads = Some(n),
+                    _ => return Err(invalid("a positive integer")),
+                },
+            }
         }
-        args
+        Ok(parsed)
     }
 
     /// The campaign configuration for these arguments.
@@ -95,42 +117,6 @@ impl ExperimentEnv {
         let extractor = FeatureExtractor::new(corpus.ranker.clone());
         eprintln!("[env] world hosts {} entries", corpus.world_len());
         ExperimentEnv { corpus, extractor }
-    }
-}
-
-/// A [`PageSource`] decorator that accumulates the wall-clock time spent
-/// inside `fetch` — the scrape share of a serving run — so throughput
-/// benchmarks can split one aggregate pages/sec figure into scrape time
-/// vs. score time (the split the cascade's savings are attributable to).
-#[derive(Debug)]
-pub struct TimedSource<S> {
-    inner: S,
-    scrape_nanos: Arc<AtomicU64>,
-}
-
-impl<S> TimedSource<S> {
-    /// Wraps `inner`. The returned handle reads the accumulated scrape
-    /// nanoseconds; it is shared, so it stays readable after a service
-    /// consumes the source.
-    pub fn new(inner: S) -> (Self, Arc<AtomicU64>) {
-        let nanos = Arc::new(AtomicU64::new(0));
-        (
-            TimedSource {
-                inner,
-                scrape_nanos: Arc::clone(&nanos),
-            },
-            nanos,
-        )
-    }
-}
-
-impl<S: PageSource> PageSource for TimedSource<S> {
-    fn fetch(&mut self, url: &str) -> Result<ScrapedPage, FailureCause> {
-        let t0 = Instant::now();
-        let result = self.inner.fetch(url);
-        self.scrape_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
     }
 }
 
@@ -189,6 +175,73 @@ mod tests {
     use super::*;
     use kyp_core::{DetectorConfig, PhishDetector};
     use kyp_ml::metrics;
+
+    fn parse(args: &str) -> Result<EvalArgs, String> {
+        EvalArgs::from_args(args.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn no_arguments_give_the_defaults() {
+        let args = parse("").unwrap();
+        assert_eq!(args, EvalArgs::default());
+        assert_eq!(args.scale, 0.05);
+        assert_eq!(args.seed, 2015);
+        assert_eq!(args.threads, None);
+    }
+
+    #[test]
+    fn every_option_is_read_and_the_last_repeat_wins() {
+        let args = parse("--seed 7 --scale 0.1 --threads 2 --scale 0.02");
+        let expected = EvalArgs {
+            scale: 0.02,
+            seed: 7,
+            threads: Some(2),
+        };
+        assert_eq!(args, Ok(expected));
+    }
+
+    #[test]
+    fn unknown_options_and_stray_arguments_are_refused() {
+        for (args, bad) in [
+            ("--scael 0.2", "--scael"),
+            ("0.2", "0.2"),
+            ("--help", "--help"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(&format!("unknown option {bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_missing_value_is_refused() {
+        for flag in ["--scale", "--seed", "--threads"] {
+            let err = parse(&format!("--seed 7 {flag}")).unwrap_err();
+            let want = format!("option {flag} is missing a value");
+            assert!(err.contains(&want), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_values_are_refused() {
+        let cases = [
+            ("--scale abc", "invalid --scale \"abc\" (want a number)"),
+            (
+                "--seed -1",
+                "invalid --seed \"-1\" (want a non-negative integer)",
+            ),
+            ("--seed 7.5", "invalid --seed \"7.5\""),
+            (
+                "--threads 0",
+                "invalid --threads \"0\" (want a positive integer)",
+            ),
+            ("--threads 1,2,4", "invalid --threads \"1,2,4\""),
+            ("--threads two", "invalid --threads \"two\""),
+        ];
+        for (args, want) in cases {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(want), "{args}: {err}");
+        }
+    }
 
     /// End-to-end learnability: on a small corpus, the full 212-feature
     /// detector must separate phish from legitimate pages nearly

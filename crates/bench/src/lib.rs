@@ -8,13 +8,16 @@
 //! into feature datasets, scoring, and formatting the paper's tables.
 //!
 //! Every binary accepts a `--scale <fraction>` argument (default 0.05)
-//! that scales Table V sizes, and `--seed <n>` to vary the corpus.
+//! that scales Table V sizes, `--seed <n>` to vary the corpus and
+//! `--threads <n>` to size the worker pool, and refuses any other
+//! argument. The wall-clock benchmark is `perfbench/`; the only timer
+//! here is Table VIII's one-pass stage table (`exp_table8_timing`).
 
 pub mod harness;
 pub mod plot;
 pub mod report;
 pub mod table;
 
-pub use harness::{scrape_dataset, scrape_visits, EvalArgs, ExperimentEnv, TimedSource};
-pub use report::{timing_entry, write_bench_section, BENCH_REPORT_PATH};
+pub use harness::{scrape_dataset, scrape_visits, EvalArgs, ExperimentEnv};
+pub use report::write_bench_section;
 pub use table::{fmt_f, print_curve, EvalRow};

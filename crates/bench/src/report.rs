@@ -1,34 +1,21 @@
-//! Machine-readable benchmark output (`BENCH_pipeline.json`).
+//! Machine-readable experiment output (`BENCH_cascade.json`).
 //!
-//! The perf-tracking experiments (`exp_table8_timing`,
-//! `exp_fig6_scalability`) each contribute one top-level section to a
-//! single json file at the repository root, so successive runs — and CI
-//! artifacts — give the performance trajectory actual data points instead
-//! of stdout tables alone.
+//! `exp_cascade_frontier` writes its sweep as one top-level section of a
+//! json file at the repository root, so CI artifacts carry the frontier
+//! as data, not only as a stdout table. The file holds no wall-clock
+//! figures: timing is perfbench's job (see README).
 //!
 //! The vendored `serde_json` stand-in has no `json!` macro, so the small
 //! [`object`] / [`float`] / [`uint`] / [`boolean`] constructors here are
 //! the building blocks for report values.
 
-use kyp_serve::LatencySummary;
 use serde_json::{Number, Value};
 use std::fs;
 use std::path::Path;
 
-/// Default report location, relative to the working directory (the
-/// experiment binaries run from the repo root).
-pub const BENCH_REPORT_PATH: &str = "BENCH_pipeline.json";
-
-/// Serving-benchmark report location (`exp_serve_throughput`).
-pub const BENCH_SERVE_REPORT_PATH: &str = "BENCH_serve.json";
-
-/// Cluster-benchmark report location (`exp_cluster_throughput`).
-pub const BENCH_CLUSTER_REPORT_PATH: &str = "BENCH_cluster.json";
-
-/// Store-benchmark report location (`exp_store_throughput`).
-pub const BENCH_STORE_REPORT_PATH: &str = "BENCH_store.json";
-
-/// Cascade-frontier report location (`exp_cascade_frontier`).
+/// Cascade-frontier report location (`exp_cascade_frontier`), relative
+/// to the working directory (the experiment binaries run from the repo
+/// root).
 pub const BENCH_CASCADE_REPORT_PATH: &str = "BENCH_cascade.json";
 
 /// A json object value from `(key, value)` pairs, in order.
@@ -83,40 +70,6 @@ pub fn write_bench_section(path: &Path, section: &str, value: Value) -> Result<(
     fs::write(path, text + "\n")
 }
 
-/// Median / average / throughput summary of one timed batch run.
-///
-/// `pages_per_sec` is `pages / wall seconds`; `speedup_vs_1` is filled in
-/// by the caller once the 1-thread baseline is known.
-pub fn timing_entry(threads: usize, pages: usize, wall_secs: f64, speedup_vs_1: f64) -> Value {
-    object([
-        ("threads", uint(threads as u64)),
-        ("pages", uint(pages as u64)),
-        ("wall_ms", float(wall_secs * 1e3)),
-        (
-            "pages_per_sec",
-            float(if wall_secs > 0.0 {
-                pages as f64 / wall_secs
-            } else {
-                0.0
-            }),
-        ),
-        ("speedup_vs_1", float(speedup_vs_1)),
-    ])
-}
-
-/// The report form of a latency percentile summary — the `kyp-serve`
-/// histogram's p50/p90/p99 digest as one json object.
-pub fn latency_summary_value(summary: &LatencySummary) -> Value {
-    object([
-        ("count", uint(summary.count)),
-        ("mean_ms", float(summary.mean_ms)),
-        ("p50_ms", uint(summary.p50_ms)),
-        ("p90_ms", uint(summary.p90_ms)),
-        ("p99_ms", uint(summary.p99_ms)),
-        ("max_ms", uint(summary.max_ms)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,33 +105,6 @@ mod tests {
         let root: Value = serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(root.get("c").unwrap().as_bool(), Some(true));
         let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn timing_entry_computes_throughput() {
-        let e = timing_entry(4, 200, 0.5, 2.0);
-        assert_eq!(e.get("threads").unwrap().as_u64(), Some(4));
-        assert_eq!(e.get("pages_per_sec").unwrap().as_f64(), Some(400.0));
-        assert_eq!(e.get("speedup_vs_1").unwrap().as_f64(), Some(2.0));
-        let zero = timing_entry(1, 10, 0.0, 1.0);
-        assert_eq!(zero.get("pages_per_sec").unwrap().as_f64(), Some(0.0));
-    }
-
-    #[test]
-    fn latency_summary_converts_on_known_inputs() {
-        // Histogram over 1..=100 ms: p50 hits the (32, 64] bucket bound,
-        // p90/p99 clamp to the exact max (see kyp-serve's unit tests).
-        let mut h = kyp_serve::LatencyHistogram::new();
-        for ms in 1..=100 {
-            h.record(ms);
-        }
-        let v = latency_summary_value(&h.summary());
-        assert_eq!(v.get("count").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("p50_ms").unwrap().as_u64(), Some(64));
-        assert_eq!(v.get("p90_ms").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("p99_ms").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("max_ms").unwrap().as_u64(), Some(100));
-        assert_eq!(v.get("mean_ms").unwrap().as_f64(), Some(50.5));
     }
 
     #[test]

@@ -40,9 +40,9 @@ use crate::report::{ClusterReport, FailoverCounters, NodeReport, RoutingCounters
 use crate::ring::HashRing;
 use crate::store::SharedStore;
 use kyp_core::{CascadeClassifier, CascadeCounters, CascadeDecision, Pipeline};
-use kyp_obs::VerdictStage;
+use kyp_obs::{Histogram, VerdictStage};
 use kyp_serve::{
-    canonical_url, LatencyHistogram, PageSource, ScoringService, ServeConfig, ServeOutcome,
+    canonical_url, LatencySummary, PageSource, ScoringService, ServeConfig, ServeOutcome,
     ServeRequest, ServeResponse,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -179,7 +179,7 @@ pub struct ClusterService<S> {
     degraded: u64,
     failover: FailoverCounters,
     routing: RoutingCounters,
-    latency: LatencyHistogram,
+    latency: Histogram,
 }
 
 impl<S: PageSource> ClusterService<S> {
@@ -227,7 +227,7 @@ impl<S: PageSource> ClusterService<S> {
             degraded: 0,
             failover: FailoverCounters::default(),
             routing: RoutingCounters::default(),
-            latency: LatencyHistogram::new(),
+            latency: Histogram::pow2(),
             config,
         }
     }
@@ -399,7 +399,7 @@ impl<S: PageSource> ClusterService<S> {
             cascade: self.cascade_counters,
             failover: self.failover,
             routing: self.routing,
-            latency: self.latency.summary(),
+            latency: LatencySummary::of(&self.latency),
             virtual_elapsed_ms: elapsed,
             throughput_per_vsec: throughput,
             nodes,
@@ -413,7 +413,7 @@ impl<S: PageSource> ClusterService<S> {
     /// rendered json is byte-identical at any thread count.
     pub fn export_metrics(&self, registry: &mut kyp_obs::MetricsRegistry) {
         self.report().export_metrics(registry);
-        registry.set_histogram("cluster.latency_ms", self.latency.as_histogram().clone());
+        registry.set_histogram("cluster.latency_ms", self.latency.clone());
     }
 
     fn note_time(&mut self, t: u64) {

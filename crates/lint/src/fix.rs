@@ -142,7 +142,7 @@ pub fn render_allow_baseline(outcome: &LintOutcome) -> String {
         rows.insert(format!("{}\t{}\t{}", a.file, a.rule, a.justification));
     }
     let mut s = String::from(
-        "# kyp-lint allow baseline — regenerate with `kyp lint --update-allows <path>`.\n\
+        "# kyp-lint allow baseline — regenerate with `cargo run -p kyp-lint -- --update-allows <path>`.\n\
          # CI fails when a new allow annotation appears without a row here\n\
          # (i.e. without a reviewed justification diff in the PR).\n",
     );
@@ -178,7 +178,7 @@ pub fn check_allow_baseline(outcome: &LintOutcome, baseline: &str) -> Result<(),
     }
     Err(format!(
         "{} allow annotation(s) not in the baseline (add a justified row via \
-         `kyp lint --update-allows`):\n{}",
+         `cargo run -p kyp-lint -- --update-allows <path>`):\n{}",
         new_rows.len(),
         new_rows.join("\n")
     ))

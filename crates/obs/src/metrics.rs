@@ -16,7 +16,7 @@ use crate::json::push_str_literal;
 use std::collections::HashMap;
 
 /// Power-of-two bucket upper bounds (inclusive), 1 ms .. 65536 ms — the
-/// default histogram layout, matching the serving layer's latency buckets.
+/// default histogram layout, and the serving layer's latency buckets.
 pub const POW2_BUCKET_BOUNDS: [u64; 17] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
 ];
@@ -389,6 +389,27 @@ mod tests {
         h.record(1_000_000);
         assert_eq!(h.percentile(0.99), 1_000_000);
         assert_eq!(h.percentile(0.50), 1);
+    }
+
+    #[test]
+    fn single_observation_dominates_every_percentile() {
+        let mut h = Histogram::pow2();
+        h.record(7);
+        assert_eq!(h.percentile(0.01), 7, "bucket bound 8 clamps to max");
+        assert_eq!(h.percentile(0.50), 7);
+        assert_eq!(h.percentile(1.0), 7);
+    }
+
+    #[test]
+    fn boundary_values_land_in_their_bucket() {
+        let mut h = Histogram::pow2();
+        h.record(0);
+        h.record(1);
+        h.record(2);
+        // Ranks: 0→bucket ≤1, 1→bucket ≤1, 2→bucket ≤2.
+        assert_eq!(h.percentile(1.0 / 3.0), 1);
+        assert_eq!(h.percentile(2.0 / 3.0), 1);
+        assert_eq!(h.percentile(1.0), 2);
     }
 
     #[test]

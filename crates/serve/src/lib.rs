@@ -49,8 +49,8 @@
 //! - under a **fault plan** — all retry/breaker timing is virtual.
 //!
 //! The cache's payoff is wall-clock time only: hits skip feature
-//! extraction and both model stages, which `exp_serve_throughput`
-//! measures as real pages/second.
+//! extraction and both model stages. perfbench's `serve-cascade`
+//! workload measures it.
 
 pub mod batcher;
 pub mod cache;
@@ -67,5 +67,5 @@ pub use protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 pub use queue::{AdmissionQueue, QueueCounters};
 pub use service::{ScoringService, ServeConfig, SHED_QUEUE_FULL};
 pub use source::{canonical_url, PageSource, ScraperSource, StoredPages};
-pub use stats::{LatencyHistogram, LatencySummary, ServeReport, LATENCY_BUCKET_BOUNDS_MS};
+pub use stats::{LatencySummary, ServeReport};
 pub use workload::{generate, ArrivalPattern, WorkloadConfig};

@@ -37,9 +37,9 @@ use crate::cache::{CacheConfig, VerdictCache};
 use crate::protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 use crate::queue::AdmissionQueue;
 use crate::source::{canonical_url, PageSource};
-use crate::stats::{LatencyHistogram, ServeReport};
+use crate::stats::{LatencySummary, ServeReport};
 use kyp_core::{CascadeClassifier, CascadeCounters, CascadeDecision, Pipeline, PipelineVerdict};
-use kyp_obs::VerdictStage;
+use kyp_obs::{Histogram, VerdictStage};
 use kyp_web::{FailureCause, ScrapedPage};
 use std::collections::HashMap;
 
@@ -105,7 +105,7 @@ pub struct ScoringService<S> {
     cascade_counters: CascadeCounters,
     queue: AdmissionQueue<ServeRequest>,
     batcher: MicroBatcher,
-    latency: LatencyHistogram,
+    latency: Histogram,
     page_store: HashMap<String, Result<StoredScrape, FailureCause>>,
     busy_until_ms: u64,
     last_arrival_ms: u64,
@@ -127,7 +127,7 @@ impl<S: PageSource> ScoringService<S> {
             cascade_counters: CascadeCounters::default(),
             queue: AdmissionQueue::new(config.queue_capacity),
             batcher: MicroBatcher::new(config.batch),
-            latency: LatencyHistogram::new(),
+            latency: Histogram::pow2(),
             page_store: HashMap::new(),
             busy_until_ms: 0,
             last_arrival_ms: 0,
@@ -356,7 +356,7 @@ impl<S: PageSource> ScoringService<S> {
             cascade: self.cascade_counters,
             queue,
             batches: self.batcher.counters(),
-            latency: self.latency.summary(),
+            latency: LatencySummary::of(&self.latency),
             virtual_elapsed_ms: elapsed,
             throughput_per_vsec: throughput,
         }
@@ -457,7 +457,7 @@ impl<S: PageSource> ScoringService<S> {
             "serve.report.virtual_elapsed_ms",
             report.virtual_elapsed_ms,
         );
-        registry.set_histogram("serve.latency_ms", self.latency.as_histogram().clone());
+        registry.set_histogram("serve.latency_ms", self.latency.clone());
     }
 
     /// Executes the batch flush due at virtual instant `flush_ms`.

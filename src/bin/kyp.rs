@@ -307,49 +307,6 @@ const COMMANDS: &[CommandSpec] = &[
             THREADS_ARG,
         ],
     },
-    CommandSpec {
-        name: "lint",
-        summary: "workspace determinism & invariant static analysis",
-        positional: None,
-        args: &[
-            ArgSpec {
-                name: "root",
-                value: "<dir>",
-                help: "workspace root (default: auto-detected)",
-            },
-            ArgSpec {
-                name: "rules",
-                value: "<D01,..>",
-                help: "comma-separated rule filter",
-            },
-            ArgSpec {
-                name: "json",
-                value: "<path>",
-                help: "also write the report as json",
-            },
-            ArgSpec {
-                name: "deny-warnings",
-                value: "",
-                help: "fail on Severity::Warning findings too (D06)",
-            },
-            ArgSpec {
-                name: "fix-stale-allows",
-                value: "",
-                help: "remove allow annotations that suppress nothing",
-            },
-            ArgSpec {
-                name: "check-allows",
-                value: "<tsv>",
-                help: "fail if an allow is missing from this baseline",
-            },
-            ArgSpec {
-                name: "update-allows",
-                value: "<tsv>",
-                help: "rewrite the allow baseline from this run",
-            },
-            THREADS_ARG,
-        ],
-    },
 ];
 
 /// `kyp store <subcommand>` — currently just `inspect`. Dispatched
@@ -449,7 +406,6 @@ fn main() -> ExitCode {
         "scan" => cmd_scan(&opts),
         "serve" => cmd_serve(&opts),
         "cluster" => cmd_cluster(&opts),
-        "lint" => cmd_lint(&opts),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
     })
 }
@@ -482,8 +438,6 @@ USAGE:
             [--duplicate-rate <f>] [--arrival-gap-ms <n>] [--queue-capacity <n>]
             [--cascade <model.json>] [--cascade-band <lo,hi>]
             [--verdicts <path>] [--metrics <path>]   invariant bytes + cluster.* metrics
-  kyp lint  [--root <dir>] [--rules D01,D02,...]     determinism static analysis
-            [--json <path>]                          (see DESIGN.md section 8e)
   kyp store inspect <dir>                            validate + describe a store
 
 Run `kyp <command> --help` for the full option list of one command.
@@ -994,71 +948,6 @@ fn cmd_cluster(opts: &ParsedOpts) -> Result<(), String> {
         eprintln!("wrote metrics to {path}");
     }
     Ok(())
-}
-
-/// `kyp lint`: run the workspace determinism & invariant static-analysis
-/// pass (DESIGN.md sections 8e and 8j) and fail on violations.
-fn cmd_lint(opts: &ParsedOpts) -> Result<(), String> {
-    let rules = opts
-        .get("rules")
-        .map(knowyourphish::lint::parse_rule_filter)
-        .transpose()?;
-    if opts.flag("fix-stale-allows") && rules.is_some() {
-        return Err(
-            "--fix-stale-allows needs a full-rule run (an allow for a filtered-out rule \
-             would look stale); drop --rules"
-                .to_owned(),
-        );
-    }
-    let root = if let Some(dir) = opts.get("root") {
-        PathBuf::from(dir)
-    } else {
-        let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
-        knowyourphish::lint::find_workspace_root(&cwd)
-            .ok_or("no workspace root found (pass --root <dir>)")?
-    };
-    let outcome = knowyourphish::lint::run_lint(&root, rules.as_ref())?;
-    if opts.flag("fix-stale-allows") {
-        for edit in knowyourphish::lint::fix::remove_stale_allows(&root, &outcome)? {
-            println!("kyp lint: {edit}");
-        }
-    }
-    if let Some(path) = opts.get("update-allows") {
-        fs::write(
-            path,
-            knowyourphish::lint::fix::render_allow_baseline(&outcome),
-        )
-        .map_err(|e| format!("write {path}: {e}"))?;
-        println!("kyp lint: allow baseline written to {path}");
-    }
-    if let Some(path) = opts.get("json") {
-        let path = PathBuf::from(path);
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        }
-        fs::write(&path, outcome.render_json())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-    }
-    print!("{}", outcome.render_human());
-    if let Some(path) = opts.get("check-allows") {
-        let baseline = fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        if let Err(growth) = knowyourphish::lint::fix::check_allow_baseline(&outcome, &baseline) {
-            return Err(format!(
-                "{growth}\njustify the new allow and refresh the baseline with \
-                 `kyp lint --update-allows {path}`"
-            ));
-        }
-    }
-    let clean = if opts.flag("deny-warnings") {
-        outcome.is_warning_clean()
-    } else {
-        outcome.is_clean()
-    };
-    if clean {
-        Ok(())
-    } else {
-        Err("lint violations found (see report above)".to_owned())
-    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@
 //! - [`obs`]: deterministic observability (metrics registry, virtual-clock
 //!   tracer, pipeline observer hooks)
 //! - [`baselines`]: comparison systems for Table X
-//! - [`lint`]: workspace determinism & invariant static analysis
 //! - [`store`]: persistent columnar corpus & feature store (versioned,
 //!   checksummed, streaming)
 //!
@@ -48,7 +47,6 @@ pub use kyp_core as core;
 pub use kyp_datagen as datagen;
 pub use kyp_exec as exec;
 pub use kyp_html as html;
-pub use kyp_lint as lint;
 pub use kyp_ml as ml;
 pub use kyp_obs as obs;
 pub use kyp_search as search;

@@ -26,6 +26,10 @@ use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// Micro-batch sizes the invariance sweep runs at: one request per flush,
+/// and the batched default.
+const MAX_BATCHES: [usize; 2] = [1, 8];
+
 fn small_corpus() -> Corpus {
     Corpus::generate(&CampaignConfig {
         seed: 91,
@@ -86,11 +90,11 @@ fn serving_trace(corpus: &Corpus) -> Vec<ServeRequest> {
     )
 }
 
-fn serve_config(cache_on: bool) -> ServeConfig {
+fn serve_config(cache_on: bool, max_batch: usize) -> ServeConfig {
     ServeConfig {
         queue_capacity: 16, // small enough that the bursts shed
         batch: BatchPolicy {
-            max_batch: 8,
+            max_batch,
             max_delay_ms: 25,
         },
         cache: cache_on.then(CacheConfig::default),
@@ -108,28 +112,38 @@ fn verdict_lines<S: knowyourphish::serve::PageSource>(
         .collect()
 }
 
-/// One trace, six runs — 1/2/8 threads × cache on/off — over a clean
-/// simulated web: every verdict stream must be byte-identical.
+/// One trace, twelve runs — 1/2/8 threads × cache on/off, at a batch
+/// size of 1 and of 8 — over a clean simulated web: per batch size,
+/// every verdict stream must be byte-identical. Batching changes the
+/// schedule, and so which requests are shed, so each batch size has its
+/// own baseline.
 #[test]
 fn serve_stream_is_invariant_across_threads_and_cache() {
     let corpus = small_corpus();
     let pipeline = pipeline_for(&corpus);
     let trace = serving_trace(&corpus);
 
-    let mut baseline: Option<Vec<String>> = None;
-    for threads in THREAD_COUNTS {
-        knowyourphish::exec::set_threads(threads);
-        for cache_on in [false, true] {
-            let source = ScraperSource::new(&corpus.world);
-            let service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on));
-            let lines = verdict_lines(service, &trace);
-            assert_eq!(lines.len(), trace.len(), "every request must be answered");
-            match &baseline {
-                None => baseline = Some(lines),
-                Some(base) => assert_eq!(
-                    *base, lines,
-                    "verdict stream diverges at {threads} threads, cache={cache_on}"
-                ),
+    for max_batch in MAX_BATCHES {
+        let mut baseline: Option<Vec<String>> = None;
+        for threads in THREAD_COUNTS {
+            knowyourphish::exec::set_threads(threads);
+            for cache_on in [false, true] {
+                let source = ScraperSource::new(&corpus.world);
+                let service = ScoringService::new(
+                    pipeline.clone(),
+                    source,
+                    serve_config(cache_on, max_batch),
+                );
+                let lines = verdict_lines(service, &trace);
+                assert_eq!(lines.len(), trace.len(), "every request must be answered");
+                match &baseline {
+                    None => baseline = Some(lines),
+                    Some(base) => assert_eq!(
+                        *base, lines,
+                        "verdict stream diverges at max_batch={max_batch}, \
+                         {threads} threads, cache={cache_on}"
+                    ),
+                }
             }
         }
     }
@@ -152,7 +166,7 @@ fn serve_stream_is_invariant_under_faults() {
         for cache_on in [false, true] {
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
             let source = ScraperSource::with_browser(ResilientBrowser::new(&flaky));
-            let service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on));
+            let service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on, 8));
             let lines = verdict_lines(service, &trace);
             match &baseline {
                 None => baseline = Some(lines),
@@ -206,7 +220,7 @@ fn snapshot_round_trip_preserves_the_serving_stream() {
             );
             let source = ScraperSource::new(&corpus.world);
             verdict_lines(
-                ScoringService::new(pipeline, source, serve_config(true)),
+                ScoringService::new(pipeline, source, serve_config(true, 8)),
                 &trace,
             )
         })
