@@ -412,9 +412,9 @@ impl MatchMasks {
 
 /// Stage one of the cascade: URL featurizer + small GBM + band.
 ///
-/// [`Self::prescreen`] is a pure function of the URL string, so cascade
-/// decisions are deterministic at any thread count and independent of
-/// caches, clocks and request order.
+/// [`Self::prescreen`] and [`Self::prescreen_url`] are pure functions of
+/// the URL, so cascade decisions are deterministic at any thread count
+/// and independent of caches, clocks and request order.
 #[derive(Debug, Clone)]
 pub struct CascadeClassifier {
     featurizer: UrlFeaturizer,
@@ -471,16 +471,24 @@ impl CascadeClassifier {
             .map(|row| self.detector.score(&row))
     }
 
-    /// Screens one request URL.
+    /// Screens one raw request URL: [`Self::prescreen_url`] of its parse.
+    /// A URL that does not parse is [`CascadeDecision::Unscorable`] and
+    /// falls through.
+    pub fn prescreen(&self, url: &str) -> CascadeDecision {
+        match Url::parse(url) {
+            Ok(url) => self.prescreen_url(&url),
+            Err(_) => CascadeDecision::Unscorable,
+        }
+    }
+
+    /// Screens one parsed request URL.
     ///
     /// Scores below the band finalise as [`PipelineVerdict::Legitimate`];
     /// scores above it finalise as [`PipelineVerdict::Suspicious`] (the
     /// URL stage can flag but never identify a target). Scores inside the
-    /// band — and unparseable URLs — fall through.
-    pub fn prescreen(&self, url: &str) -> CascadeDecision {
-        let Some(score) = self.url_score(url) else {
-            return CascadeDecision::Unscorable;
-        };
+    /// band fall through.
+    pub fn prescreen_url(&self, url: &Url) -> CascadeDecision {
+        let score = self.detector.score(&self.featurizer.features(url));
         if self.band.contains(score) {
             CascadeDecision::Uncertain { url_score: score }
         } else if score < self.band.lo {
@@ -770,6 +778,25 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(cascade.prescreen(url), first);
         }
+    }
+
+    #[test]
+    fn prescreen_is_prescreen_url_of_the_parse() {
+        let cascade = trained();
+        let mut finals = 0;
+        for url in urls("https://s{i}.bigbank.com/account", 20)
+            .into_iter()
+            .chain(urls(
+                "http://bigbank.com.verify{i}.badhost.tk/login.php?id={i}",
+                20,
+            ))
+            .chain(urls("http://mixed{i}.example.org/a", 20))
+        {
+            let decision = cascade.prescreen_url(&Url::parse(&url).unwrap());
+            finals += usize::from(matches!(decision, CascadeDecision::Final(_)));
+            assert_eq!(cascade.prescreen(&url), decision, "{url}");
+        }
+        assert!(finals > 0);
     }
 
     #[test]

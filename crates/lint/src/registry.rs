@@ -22,13 +22,15 @@ pub const ENTRY_POINTS: &[(&str, &str, &str)] = &[
     ("ml", "FlatModel", "predict_batch"),
     ("serve", "ScoringService", "*"),
     ("store", "PageStoreReader", "*"),
+    ("store", "PageBlock", "*"),
     ("store", "FeatureStoreReader", "*"),
     ("store", "FrameReader", "*"),
 ];
 
 /// H01 budget list: the flat-model, term-distribution and URL-accessor
-/// kernels, the public-suffix lookup every URL parse runs, the URL
-/// stage's typosquat kernel, and the store framing decoder.
+/// kernels, the URL check the page-block view runs on every stored URL,
+/// the public-suffix lookup every URL parse runs, the URL stage's
+/// typosquat kernel, and the store framing decoder.
 /// Allocating calls here, or in callees to depth 2, are flagged.
 pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("ml", "FlatModel", "predict_proba"),
@@ -37,6 +39,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("text", "TermDistribution", "from_text_in"),
     ("text", "TermDistribution", "from_texts_in"),
     ("text", "TermScratch", "push_text"),
+    ("url", "Url", "check"),
     ("url", "Url", "mld"),
     ("url", "Url", "rdn"),
     ("url", "Url", "fqdn_str"),

@@ -51,7 +51,7 @@ pub use format::{
     BLOCK_RECORDS, STORE_FORMAT_VERSION, STORE_MAGIC,
 };
 pub use inspect::{inspect_dir, inspect_file, DirInspection, FileInspection};
-pub use pages::{PageStoreReader, PageStoreWriter};
+pub use pages::{PageBlock, PageStoreReader, PageStoreWriter};
 
 use std::path::{Path, PathBuf};
 

@@ -6,9 +6,14 @@
 //! runs of homogeneous data. URLs are stored as their raw strings —
 //! `kyp_url::Url` preserves its input verbatim, so re-parsing on load
 //! reproduces the identical struct bit for bit.
+//!
+//! Both readers walk a block's columns once, with every check:
+//! [`PageStoreReader::next_block`] builds every page, and
+//! [`PageStoreReader::next_view`] returns a [`PageBlock`] that builds a
+//! page only when asked.
 
 use crate::format::{FrameReader, FrameWriter, StoreError, StoreHeader, StoreKind, BLOCK_RECORDS};
-use kyp_url::Url;
+use kyp_url::{ParseUrlError, Url};
 use kyp_web::VisitedPage;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -225,13 +230,54 @@ impl<'a> Cur<'a> {
         std::str::from_utf8(bytes).map_err(|e| format!("{what} is not utf-8: {e}"))
     }
 
-    fn string(&mut self, what: &str) -> Result<String, String> {
-        self.utf8(what).map(str::to_owned)
+    /// A length-prefixed URL, as `url` makes it of its text: parsed, or
+    /// only checked.
+    fn url<U>(
+        &mut self,
+        what: &str,
+        url: &mut impl FnMut(&'a str) -> Result<U, ParseUrlError>,
+    ) -> Result<U, String> {
+        let s = self.utf8(what)?;
+        url(s).map_err(|e| format!("{what} {s:?} does not parse: {e:?}"))
     }
 
-    fn url(&mut self, what: &str) -> Result<Url, String> {
-        let s = self.utf8(what)?;
-        Url::parse(s).map_err(|e| format!("{what} {s:?} does not parse: {e:?}"))
+    /// `count` entries of `one`, each at least `min` bytes long. A count
+    /// the bytes left cannot hold is refused before anything is
+    /// allocated for it.
+    fn column<T>(
+        &mut self,
+        count: usize,
+        min: usize,
+        what: &str,
+        mut one: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let left = self.buf.len() - self.pos;
+        if count.checked_mul(min).is_none_or(|need| need > left) {
+            return Err(format!(
+                "{count} {what} entries cannot fit in the {left} bytes left (at {} of {})",
+                self.pos,
+                self.buf.len()
+            ));
+        }
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(one(self)?);
+        }
+        Ok(out)
+    }
+
+    /// One URL list per row: the `n` counts, then every row's URLs.
+    fn url_lists<U>(
+        &mut self,
+        n: usize,
+        what: &str,
+        url: &mut impl FnMut(&'a str) -> Result<U, ParseUrlError>,
+    ) -> Result<Vec<Vec<U>>, String> {
+        let counts = self.column(n, 4, what, |c| c.u32(what))?;
+        counts
+            .into_iter()
+            .map(|count| self.column(count as usize, 4, what, |c| c.url(what, url)))
+            .collect()
     }
 
     fn done(&self, what: &str) -> Result<(), String> {
@@ -246,94 +292,176 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn decode_block(payload: &[u8], n: usize) -> Result<Vec<VisitedPage>, String> {
-    let mut cur = Cur::new(payload);
-    let starting: Vec<Url> = decode_n(&mut cur, n, |c| c.url("starting_url"))?;
-    let landing: Vec<Url> = decode_n(&mut cur, n, |c| c.url("landing_url"))?;
-    let chains = decode_url_lists(&mut cur, n, "redirection_chain")?;
-    let logged = decode_url_lists(&mut cur, n, "logged_links")?;
-    let hrefs = decode_url_lists(&mut cur, n, "href_links")?;
-    let text: Vec<String> = decode_n(&mut cur, n, |c| c.string("text"))?;
-    let title: Vec<String> = decode_n(&mut cur, n, |c| c.string("title"))?;
-    let mut flags = Vec::with_capacity(n);
-    for _ in 0..n {
-        match cur.byte("copyright flag")? {
-            0 => flags.push(false),
-            1 => flags.push(true),
-            other => return Err(format!("copyright flag has invalid value {other}")),
-        }
-    }
-    let mut copyright = Vec::with_capacity(n);
-    for &present in &flags {
-        copyright.push(if present {
-            Some(cur.string("copyright")?)
-        } else {
-            None
-        });
-    }
-    let screenshot: Vec<String> = decode_n(&mut cur, n, |c| c.string("screenshot_text"))?;
-    let input: Vec<u32> = decode_n(&mut cur, n, |c| c.u32("input_count"))?;
-    let image: Vec<u32> = decode_n(&mut cur, n, |c| c.u32("image_count"))?;
-    let iframe: Vec<u32> = decode_n(&mut cur, n, |c| c.u32("iframe_count"))?;
-    cur.done("page columns")?;
-
-    let mut pages = Vec::with_capacity(n);
-    let mut starting = starting.into_iter();
-    let mut landing = landing.into_iter();
-    let mut chains = chains.into_iter();
-    let mut logged = logged.into_iter();
-    let mut hrefs = hrefs.into_iter();
-    let mut text = text.into_iter();
-    let mut title = title.into_iter();
-    let mut copyright = copyright.into_iter();
-    let mut screenshot = screenshot.into_iter();
-    let mut input = input.into_iter();
-    let mut image = image.into_iter();
-    let mut iframe = iframe.into_iter();
-    for _ in 0..n {
-        // Every column was decoded with exactly `n` entries above, so
-        // the iterators cannot run dry; the defaults are unreachable.
-        pages.push(VisitedPage {
-            starting_url: starting.next().ok_or("missing starting_url")?,
-            landing_url: landing.next().ok_or("missing landing_url")?,
-            redirection_chain: chains.next().unwrap_or_default(),
-            logged_links: logged.next().unwrap_or_default(),
-            href_links: hrefs.next().unwrap_or_default(),
-            text: text.next().unwrap_or_default(),
-            title: title.next().unwrap_or_default(),
-            copyright: copyright.next().unwrap_or_default(),
-            screenshot_text: screenshot.next().unwrap_or_default(),
-            input_count: input.next().unwrap_or_default() as usize,
-            image_count: image.next().unwrap_or_default() as usize,
-            iframe_count: iframe.next().unwrap_or_default() as usize,
-        });
-    }
-    Ok(pages)
+/// Every column of one block, walked once with every check, strings
+/// borrowed from the payload. The starting URLs are parsed; every other
+/// URL becomes what the walk's `url` makes of its text: a parsed [`Url`]
+/// for [`PageStoreReader::next_block`], the checked text for a
+/// [`PageBlock`].
+#[derive(Debug)]
+struct Columns<'a, U> {
+    starting: Vec<Url>,
+    landing: Vec<U>,
+    chains: Vec<Vec<U>>,
+    logged: Vec<Vec<U>>,
+    hrefs: Vec<Vec<U>>,
+    text: Vec<&'a str>,
+    title: Vec<&'a str>,
+    copyright: Vec<Option<&'a str>>,
+    screenshot: Vec<&'a str>,
+    input: Vec<u32>,
+    image: Vec<u32>,
+    iframe: Vec<u32>,
 }
 
-fn decode_n<T>(
-    cur: &mut Cur<'_>,
-    n: usize,
-    mut one: impl FnMut(&mut Cur<'_>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(one(cur)?);
+impl<'a, U> Columns<'a, U> {
+    /// Walks the `n` rows of `payload` in the order
+    /// [`PageColumns::drain_into`] wrote them; the first failed check is
+    /// the error.
+    fn walk(
+        payload: &'a [u8],
+        n: usize,
+        mut url: impl FnMut(&'a str) -> Result<U, ParseUrlError>,
+    ) -> Result<Self, String> {
+        let mut cur = Cur::new(payload);
+        let starting = cur.column(n, 4, "starting_url", |c| {
+            c.url("starting_url", &mut Url::parse)
+        })?;
+        let landing = cur.column(n, 4, "landing_url", |c| c.url("landing_url", &mut url))?;
+        let chains = cur.url_lists(n, "redirection_chain", &mut url)?;
+        let logged = cur.url_lists(n, "logged_links", &mut url)?;
+        let hrefs = cur.url_lists(n, "href_links", &mut url)?;
+        let text = cur.column(n, 4, "text", |c| c.utf8("text"))?;
+        let title = cur.column(n, 4, "title", |c| c.utf8("title"))?;
+        let flags = cur.column(n, 1, "copyright flag", |c| {
+            match c.byte("copyright flag")? {
+                0 => Ok(false),
+                1 => Ok(true),
+                other => Err(format!("copyright flag has invalid value {other}")),
+            }
+        })?;
+        let mut copyright = Vec::with_capacity(n);
+        for present in flags {
+            copyright.push(if present {
+                Some(cur.utf8("copyright")?)
+            } else {
+                None
+            });
+        }
+        let screenshot = cur.column(n, 4, "screenshot_text", |c| c.utf8("screenshot_text"))?;
+        let input = cur.column(n, 4, "input_count", |c| c.u32("input_count"))?;
+        let image = cur.column(n, 4, "image_count", |c| c.u32("image_count"))?;
+        let iframe = cur.column(n, 4, "iframe_count", |c| c.u32("iframe_count"))?;
+        cur.done("page columns")?;
+        Ok(Columns {
+            starting,
+            landing,
+            chains,
+            logged,
+            hrefs,
+            text,
+            title,
+            copyright,
+            screenshot,
+            input,
+            image,
+            iframe,
+        })
     }
-    Ok(out)
 }
 
-fn decode_url_lists(cur: &mut Cur<'_>, n: usize, what: &str) -> Result<Vec<Vec<Url>>, String> {
-    let counts: Vec<u32> = decode_n(cur, n, |c| c.u32(what))?;
-    let mut lists = Vec::with_capacity(n);
-    for &count in &counts {
-        let mut list = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            list.push(cur.url(what)?);
-        }
-        lists.push(list);
+impl Columns<'_, Url> {
+    /// Moves every parsed row into a page, in stored order.
+    fn into_pages(self) -> Vec<VisitedPage> {
+        let mut chains = self.chains.into_iter();
+        let mut logged = self.logged.into_iter();
+        let mut hrefs = self.hrefs.into_iter();
+        let mut text = self.text.into_iter();
+        let mut title = self.title.into_iter();
+        let mut copyright = self.copyright.into_iter();
+        let mut screenshot = self.screenshot.into_iter();
+        let mut input = self.input.into_iter();
+        let mut image = self.image.into_iter();
+        let mut iframe = self.iframe.into_iter();
+        // The walk decoded every column with one entry per starting URL,
+        // so the other iterators cannot run dry; the defaults are
+        // unreachable.
+        self.starting
+            .into_iter()
+            .zip(self.landing)
+            .map(|(starting_url, landing_url)| VisitedPage {
+                starting_url,
+                landing_url,
+                redirection_chain: chains.next().unwrap_or_default(),
+                logged_links: logged.next().unwrap_or_default(),
+                href_links: hrefs.next().unwrap_or_default(),
+                text: text.next().unwrap_or_default().to_owned(),
+                title: title.next().unwrap_or_default().to_owned(),
+                copyright: copyright.next().flatten().map(str::to_owned),
+                screenshot_text: screenshot.next().unwrap_or_default().to_owned(),
+                input_count: input.next().unwrap_or_default() as usize,
+                image_count: image.next().unwrap_or_default() as usize,
+                iframe_count: iframe.next().unwrap_or_default() as usize,
+            })
+            .collect()
     }
-    Ok(lists)
+}
+
+/// One page block, every column checked, each row built on request.
+///
+/// [`PageStoreReader::next_view`] verifies the block checksum and walks
+/// every column with every check [`PageStoreReader::next_block`] makes:
+/// bounds, UTF-8, copyright flags, trailing bytes, and a URL check on
+/// every URL. So a view exists only for a block `next_block` would
+/// decode, and no row is handed out before every row is checked. The
+/// view parses only the starting URLs, runs [`Url::check`] on the rest,
+/// and keeps where each row's other fields sit; [`PageBlock::page`]
+/// builds one row's [`VisitedPage`].
+#[derive(Debug)]
+pub struct PageBlock<'a> {
+    columns: Columns<'a, &'a str>,
+}
+
+impl PageBlock<'_> {
+    /// Rows in the block.
+    pub fn len(&self) -> usize {
+        self.columns.starting.len()
+    }
+
+    /// `true` for a block of no rows.
+    pub fn is_empty(&self) -> bool {
+        self.columns.starting.is_empty()
+    }
+
+    /// Every row's starting URL, parsed, in stored order.
+    pub fn starting_urls(&self) -> &[Url] {
+        &self.columns.starting
+    }
+
+    /// Builds row `i`'s page: exactly the page [`PageStoreReader::next_block`]
+    /// returns at that position. `None` when `i` is not below
+    /// [`PageBlock::len`].
+    pub fn page(&self, i: usize) -> Option<VisitedPage> {
+        let c = &self.columns;
+        // Every URL text passed `Url::check`, the scanner `Url::parse`
+        // runs first, so each one parses.
+        let urls = |texts: &[&str]| -> Option<Vec<Url>> {
+            texts.iter().map(|s| Url::parse(s).ok()).collect()
+        };
+        Some(VisitedPage {
+            starting_url: c.starting.get(i)?.clone(),
+            landing_url: Url::parse(c.landing.get(i)?).ok()?,
+            redirection_chain: urls(c.chains.get(i)?)?,
+            logged_links: urls(c.logged.get(i)?)?,
+            href_links: urls(c.hrefs.get(i)?)?,
+            text: (*c.text.get(i)?).to_owned(),
+            title: (*c.title.get(i)?).to_owned(),
+            copyright: c.copyright.get(i)?.map(str::to_owned),
+            screenshot_text: (*c.screenshot.get(i)?).to_owned(),
+            input_count: *c.input.get(i)? as usize,
+            image_count: *c.image.get(i)? as usize,
+            iframe_count: *c.iframe.get(i)? as usize,
+        })
+    }
 }
 
 /// Streams page blocks back out of a store file.
@@ -374,15 +502,33 @@ impl<R: Read> PageStoreReader<R> {
         self.frame.header()
     }
 
-    /// Decodes the next block of pages, or `None` at a clean EOF.
-    pub fn next_block(&mut self) -> Result<Option<Vec<VisitedPage>>, StoreError> {
+    /// Reads and verifies the next block and walks its columns, or
+    /// `None` at a clean EOF.
+    fn next_columns<'a, U>(
+        &'a mut self,
+        url: impl FnMut(&'a str) -> Result<U, ParseUrlError>,
+    ) -> Result<Option<Columns<'a, U>>, StoreError> {
         let offset = self.frame.offset();
         let Some(n) = self.frame.next_block(&mut self.payload)? else {
             return Ok(None);
         };
-        decode_block(&self.payload, n as usize)
+        Columns::walk(&self.payload, n as usize, url)
             .map(Some)
             .map_err(|detail| StoreError::Corrupt { offset, detail })
+    }
+
+    /// Decodes the next block of pages, or `None` at a clean EOF.
+    pub fn next_block(&mut self) -> Result<Option<Vec<VisitedPage>>, StoreError> {
+        Ok(self.next_columns(Url::parse)?.map(Columns::into_pages))
+    }
+
+    /// Checks the next block as [`Self::next_block`] does and returns it
+    /// as a [`PageBlock`] that builds pages on request, or `None` at a
+    /// clean EOF. A block `next_block` refuses fails here with the same
+    /// error.
+    pub fn next_view(&mut self) -> Result<Option<PageBlock<'_>>, StoreError> {
+        let columns = self.next_columns(|s| Url::check(s).map(|()| s))?;
+        Ok(columns.map(|columns| PageBlock { columns }))
     }
 
     /// Reads every remaining page into memory (serving-stack loads).
@@ -511,5 +657,114 @@ mod tests {
             ),
             other => panic!("expected a corrupt-block error, got {other:?}"),
         }
+    }
+
+    /// Frames one block of `n` records over `payload`, with a valid
+    /// checksum.
+    fn forged(n: u32, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut fw = FrameWriter::new(&mut bytes, &header()).unwrap();
+        fw.write_block(n, payload).unwrap();
+        fw.finish().unwrap();
+        bytes
+    }
+
+    fn reader(bytes: &[u8]) -> PageStoreReader<&[u8]> {
+        PageStoreReader::from_frame(FrameReader::new(bytes).unwrap()).unwrap()
+    }
+
+    /// The corrupt-block detail of `bytes`' first block, through
+    /// `next_block` and through `next_view`.
+    fn details(bytes: &[u8]) -> [String; 2] {
+        let detail = |r: Result<(), StoreError>| match r {
+            Err(StoreError::Corrupt { detail, .. }) => detail,
+            other => panic!("expected a corrupt-block error, got {other:?}"),
+        };
+        [
+            detail(reader(bytes).next_block().map(drop)),
+            detail(reader(bytes).next_view().map(drop)),
+        ]
+    }
+
+    #[test]
+    fn view_builds_the_pages_next_block_decodes() {
+        let pages: Vec<VisitedPage> = (0..BLOCK_RECORDS + 17).map(page).collect();
+        let mut bytes = Vec::new();
+        let mut w = PageStoreWriter {
+            frame: FrameWriter::new(&mut bytes, &header()).unwrap(),
+            columns: PageColumns::default(),
+            payload: Vec::new(),
+        };
+        for p in &pages {
+            w.append(p).unwrap();
+        }
+        w.finish().unwrap();
+
+        let mut r = reader(&bytes);
+        let mut back = Vec::new();
+        while let Some(view) = r.next_view().unwrap() {
+            assert!(!view.is_empty());
+            assert!(view.page(view.len()).is_none());
+            for (i, url) in view.starting_urls().iter().enumerate() {
+                let page = view.page(i).unwrap();
+                assert_eq!(&page.starting_url, url);
+                back.push(page);
+            }
+        }
+        assert_eq!(back, pages, "views must build the stored pages exactly");
+    }
+
+    #[test]
+    fn forged_record_count_is_corrupt_not_an_abort() {
+        let bytes = forged(u32::MAX, &[1, 0, 0, 0, b'x', 0]);
+        for detail in details(&bytes) {
+            assert_eq!(
+                detail,
+                "4294967295 starting_url entries cannot fit in the 6 bytes left (at 0 of 6)"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_list_count_is_corrupt_not_an_abort() {
+        let mut payload = Vec::new();
+        put_str(&mut payload, "http://a.example/");
+        put_str(&mut payload, "http://b.example/");
+        put_u32(&mut payload, u32::MAX);
+        payload.extend_from_slice(&[0; 8]);
+        for detail in details(&forged(1, &payload)) {
+            assert_eq!(
+                detail,
+                "4294967295 redirection_chain entries cannot fit in the 8 bytes left (at 46 of 54)"
+            );
+        }
+    }
+
+    #[test]
+    fn view_refuses_what_next_block_refuses_with_the_same_detail() {
+        // A valid block whose last row's second href does not parse.
+        let mut rows: Vec<VisitedPage> = (0..4).map(page).collect();
+        let mut payload = Vec::new();
+        let mut columns = PageColumns::default();
+        for row in &rows {
+            columns.push(row);
+        }
+        columns.drain_into(&mut payload);
+        let good = forged(4, &payload);
+        assert_eq!(reader(&good).next_view().unwrap().unwrap().len(), 4);
+
+        rows[2].href_links[1] = Url::parse("http://10.0.0.9/b").unwrap();
+        for row in &rows {
+            columns.push(row);
+        }
+        columns.drain_into(&mut payload);
+        let at = payload.windows(9).position(|w| w == b"10.0.0.9/").unwrap();
+        payload[at + 5] = b'.';
+        let [from_block, from_view] = details(&forged(4, &payload));
+        assert_eq!(
+            from_block,
+            "href_links \"http://10.0...9/b\" does not parse: EmptyLabel"
+        );
+        assert_eq!(from_view, from_block);
     }
 }

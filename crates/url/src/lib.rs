@@ -260,6 +260,26 @@ impl Url {
         parse::parse(input)
     }
 
+    /// Runs every check [`Url::parse`] runs, without building the URL:
+    /// the same scanner, stopped before the buffer is allocated, so it
+    /// never allocates. `check(s)` is `Ok` exactly when `parse(s)` is,
+    /// with the same error.
+    ///
+    /// # Errors
+    ///
+    /// The [`ParseUrlError`] that [`Url::parse`] returns for `input`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use kyp_url::{ParseUrlError, Url};
+    /// assert_eq!(Url::check("https://example.com/a"), Ok(()));
+    /// assert_eq!(Url::check("http://a..b/"), Err(ParseUrlError::EmptyLabel));
+    /// ```
+    pub fn check(input: &str) -> Result<(), ParseUrlError> {
+        parse::check(input)
+    }
+
     /// Whether `s` starts with a scheme and `://`, the one test
     /// [`Url::parse`] reads a scheme by: an RFC 3986 scheme,
     /// `ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )`, directly followed by

@@ -1,13 +1,27 @@
 use crate::fqdn::DomainSplit;
 use crate::{HostAt, ParseUrlError, SchemeAt, Span, Url};
 
-/// Splits `input` by the paper's Fig. 1 into spans of `input`, then
-/// builds the URL's one buffer: the input, plus the canonical key and the
-/// lowercased scheme only when the input does not already hold them.
-///
-/// Every check runs before the buffer is allocated, so a string that does
-/// not parse costs no allocation.
-pub(crate) fn parse(input: &str) -> Result<Url, ParseUrlError> {
+/// What the checks of [`scan`] learn about an input: its parts as spans
+/// of the input, the IPv4 octets or the label count of its host.
+struct Scanned {
+    scheme: SchemeAt,
+    host: Span,
+    port: Option<u16>,
+    path: Option<Span>,
+    query: Option<Span>,
+    fragment: Option<Span>,
+    ipv4: Option<[u8; 4]>,
+    labels: usize,
+}
+
+/// Runs every check [`parse`] runs, allocating nothing.
+pub(crate) fn check(input: &str) -> Result<(), ParseUrlError> {
+    scan(input).map(|_| ())
+}
+
+/// Splits `input` by the paper's Fig. 1 into spans of `input` and checks
+/// every part: the checking end of the parser, which allocates nothing.
+fn scan(input: &str) -> Result<Scanned, ParseUrlError> {
     let trimmed = input.trim();
     if trimmed.is_empty() {
         return Err(ParseUrlError::MissingHost);
@@ -73,6 +87,36 @@ pub(crate) fn parse(input: &str) -> Result<Url, ParseUrlError> {
         Some(_) => 0,
         None => DomainSplit::validate(host_text)?,
     };
+    Ok(Scanned {
+        scheme,
+        host,
+        port,
+        path,
+        query,
+        fragment,
+        ipv4,
+        labels,
+    })
+}
+
+/// Builds the URL's one buffer from what [`scan`] found: the input, plus
+/// the canonical key and the lowercased scheme only when the input does
+/// not already hold them.
+///
+/// Every check runs in [`scan`], before the buffer is allocated, so a
+/// string that does not parse costs no allocation.
+pub(crate) fn parse(input: &str) -> Result<Url, ParseUrlError> {
+    let Scanned {
+        scheme,
+        host,
+        port,
+        path,
+        query,
+        fragment,
+        ipv4,
+        labels,
+    } = scan(input)?;
+    let host_text = host.of(input);
 
     // The input already holds the key `host/path` when the path's `/`
     // directly follows a host written in canonical form.

@@ -285,6 +285,13 @@ proptest! {
         check(&input);
     }
 
+    /// `Url::check` accepts a generated URL exactly when `Url::parse`
+    /// does, with the same error.
+    #[test]
+    fn generated_urls_check_as_they_parse(input in url_string()) {
+        prop_assert_eq!(Url::check(&input), Url::parse(&input).map(|_| ()), "{:?}", input);
+    }
+
     /// `same_rdn` agrees on pairs of generated URLs, and on a URL paired
     /// with a subdomain of its own host (which mostly shares its RDN).
     #[test]
@@ -313,5 +320,13 @@ proptest! {
     #[test]
     fn url_alphabet_soup_matches_reference(input in "[a-zA-Z0-9:/?#@. _-]{0,40}") {
         check(&input);
+    }
+
+    /// Soup checks as it parses: `Ok` together, or the same error.
+    #[test]
+    fn soup_checks_as_it_parses(input in ".{0,120}", alphabet in "[a-zA-Z0-9:/?#@. _-]{0,40}") {
+        for s in [&input, &alphabet] {
+            prop_assert_eq!(Url::check(s), Url::parse(s).map(|_| ()), "{:?}", s);
+        }
     }
 }

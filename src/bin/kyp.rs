@@ -725,7 +725,7 @@ fn cmd_scan(opts: &ParsedOpts) -> Result<(), String> {
     println!("title : {:?}", page.title);
     let mut sink = ObsSink::new();
     if let Some(cascade) = load_cascade(opts)? {
-        let decision = cascade.prescreen(page.starting_url.as_ref());
+        let decision = cascade.prescreen_url(&page.starting_url);
         sink.cascade_prescreen(decision.outcome());
         match decision {
             CascadeDecision::Final(verdict) => {

@@ -420,17 +420,15 @@ pub fn load_split_urls(
     {
         record_bundles.resize(record_bundles.len() + block.labels.len(), block.bundle);
     }
-    let path = pages_path(dir);
-    let mut pages =
-        PageStoreReader::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
+    let mut pages = open_pages(dir)?;
     let mut legit = Vec::new();
     let mut phish = Vec::new();
     let mut index = 0usize;
     while let Some(block) = pages
-        .next_block()
+        .next_view()
         .map_err(|e| format!("read page store: {e}"))?
     {
-        for page in block {
+        for url in block.starting_urls() {
             let Some(&bundle) = record_bundles.get(index) else {
                 return Err(
                     "page store holds more records than the feature store; regenerate the store"
@@ -439,9 +437,9 @@ pub fn load_split_urls(
             };
             index += 1;
             if bundle == legit_id {
-                legit.push(page.starting_url.to_string());
+                legit.push(url.as_str().to_owned());
             } else if bundle == phish_id {
-                phish.push(page.starting_url.to_string());
+                phish.push(url.as_str().to_owned());
             }
         }
     }
@@ -566,10 +564,11 @@ pub fn store_verdict_lines_cascade(
     scan_store(dir, pipeline, Some(cascade))
 }
 
-/// The store scan behind both public entry points: per block, each page
-/// is either final at the URL stage (when a cascade is given) or joins
-/// the block's full-classification batch, and the lines come out in
-/// stored order.
+/// The store scan behind both public entry points. Without a cascade
+/// every page of a block joins its full-classification batch. With one,
+/// the block is read as a [`PageBlock`](kyp_store::PageBlock): every
+/// starting URL is prescreened, and only the pages that fall through are
+/// built and classified. Lines come out in stored order.
 fn scan_store(
     dir: &Path,
     pipeline: &Pipeline,
@@ -581,39 +580,43 @@ fn scan_store(
         Done(String),
         Pending(usize),
     }
-    let path = pages_path(dir);
-    let mut reader =
-        PageStoreReader::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
+    let mut reader = open_pages(dir)?;
     let mut lines = Vec::new();
     let mut counters = CascadeCounters::default();
+    let Some(cascade) = cascade else {
+        while let Some(block) = reader
+            .next_block()
+            .map_err(|e| format!("read page store: {e}"))?
+        {
+            let batch: Vec<(String, ScrapedPage)> = block.into_iter().map(stored_page).collect();
+            let classified = pipeline.classify_scraped(&batch, &mut crate::obs::NoopObserver);
+            lines.extend(classified.iter().map(verdict_line));
+        }
+        return Ok((lines, counters));
+    };
     while let Some(block) = reader
-        .next_block()
+        .next_view()
         .map_err(|e| format!("read page store: {e}"))?
     {
         let mut slots = Vec::with_capacity(block.len());
         let mut batch: Vec<(String, ScrapedPage)> = Vec::new();
-        for visit in block {
-            let url = visit.starting_url.to_string();
-            if let Some(cascade) = cascade {
-                let decision = cascade.prescreen(&url);
-                counters.record(&decision);
-                if let CascadeDecision::Final(v) = decision {
-                    slots.push(Line::Done(render_verdict_line(
-                        &url, &v.verdict, false, v.stage,
-                    )));
-                    continue;
-                }
+        for (i, url) in block.starting_urls().iter().enumerate() {
+            let decision = cascade.prescreen_url(url);
+            counters.record(&decision);
+            if let CascadeDecision::Final(v) = decision {
+                slots.push(Line::Done(render_verdict_line(
+                    url.as_str(),
+                    &v.verdict,
+                    false,
+                    v.stage,
+                )));
+                continue;
             }
+            let page = block
+                .page(i)
+                .ok_or_else(|| format!("page store block has no row {i}"))?;
             slots.push(Line::Pending(batch.len()));
-            batch.push((
-                url,
-                ScrapedPage {
-                    visit,
-                    availability: SourceAvailability::FULL,
-                    attempts: 1,
-                    elapsed_ms: 0,
-                },
-            ));
+            batch.push(stored_page(page));
         }
         let classified = pipeline.classify_scraped(&batch, &mut crate::obs::NoopObserver);
         for slot in slots {
@@ -626,6 +629,26 @@ fn scan_store(
     Ok((lines, counters))
 }
 
+/// Opens the page store of a corpus directory.
+fn open_pages(dir: &Path) -> Result<PageStoreReader<BufReader<File>>, String> {
+    let path = pages_path(dir);
+    PageStoreReader::open(&path).map_err(|e| format!("open {}: {e}", path.display()))
+}
+
+/// A stored page as the full pipeline takes it: keyed by its starting
+/// URL, captured in full on the first attempt.
+fn stored_page(visit: VisitedPage) -> (String, ScrapedPage) {
+    (
+        visit.starting_url.as_str().to_owned(),
+        ScrapedPage {
+            visit,
+            availability: SourceAvailability::FULL,
+            attempts: 1,
+            elapsed_ms: 0,
+        },
+    )
+}
+
 /// Rebuilds the serving page source from a store directory: the
 /// [`StoredPages`] map and the request-pool URL list, in stored order.
 ///
@@ -633,12 +656,9 @@ fn scan_store(
 ///
 /// Store-format failures, rendered as strings.
 pub fn load_serving_pages(dir: &Path) -> Result<(StoredPages, Vec<String>), String> {
-    let path = pages_path(dir);
-    let reader =
-        PageStoreReader::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    let pages = reader
+    let pages = open_pages(dir)?
         .read_all()
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
+        .map_err(|e| format!("read {}: {e}", pages_path(dir).display()))?;
     if pages.is_empty() {
         return Err(format!(
             "store at {} holds no pages (run `kyp gen` first)",

@@ -38,6 +38,16 @@ fn read_all_pages(path: &Path) -> Result<Vec<knowyourphish::web::VisitedPage>, S
     PageStoreReader::open(path)?.read_all()
 }
 
+/// Walks every block as a checked view, building no page.
+fn drain_views(path: &Path) -> Result<usize, StoreError> {
+    let mut reader = PageStoreReader::open(path)?;
+    let mut rows = 0;
+    while let Some(view) = reader.next_view()? {
+        rows += view.len();
+    }
+    Ok(rows)
+}
+
 fn drain_features(path: &Path) -> Result<usize, StoreError> {
     let mut reader = FeatureStoreReader::open(path)?;
     let mut rows = 0;
@@ -115,6 +125,13 @@ fn every_sampled_bit_flip_is_detected() {
                 "bit flip at byte {pos}/{len} of {} went undetected",
                 path.display()
             );
+            if is_pages {
+                assert!(
+                    drain_views(&path).is_err(),
+                    "bit flip at byte {pos}/{len} of {} went undetected by next_view",
+                    path.display()
+                );
+            }
         }
         std::fs::write(&path, &original).unwrap();
     }
