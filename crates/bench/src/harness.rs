@@ -54,9 +54,9 @@ impl EvalArgs {
 
     /// Parses `--scale <f>`, `--seed <n>` and `--threads <n>` from an
     /// argument list that excludes the program name. Any other argument,
-    /// a missing or malformed value, or a `--threads` that is not one
-    /// positive integer is an error; a repeated option keeps its last
-    /// value.
+    /// a missing or malformed value, a `--scale` that is not a finite
+    /// number > 0, or a `--threads` that is not one positive integer is
+    /// an error; a repeated option keeps its last value.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut parsed = EvalArgs::default();
         let mut iter = args.into_iter();
@@ -73,7 +73,13 @@ impl EvalArgs {
             };
             let invalid = |want: &str| format!("invalid {flag} {value:?} (want {want})");
             match flag.as_str() {
-                "--scale" => parsed.scale = value.parse().map_err(|_| invalid("a number"))?,
+                "--scale" => {
+                    let scale: f64 = value.parse().map_err(|_| invalid("a number"))?;
+                    if !(scale.is_finite() && scale > 0.0) {
+                        return Err(invalid("a finite number > 0"));
+                    }
+                    parsed.scale = scale;
+                }
                 "--seed" => {
                     parsed.seed = value
                         .parse()
@@ -241,6 +247,18 @@ mod tests {
             let err = parse(args).unwrap_err();
             assert!(err.contains(want), "{args}: {err}");
         }
+    }
+
+    #[test]
+    fn scales_that_are_not_finite_and_positive_are_refused() {
+        for scale in ["inf", "-inf", "nan", "NaN", "0", "-0", "-1"] {
+            let err = parse(&format!("--scale {scale}")).unwrap_err();
+            assert_eq!(
+                err,
+                format!("invalid --scale {scale:?} (want a finite number > 0)")
+            );
+        }
+        assert_eq!(parse("--scale 1e-9").unwrap().scale, 1e-9);
     }
 
     /// End-to-end learnability: on a small corpus, the full 212-feature

@@ -27,6 +27,8 @@
 //! assert_eq!(back.format_version, kyp_core::MODEL_SNAPSHOT_VERSION);
 //! ```
 
+use crate::cascade::URL_FEATURE_COUNT;
+use crate::features::FEATURE_COUNT;
 use crate::PhishDetector;
 use kyp_web::DomainRanker;
 use serde::{Deserialize, Serialize};
@@ -129,6 +131,16 @@ pub enum SnapshotError {
         /// The stage the loading seam requires.
         expected: String,
     },
+    /// The model scores rows of another width than its stage's rows —
+    /// a split on a feature past the row's end would index out of it.
+    WidthMismatch {
+        /// The stage both the seam and the snapshot name.
+        stage: String,
+        /// The model's `n_features`.
+        found: usize,
+        /// The width of that stage's feature rows.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -152,6 +164,15 @@ impl fmt::Display for SnapshotError {
                 "model snapshot scores the {found:?} cascade stage, but this \
                  seam needs a {expected:?}-stage model (train one with \
                  `kyp cascade-train` for \"url\", `kyp train` for \"full\")"
+            ),
+            SnapshotError::WidthMismatch {
+                stage,
+                found,
+                expected,
+            } => write!(
+                f,
+                "model snapshot scores {found} features, but {stage:?}-stage \
+                 rows have {expected}"
             ),
         }
     }
@@ -194,20 +215,37 @@ impl ModelSnapshot {
         self.stage.as_deref().unwrap_or(STAGE_FULL)
     }
 
-    /// Verifies the snapshot scores the stage a loading seam expects.
+    /// Verifies the snapshot scores the stage a loading seam expects
+    /// ([`STAGE_URL`] or [`STAGE_FULL`]), over rows of that stage's
+    /// width: [`URL_FEATURE_COUNT`] or [`FEATURE_COUNT`] features.
+    /// `from_json` checks every split against the model's own
+    /// `n_features`; this check ties that to the rows the seam scores.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::StageMismatch`] when it does not.
+    /// [`SnapshotError::StageMismatch`] when the stage differs, and
+    /// [`SnapshotError::WidthMismatch`] when the width does.
     pub fn require_stage(&self, expected: &str) -> Result<(), SnapshotError> {
-        if self.stage() == expected {
-            Ok(())
-        } else {
-            Err(SnapshotError::StageMismatch {
+        if self.stage() != expected {
+            return Err(SnapshotError::StageMismatch {
                 found: self.stage().to_owned(),
                 expected: expected.to_owned(),
-            })
+            });
         }
+        let width = if expected == STAGE_URL {
+            URL_FEATURE_COUNT
+        } else {
+            FEATURE_COUNT
+        };
+        let found = self.detector.model().n_features();
+        if found != width {
+            return Err(SnapshotError::WidthMismatch {
+                stage: expected.to_owned(),
+                found,
+                expected: width,
+            });
+        }
+        Ok(())
     }
 
     /// Serializes the snapshot to its json interchange form.
@@ -292,10 +330,22 @@ mod tests {
     use kyp_ml::Dataset;
 
     fn snapshot() -> ModelSnapshot {
-        let mut train = Dataset::new(2);
+        snapshot_of_width(2)
+    }
+
+    /// A row of `width` features alternating `v` and `1 - v`.
+    fn row(v: f64, width: usize) -> Vec<f64> {
+        (0..width)
+            .map(|i| if i % 2 == 0 { v } else { 1.0 - v })
+            .collect()
+    }
+
+    /// A full-stage snapshot trained on rows of `width` features.
+    fn snapshot_of_width(width: usize) -> ModelSnapshot {
+        let mut train = Dataset::new(width);
         for i in 0..120 {
             let v = f64::from(i % 2);
-            train.push_row(&[v, 1.0 - v], v > 0.5);
+            train.push_row(&row(v, width), v > 0.5);
         }
         let detector = PhishDetector::train(&train, &DetectorConfig::default());
         ModelSnapshot::new(detector, DomainRanker::from_ranked(["example.com"]))
@@ -394,7 +444,7 @@ mod tests {
 
     #[test]
     fn untagged_snapshots_are_full_stage_and_keep_their_bytes() {
-        let snap = snapshot();
+        let snap = snapshot_of_width(FEATURE_COUNT);
         assert_eq!(snap.stage(), STAGE_FULL);
         assert!(snap.require_stage(STAGE_FULL).is_ok());
         let json = snap.to_json().unwrap();
@@ -408,7 +458,7 @@ mod tests {
 
     #[test]
     fn url_stage_tag_round_trips_with_identical_scores() {
-        let base = snapshot();
+        let base = snapshot_of_width(URL_FEATURE_COUNT);
         let snap = ModelSnapshot::new_url_stage(base.detector.clone(), base.ranker.clone());
         assert_eq!(snap.stage(), STAGE_URL);
         let json = snap.to_json().unwrap();
@@ -416,12 +466,39 @@ mod tests {
         let back = ModelSnapshot::from_json(&json).unwrap();
         assert_eq!(back.stage(), STAGE_URL);
         assert!(back.require_stage(STAGE_URL).is_ok());
-        for row in [[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]] {
+        for v in [1.0, 0.0, 0.3] {
+            let row = row(v, URL_FEATURE_COUNT);
             assert_eq!(
                 snap.detector.score(&row).to_bits(),
                 back.detector.score(&row).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn a_model_of_another_width_than_its_stage_is_refused() {
+        let narrow = snapshot();
+        let url = ModelSnapshot::new_url_stage(narrow.detector.clone(), narrow.ranker.clone());
+        for (snap, stage, expected) in [
+            (&narrow, STAGE_FULL, FEATURE_COUNT),
+            (&url, STAGE_URL, URL_FEATURE_COUNT),
+        ] {
+            match snap.require_stage(stage) {
+                Err(SnapshotError::WidthMismatch {
+                    stage: named,
+                    found,
+                    expected: width,
+                }) => {
+                    assert_eq!((named.as_str(), found, width), (stage, 2, expected));
+                }
+                other => panic!("expected a width mismatch, got {other:?}"),
+            }
+        }
+        let err = narrow.require_stage(STAGE_FULL).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "model snapshot scores 2 features, but \"full\"-stage rows have 212"
+        );
     }
 
     #[test]

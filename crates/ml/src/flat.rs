@@ -153,7 +153,7 @@ impl FlatModel {
             let i = node as usize;
             // `x <= t` goes left; NaN fails the comparison and goes right,
             // exactly like the boxed walk.
-            // kyp-lint: allow(P02) — node tables are compiled from validated trees; bounds hold by construction on the hot path
+            // kyp-lint: allow(P02) — validated trees split on features below n_features, and every seam that loads a model checks n_features against its rows (ModelSnapshot::require_stage)
             let go_left = row[self.feature[i] as usize] <= self.threshold[i];
             node = self.children[i][usize::from(!go_left)]; // kyp-lint: allow(P02) — compiled in bounds, as above
         }

@@ -23,7 +23,7 @@ use knowyourphish::cli::{ArgSpec, CommandSpec, Parsed, ParsedOpts};
 use knowyourphish::cluster::{verdict_stream, ClusterConfig, ClusterService, CrashPlan};
 use knowyourphish::core::{
     CascadeBand, CascadeClassifier, CascadeDecision, DetectorConfig, ModelSnapshot, PhishDetector,
-    Pipeline, PipelineVerdict,
+    Pipeline, PipelineVerdict, STAGE_FULL,
 };
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::metrics;
@@ -518,9 +518,19 @@ fn write_obs_exports(opts: &ParsedOpts, sink: &ObsSink) -> Result<(), String> {
 fn cmd_gen(opts: &ParsedOpts) -> Result<(), String> {
     let dir = Path::new(opts.require("out")?);
     let scale: f64 = opts.num("scale", 0.02)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!(
+            "invalid --scale {scale} (want a finite number > 0)"
+        ));
+    }
     let mut config = CampaignConfig::scaled(scale);
     config.seed = opts.num("seed", config.seed)?;
     let fault_rate: f64 = opts.num("fault-rate", 0.0)?;
+    if !(0.0..=1.0).contains(&fault_rate) {
+        return Err(format!(
+            "invalid --fault-rate {fault_rate} (want a number in [0, 1])"
+        ));
+    }
     let fault_seed: u64 = opts.num("fault-seed", config.seed)?;
 
     eprintln!("generating corpus at scale {scale}...");
@@ -644,9 +654,15 @@ fn load_cascade(opts: &ParsedOpts) -> Result<Option<CascadeClassifier>, String> 
     Ok(Some(cascade))
 }
 
+/// Loads the full-pipeline snapshot `--model` names, refusing one of
+/// another stage or row width before it scores a page.
 fn load_model(opts: &ParsedOpts) -> Result<ModelSnapshot, String> {
     let path = PathBuf::from(opts.require("model")?);
-    ModelSnapshot::load(&path).map_err(|e| format!("load {path:?}: {e}"))
+    let snapshot = ModelSnapshot::load(&path).map_err(|e| format!("load {path:?}: {e}"))?;
+    snapshot
+        .require_stage(STAGE_FULL)
+        .map_err(|e| format!("load {path:?}: {e}"))?;
+    Ok(snapshot)
 }
 
 /// `kyp eval`: Table VI-style metrics on the held-out test rows,
@@ -952,7 +968,7 @@ fn cmd_cluster(opts: &ParsedOpts) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{cmd_scan, cmd_serve, COMMANDS, STORE_INSPECT};
+    use super::{cmd_gen, cmd_scan, cmd_serve, COMMANDS, STORE_INSPECT};
     use knowyourphish::cli::{Parsed, ParsedOpts};
 
     /// Parses `args` against `kyp <command>`'s spec.
@@ -978,6 +994,55 @@ mod tests {
             ))
             .unwrap_err();
             assert_eq!(err, format!("{option} needs --page <page.json>"));
+        }
+    }
+
+    #[test]
+    fn gen_refuses_nonsense_scales_and_fault_rates() {
+        for (option, value, want) in [
+            (
+                "--scale",
+                "inf",
+                "invalid --scale inf (want a finite number > 0)",
+            ),
+            (
+                "--scale",
+                "nan",
+                "invalid --scale NaN (want a finite number > 0)",
+            ),
+            (
+                "--scale",
+                "0",
+                "invalid --scale 0 (want a finite number > 0)",
+            ),
+            (
+                "--scale",
+                "-1",
+                "invalid --scale -1 (want a finite number > 0)",
+            ),
+            (
+                "--fault-rate",
+                "nan",
+                "invalid --fault-rate NaN (want a number in [0, 1])",
+            ),
+            (
+                "--fault-rate",
+                "inf",
+                "invalid --fault-rate inf (want a number in [0, 1])",
+            ),
+            (
+                "--fault-rate",
+                "-0.5",
+                "invalid --fault-rate -0.5 (want a number in [0, 1])",
+            ),
+            (
+                "--fault-rate",
+                "1.5",
+                "invalid --fault-rate 1.5 (want a number in [0, 1])",
+            ),
+        ] {
+            let err = cmd_gen(&opts("gen", &["--out", MISSING, option, value])).unwrap_err();
+            assert_eq!(err, want);
         }
     }
 

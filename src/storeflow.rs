@@ -10,7 +10,10 @@
 //!
 //! - [`build_store`] scrapes a generated [`Corpus`] bundle by bundle
 //!   and streams both the visited pages *and* their extracted feature
-//!   rows to disk in bounded memory (one block at a time);
+//!   rows to disk in bounded memory (one block at a time); on a clean
+//!   web it writes the search index from the same visits, so each page
+//!   is visited once, and under faults [`write_corpus_sidecars`]
+//!   re-lands the legitimate pages on the clean web;
 //! - [`load_split_dataset`] streams feature blocks back into the
 //!   legit-rows-then-phish-rows [`Dataset`] layout `kyp train` fits;
 //! - [`score_split_streaming`] pushes feature blocks through the
@@ -35,6 +38,7 @@ use crate::html::Document;
 use crate::ml::Dataset;
 use crate::search::SearchEngine;
 use crate::serve::StoredPages;
+use crate::url::Url;
 use crate::web::{
     Browser, DomainRanker, ResilientBrowser, ScrapedPage, SourceAvailability, VisitedPage, World,
 };
@@ -45,7 +49,7 @@ use kyp_store::{
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::fs::File;
-use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
+use std::io::{BufRead as _, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -59,6 +63,39 @@ struct IndexEntry {
     mld: String,
     /// Title and body text, the engine's indexable content.
     text: String,
+}
+
+/// Appends the `index.jsonl` line of a page that landed at `landing_url`
+/// with `title` and `text`. A landing URL without a registered domain
+/// (an IP host) gives no entry: the engine keys pages by RDN and mld.
+fn write_index_line(
+    index: &mut impl Write,
+    landing_url: &Url,
+    title: &str,
+    text: &str,
+) -> Result<(), String> {
+    let (Some(rdn), Some(mld)) = (landing_url.rdn(), landing_url.mld()) else {
+        return Ok(());
+    };
+    let entry = IndexEntry {
+        rdn: rdn.to_owned(),
+        mld: mld.to_owned(),
+        text: format!("{title} {text}"),
+    };
+    let line = serde_json::to_string(&entry).map_err(|e| e.to_string())?;
+    writeln!(index, "{line}").map_err(|e| e.to_string())
+}
+
+/// Writes the offline popularity ranking, `ranker.json`.
+fn write_ranker(dir: &Path, corpus: &Corpus) -> Result<(), String> {
+    let ranker_json = serde_json::to_string(&corpus.ranker).map_err(|e| e.to_string())?;
+    fs::write(dir.join("ranker.json"), ranker_json).map_err(|e| e.to_string())
+}
+
+/// Creates a corpus directory's `index.jsonl` for streaming.
+fn create_index(dir: &Path) -> Result<BufWriter<File>, String> {
+    let file = File::create(dir.join("index.jsonl")).map_err(|e| e.to_string())?;
+    Ok(BufWriter::new(file))
 }
 
 /// The [`WorldStamp`] describing a generation run: the campaign sizes
@@ -97,11 +134,13 @@ pub struct StoreBuildReport {
 type PageWriter = PageStoreWriter<BufWriter<File>>;
 type FeatureWriter = FeatureStoreWriter<BufWriter<File>>;
 
-/// Scrapes one buffered chunk into both store files and clears it.
+/// Writes one buffered chunk of visited pages into both store files,
+/// and into `index` when given, then clears it.
 fn flush_chunk(
     extractor: &FeatureExtractor,
     page_writer: &mut PageWriter,
     feature_writer: &mut FeatureWriter,
+    index: Option<&mut BufWriter<File>>,
     bundle: u32,
     is_phish: bool,
     chunk: &mut Vec<VisitedPage>,
@@ -113,6 +152,11 @@ fn flush_chunk(
         page_writer
             .append(page)
             .map_err(|e| format!("write page store: {e}"))?;
+    }
+    if let Some(index) = index {
+        for page in chunk.iter() {
+            write_index_line(index, &page.landing_url, &page.title, &page.text)?;
+        }
     }
     let flat = extractor.extract_batch_flat(chunk);
     let labels = vec![is_phish; chunk.len()];
@@ -129,7 +173,20 @@ fn flush_chunk(
 /// time.
 ///
 /// Also writes the corpus sidecars (`ranker.json`, `index.jsonl`) so a
-/// store directory is self-sufficient for train/eval/scan/serve.
+/// store directory is self-sufficient for train/eval/scan/serve. The
+/// sidecars describe the clean web whatever the fault plan, with the
+/// same bytes [`write_corpus_sidecars`] writes.
+///
+/// `world` must be `corpus.world` itself when `fault_rate` is 0, and a
+/// fault-injecting view of it at `fault_rate` otherwise: the store
+/// stamp records `fault_rate` as the description of the scraped web,
+/// and a build at rate 0 takes the index from its own scrape. There a
+/// scrape succeeds exactly when [`Browser::land`] does and collects the
+/// landing page's title and text, so the legitimate bundles' index
+/// lines are written as each of their blocks is flushed and no page is
+/// visited twice. At any other rate a page may have been garbled or
+/// lost in transit, so the index comes from [`write_corpus_sidecars`],
+/// which lands every legitimate page again on the clean web.
 ///
 /// # Errors
 ///
@@ -166,6 +223,14 @@ pub fn build_store<W: World>(
     let mut feature_writer = FeatureStoreWriter::create(&features_path(dir), &features_header)
         .map_err(|e| format!("create feature store: {e}"))?;
 
+    // The index covers the legitimate bundles, `leg_train` then
+    // `leg_test`, in scrape order.
+    let mut index = if fault_rate == 0.0 {
+        Some(create_index(dir)?)
+    } else {
+        None
+    };
+
     let extractor = FeatureExtractor::new(corpus.ranker.clone());
     let mut scraper = ResilientBrowser::new(world);
     let mut report = ScrapeReport::default();
@@ -186,6 +251,7 @@ pub fn build_store<W: World>(
                     &extractor,
                     &mut page_writer,
                     &mut feature_writer,
+                    index.as_mut().filter(|_| !is_phish),
                     bundle_id as u32,
                     *is_phish,
                     &mut chunk,
@@ -197,6 +263,7 @@ pub fn build_store<W: World>(
             &extractor,
             &mut page_writer,
             &mut feature_writer,
+            index.as_mut().filter(|_| !is_phish),
             bundle_id as u32,
             *is_phish,
             &mut chunk,
@@ -213,7 +280,13 @@ pub fn build_store<W: World>(
     let (_, rows_written, feature_bytes) = feature_writer
         .finish()
         .map_err(|e| format!("finish feature store: {e}"))?;
-    write_corpus_sidecars(dir, corpus)?;
+    match index {
+        Some(mut index) => {
+            index.flush().map_err(|e| e.to_string())?;
+            write_ranker(dir, corpus)?;
+        }
+        None => write_corpus_sidecars(dir, corpus)?,
+    }
     Ok(StoreBuildReport {
         pages: pages_written,
         rows: rows_written,
@@ -226,37 +299,29 @@ pub fn build_store<W: World>(
 
 /// Writes the non-page corpus artifacts a scoring stack needs next to
 /// the scraped data: the offline popularity ranking (`ranker.json`) and
-/// the search-engine index over the legitimate corpus (`index.jsonl`).
+/// the search-engine index over the legitimate corpus (`index.jsonl`),
+/// landing every `leg_train` and English-test URL on the clean
+/// `corpus.world`. [`build_store`] calls it when its scrape went
+/// through a faulty web; a clean build writes the same bytes from its
+/// own visits.
 ///
 /// # Errors
 ///
 /// Serialization and filesystem failures, rendered as strings.
 pub fn write_corpus_sidecars(dir: &Path, corpus: &Corpus) -> Result<(), String> {
-    let ranker_json = serde_json::to_string(&corpus.ranker).map_err(|e| e.to_string())?;
-    fs::write(dir.join("ranker.json"), ranker_json).map_err(|e| e.to_string())?;
+    write_ranker(dir, corpus)?;
 
-    // Re-derive index entries from the legitimate sites the engine
-    // knows. (The campaign indexes each site's crawlable text; we
-    // persist what a crawler would store.) An entry needs the landing
-    // page's title and text only, so each site's redirects are followed
-    // and its landing HTML parsed, but no link is resolved.
+    // An entry needs the landing page's title and text only, so each
+    // site's redirects are followed and its landing HTML parsed, but no
+    // link is resolved.
     let browser = Browser::new(&corpus.world);
-    let index_file = File::create(dir.join("index.jsonl")).map_err(|e| e.to_string())?;
-    let mut index = BufWriter::new(index_file);
+    let mut index = create_index(dir)?;
     for url in corpus.leg_train.iter().chain(corpus.english_test()) {
         let Ok(landing) = browser.land(url) else {
             continue;
         };
-        if let (Some(rdn), Some(mld)) = (landing.url().rdn(), landing.url().mld()) {
-            let doc = Document::parse(landing.html());
-            let entry = IndexEntry {
-                rdn: rdn.to_owned(),
-                mld: mld.to_owned(),
-                text: format!("{} {}", doc.title, doc.text),
-            };
-            let line = serde_json::to_string(&entry).map_err(|e| e.to_string())?;
-            writeln!(index, "{line}").map_err(|e| e.to_string())?;
-        }
+        let doc = Document::parse(landing.html());
+        write_index_line(&mut index, landing.url(), &doc.title, &doc.text)?;
     }
     index.flush().map_err(|e| e.to_string())
 }

@@ -3,12 +3,23 @@
 //! snapshots. Each case edits a real document with byte flips,
 //! truncation and inserted runs of brackets, quotes and separators;
 //! parsing must return, `Ok` or `Err`, without panicking.
+//!
+//! Few byte edits leave a snapshot well-formed JSON, so snapshots are
+//! also mutated as a parsed value tree: numbers replaced or swapped
+//! (`n_features` and split `feature` indices among them), fields
+//! dropped and arrays resized. Every mutant goes through the load and
+//! stage checks a scoring seam makes, and one that passes them must
+//! score a row of its stage's width without panicking.
 
-use knowyourphish::core::{DetectorConfig, ModelSnapshot, PhishDetector};
+use knowyourphish::core::features::FEATURE_COUNT;
+use knowyourphish::core::{
+    DetectorConfig, ModelSnapshot, PhishDetector, STAGE_FULL, STAGE_URL, URL_FEATURE_COUNT,
+};
 use knowyourphish::ml::Dataset;
 use knowyourphish::serve::ServeRequest;
 use knowyourphish::web::DomainRanker;
 use proptest::prelude::*;
+use serde_json::{Number, Value};
 use std::sync::OnceLock;
 
 /// Bytes the insert edit splices in: JSON's structural characters.
@@ -91,6 +102,11 @@ fn unmutated_documents_parse() {
         serde_json::from_str::<ServeRequest>(&line).expect("a real request line parses");
     }
     ModelSnapshot::from_json(snapshot_json()).expect("a real snapshot loads");
+    for stage in [STAGE_FULL, STAGE_URL] {
+        let json = serde_json::to_string(staged_snapshot(stage)).expect("a value serializes");
+        let snapshot = ModelSnapshot::from_json(&json).expect("a real snapshot loads");
+        snapshot.require_stage(stage).expect("at its own stage");
+    }
 }
 
 proptest! {
@@ -112,5 +128,207 @@ proptest! {
     fn mutated_snapshots_never_panic(edits in edits()) {
         let json = mutate(snapshot_json(), &edits);
         let _ = ModelSnapshot::from_json(&json);
+    }
+}
+
+/// A trained snapshot of the given stage over rows of its width, as
+/// `kyp train` or `kyp cascade-train` writes one, parsed into a value
+/// tree.
+fn staged_snapshot(stage: &str) -> &'static Value {
+    static FULL: OnceLock<Value> = OnceLock::new();
+    static URL: OnceLock<Value> = OnceLock::new();
+    let (cell, width) = if stage == STAGE_URL {
+        (&URL, URL_FEATURE_COUNT)
+    } else {
+        (&FULL, FEATURE_COUNT)
+    };
+    cell.get_or_init(|| {
+        let mut train = Dataset::new(width);
+        for i in 0..80u32 {
+            let row: Vec<f64> = (0..width as u32)
+                .map(|j| f64::from((i * 7 + j * 13) % 11) / 10.0)
+                .collect();
+            let label = row[i as usize % width] + row[width - 1] > 1.0;
+            train.push_row(&row, label);
+        }
+        let mut config = DetectorConfig::default();
+        config.gbm.n_trees = 6;
+        let detector = PhishDetector::train(&train, &config);
+        let ranker = DomainRanker::from_ranked(["example.com", "paypal.com"]);
+        let snapshot = if stage == STAGE_URL {
+            ModelSnapshot::new_url_stage(detector, ranker)
+        } else {
+            ModelSnapshot::new(detector, ranker)
+        };
+        serde_json::to_value(&snapshot).expect("a snapshot converts to a value tree")
+    })
+}
+
+/// Numbers a replacement draws from: boundaries of every row width and
+/// of the integer types the snapshot's fields deserialize into.
+fn replacement(pick: usize) -> Number {
+    const INTEGERS: [u64; 12] = [
+        0,
+        1,
+        2,
+        16,
+        17,
+        50,
+        211,
+        212,
+        213,
+        900,
+        u32::MAX as u64,
+        u64::MAX,
+    ];
+    match pick % 16 {
+        k @ 0..=11 => Number::PosInt(INTEGERS[k]),
+        12 => Number::NegInt(-1),
+        13 => Number::Float(0.5),
+        14 => Number::Float(-1e300),
+        _ => Number::Float(1e300),
+    }
+}
+
+/// A node of the value tree, addressed by the member or element
+/// position at each level.
+type Path = Vec<usize>;
+
+/// Every number, object and array of `value`, with the member name a
+/// number sits under.
+#[derive(Default)]
+struct Nodes {
+    numbers: Vec<(Path, Option<String>)>,
+    objects: Vec<Path>,
+    arrays: Vec<Path>,
+}
+
+fn collect(value: &Value, path: &mut Path, key: Option<&str>, nodes: &mut Nodes) {
+    match value {
+        Value::Number(_) => nodes.numbers.push((path.clone(), key.map(str::to_owned))),
+        Value::Object(fields) => {
+            nodes.objects.push(path.clone());
+            for (i, (name, field)) in fields.iter().enumerate() {
+                path.push(i);
+                collect(field, path, Some(name), nodes);
+                path.pop();
+            }
+        }
+        Value::Array(items) => {
+            nodes.arrays.push(path.clone());
+            for (i, item) in items.iter().enumerate() {
+                path.push(i);
+                collect(item, path, None, nodes);
+                path.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+fn at<'v>(value: &'v mut Value, path: &[usize]) -> &'v mut Value {
+    path.iter().fold(value, |node, &i| match node {
+        Value::Object(fields) => &mut fields[i].1,
+        Value::Array(items) => &mut items[i],
+        _ => unreachable!("a collected path runs through containers only"),
+    })
+}
+
+/// One structural edit: `(kind, node, choice)`. Kind 0 replaces any
+/// number, kind 1 a `n_features` or split `feature` number, kind 2
+/// swaps two numbers, kind 3 drops an object member and kind 4 resizes
+/// an array, truncating it or repeating its last element.
+type TreeEdit = (u8, usize, usize);
+
+fn tree_edits() -> impl Strategy<Value = Vec<TreeEdit>> {
+    collection::vec((0u8..5, any::<usize>(), any::<usize>()), 1..5)
+}
+
+/// The element of `items` that `choice` picks, if there is one.
+fn pick<T>(items: &[T], choice: usize) -> Option<&T> {
+    items.get(choice.checked_rem(items.len())?)
+}
+
+fn mutate_tree(doc: &Value, edits: &[TreeEdit]) -> Value {
+    let mut value = doc.clone();
+    for &(kind, node, choice) in edits {
+        let mut nodes = Nodes::default();
+        collect(&value, &mut Vec::new(), None, &mut nodes);
+        let numbers: Vec<&Path> = nodes.numbers.iter().map(|(path, _)| path).collect();
+        let features: Vec<&Path> = nodes
+            .numbers
+            .iter()
+            .filter(|(_, key)| matches!(key.as_deref(), Some("n_features" | "feature")))
+            .map(|(path, _)| path)
+            .collect();
+        match kind {
+            0 | 1 => {
+                let targets = if kind == 0 { &numbers } else { &features };
+                if let Some(path) = pick(targets, node) {
+                    *at(&mut value, path) = Value::Number(replacement(choice));
+                }
+            }
+            2 => {
+                if let (Some(a), Some(b)) = (pick(&numbers, node), pick(&numbers, choice)) {
+                    let taken = at(&mut value, b).clone();
+                    let given = std::mem::replace(at(&mut value, a), taken);
+                    *at(&mut value, b) = given;
+                }
+            }
+            3 => {
+                if let Some(path) = pick(&nodes.objects, node) {
+                    if let Value::Object(fields) = at(&mut value, path) {
+                        if let Some(i) = choice.checked_rem(fields.len()) {
+                            fields.remove(i);
+                        }
+                    }
+                }
+            }
+            _ => {
+                if let Some(path) = pick(&nodes.arrays, node) {
+                    if let Value::Array(items) = at(&mut value, path) {
+                        let len = choice % (2 * items.len() + 2);
+                        let last = items.last().cloned().unwrap_or(Value::Null);
+                        items.resize(len, last);
+                    }
+                }
+            }
+        }
+    }
+    value
+}
+
+/// Loads a mutant as a seam of `stage` would and, when it loads,
+/// scores rows of that stage's width with it.
+fn load_and_score(json: &str, stage: &str, width: usize) {
+    let Ok(snapshot) = ModelSnapshot::from_json(json) else {
+        return;
+    };
+    if snapshot.require_stage(stage).is_err() {
+        return;
+    }
+    let rows: Vec<Vec<f64>> = [0.0, 0.5, 1.0, f64::NAN]
+        .iter()
+        .map(|&v| vec![v; width])
+        .collect();
+    let batch = snapshot.detector.score_batch(&rows);
+    for (row, batched) in rows.iter().zip(batch) {
+        assert_eq!(snapshot.detector.score(row).to_bits(), batched.to_bits());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn structurally_mutated_snapshots_never_panic(url_stage in any::<bool>(), edits in tree_edits()) {
+        let (stage, width) = if url_stage {
+            (STAGE_URL, URL_FEATURE_COUNT)
+        } else {
+            (STAGE_FULL, FEATURE_COUNT)
+        };
+        let mutant = mutate_tree(staged_snapshot(stage), &edits);
+        let json = serde_json::to_string(&mutant).expect("a value serializes");
+        load_and_score(&json, stage, width);
     }
 }

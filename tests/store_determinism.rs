@@ -1,5 +1,6 @@
 //! The store's determinism contract: `kyp gen` must write
 //! byte-identical files at any thread count and across repeated runs,
+//! its index and ranking sidecars must not depend on the fault plan,
 //! and everything later streamed *out* of a store — training matrices,
 //! models, scores, verdict streams, serving pages — must be
 //! byte-identical to the in-memory pipeline it replaced.
@@ -11,7 +12,7 @@ use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::Dataset;
 use knowyourphish::serve::{PageSource, StoredPages};
 use knowyourphish::storeflow;
-use knowyourphish::web::ResilientBrowser;
+use knowyourphish::web::{FaultPlan, FlakyWorld, ResilientBrowser};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -248,4 +249,38 @@ fn serving_pages_from_store_match_in_memory_source() {
         assert_eq!(reference, serde_json::to_string(&b.visit).unwrap());
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The index and ranking sidecars describe the clean web, however the
+/// store was scraped: a clean build takes the index from its own
+/// scrape, a build through a faulty web lands every legitimate page
+/// again, and `write_corpus_sidecars` alone does the same. All three
+/// write the same bytes.
+#[test]
+fn sidecars_do_not_depend_on_how_the_store_was_scraped() {
+    let config = small_config();
+    let corpus = Corpus::generate(&config);
+    let clean = fresh_dir("kyp_store_det_sidecars_clean");
+    build(&clean, &corpus, &config);
+    let faulty = fresh_dir("kyp_store_det_sidecars_faulty");
+    let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(config.seed, 0.3));
+    storeflow::build_store(&faulty, &corpus, &config, &flaky, 0.3, config.seed).unwrap();
+    let relanded = fresh_dir("kyp_store_det_sidecars_relanded");
+    std::fs::create_dir_all(&relanded).unwrap();
+    storeflow::write_corpus_sidecars(&relanded, &corpus).unwrap();
+
+    for name in ["index.jsonl", "ranker.json"] {
+        let want = std::fs::read(relanded.join(name)).unwrap();
+        assert!(!want.is_empty(), "{name} is empty");
+        for dir in [&clean, &faulty] {
+            assert!(
+                std::fs::read(dir.join(name)).unwrap() == want,
+                "{} differs from the re-landed {name}",
+                dir.join(name).display()
+            );
+        }
+    }
+    for dir in [clean, faulty, relanded] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
