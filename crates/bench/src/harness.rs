@@ -1,7 +1,7 @@
 //! Scrape-and-featurise plumbing shared by the experiment binaries.
 
 use kyp_core::FeatureExtractor;
-use kyp_datagen::{CampaignConfig, Corpus};
+use kyp_datagen::{check_scale, CampaignConfig, Corpus};
 use kyp_ml::Dataset;
 use kyp_web::{Browser, VisitedPage};
 use std::path::Path;
@@ -54,8 +54,9 @@ impl EvalArgs {
 
     /// Parses `--scale <f>`, `--seed <n>` and `--threads <n>` from an
     /// argument list that excludes the program name. Any other argument,
-    /// a missing or malformed value, a `--scale` that is not a finite
-    /// number > 0, or a `--threads` that is not one positive integer is
+    /// a missing or malformed value, a `--scale` that
+    /// [`kyp_datagen::check_scale`] refuses, or a `--threads` that is not
+    /// one positive integer is
     /// an error; a repeated option keeps its last value.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut parsed = EvalArgs::default();
@@ -75,9 +76,7 @@ impl EvalArgs {
             match flag.as_str() {
                 "--scale" => {
                     let scale: f64 = value.parse().map_err(|_| invalid("a number"))?;
-                    if !(scale.is_finite() && scale > 0.0) {
-                        return Err(invalid("a finite number > 0"));
-                    }
+                    check_scale(scale).map_err(|want| invalid(&want))?;
                     parsed.scale = scale;
                 }
                 "--seed" => {
@@ -251,14 +250,15 @@ mod tests {
 
     #[test]
     fn scales_that_are_not_finite_and_positive_are_refused() {
-        for scale in ["inf", "-inf", "nan", "NaN", "0", "-0", "-1"] {
+        for scale in ["inf", "-inf", "nan", "NaN", "0", "-0", "-1", "1e300", "1e6"] {
             let err = parse(&format!("--scale {scale}")).unwrap_err();
             assert_eq!(
                 err,
-                format!("invalid --scale {scale:?} (want a finite number > 0)")
+                format!("invalid --scale {scale:?} (want a finite number > 0 and at most 10)")
             );
         }
         assert_eq!(parse("--scale 1e-9").unwrap().scale, 1e-9);
+        assert_eq!(parse("--scale 10").unwrap().scale, 10.0);
     }
 
     /// End-to-end learnability: on a small corpus, the full 212-feature

@@ -4,12 +4,12 @@
 //! detection), more images and iframes (content lifted from the target)
 //! and several input fields (they exist to harvest credentials).
 
-use crate::DataSources;
+use crate::{DataSources, Source};
 use kyp_web::VisitedPage;
 
 pub(crate) fn push_f5(page: &VisitedPage, sources: &DataSources, out: &mut Vec<f64>) {
-    out.push(f64::from(sources.text.total_count()));
-    out.push(f64::from(sources.title.total_count()));
+    out.push(f64::from(sources.total(Source::Text)));
+    out.push(f64::from(sources.total(Source::Title)));
     out.push(page.input_count as f64);
     out.push(page.image_count as f64);
     out.push(page.iframe_count as f64);

@@ -10,7 +10,7 @@
 //! extlog, intlink, extlink} (5 per mld; text is excluded — its many short
 //! terms would match spuriously).
 
-use crate::DataSources;
+use crate::{DataSources, Source};
 use kyp_text::canonicalize_char;
 use kyp_web::VisitedPage;
 
@@ -20,6 +20,56 @@ use kyp_web::VisitedPage;
 /// split on; comparisons use the letters only.
 pub fn canonical_mld(mld: &str) -> String {
     mld.chars().filter_map(canonicalize_char).collect()
+}
+
+/// Sources of the binary "mld is a term of" features, in feature order.
+const BINARY_SOURCES: [Source; 6] = [
+    Source::Text,
+    Source::Title,
+    Source::Intlog,
+    Source::Extlog,
+    Source::Intlink,
+    Source::Extlink,
+];
+
+/// Sources of the substring-mass features, in feature order.
+const MASS_SOURCES: [Source; 5] = [
+    Source::Title,
+    Source::Intlog,
+    Source::Extlog,
+    Source::Intlink,
+    Source::Extlink,
+];
+
+/// One mld's 6 binary and 5 mass features.
+fn mld_row(sources: &DataSources, mld: &str) -> ([f64; 6], [f64; 5]) {
+    if mld.is_empty() {
+        return ([0.0; 6], [0.0; 5]);
+    }
+    let dict = sources.dictionary();
+    // The mld is looked up once; each source then searches its run for
+    // the id.
+    let id = dict.find(mld);
+    let binary = BINARY_SOURCES.map(|s| {
+        f64::from(id.is_some_and(|id| sources.run(s).binary_search_by_key(&id, |e| e.0).is_ok()))
+    });
+    // `mld.contains(term)` is decided once per distinct term of the mass
+    // sources.
+    let mut spelled: Vec<Option<bool>> = vec![None; dict.len()];
+    let mass = MASS_SOURCES.map(|s| {
+        let total = f64::from(sources.total(s)).max(1.0);
+        sources
+            .run(s)
+            .iter()
+            .filter(|&&(id, _)| {
+                spelled
+                    .get_mut(id as usize)
+                    .is_some_and(|known| *known.get_or_insert_with(|| mld.contains(dict.term(id))))
+            })
+            .map(|&(_, count)| f64::from(count) / total)
+            .sum()
+    });
+    (binary, mass)
 }
 
 pub(crate) fn push_f3(page: &VisitedPage, sources: &DataSources, out: &mut Vec<f64>) {
@@ -37,50 +87,16 @@ pub(crate) fn push_f3(page: &VisitedPage, sources: &DataSources, out: &mut Vec<f
     // Both rows are pure functions of the mld, so when starting and
     // landing mld coincide (no cross-domain redirect) the landing row is
     // the starting row, not a recomputation.
-    let same_mld = start_mld == land_mld;
-
-    let binary_row = |mld: &String| -> [f64; 6] {
-        let binary_sources = [
-            &sources.text,
-            &sources.title,
-            &sources.intlog,
-            &sources.extlog,
-            &sources.intlink,
-            &sources.extlink,
-        ];
-        binary_sources.map(|dist| f64::from(!mld.is_empty() && dist.contains(mld)))
+    let (start_binary, start_mass) = mld_row(sources, &start_mld);
+    let (land_binary, land_mass) = if start_mld == land_mld {
+        (start_binary, start_mass)
+    } else {
+        mld_row(sources, &land_mld)
     };
-    let start_binary = binary_row(&start_mld);
     out.extend(start_binary);
-    if same_mld {
-        out.extend(start_binary);
-    } else {
-        out.extend(binary_row(&land_mld));
-    }
-
-    let mass_row = |mld: &String| -> [f64; 5] {
-        let mass_sources = [
-            &sources.title,
-            &sources.intlog,
-            &sources.extlog,
-            &sources.intlink,
-            &sources.extlink,
-        ];
-        mass_sources.map(|dist| {
-            if mld.is_empty() {
-                0.0
-            } else {
-                dist.substring_mass_of(mld)
-            }
-        })
-    };
-    let start_mass = mass_row(&start_mld);
+    out.extend(land_binary);
     out.extend(start_mass);
-    if same_mld {
-        out.extend(start_mass);
-    } else {
-        out.extend(mass_row(&land_mld));
-    }
+    out.extend(land_mass);
 }
 
 pub(crate) fn push_names(names: &mut Vec<String>) {

@@ -223,37 +223,26 @@ impl FeatureExtractor {
 
     /// Extracts the feature vector from a page.
     pub fn extract(&self, page: &VisitedPage) -> Vec<f64> {
-        self.extract_in(page, &mut kyp_text::TermScratch::new())
-    }
-
-    /// Extracts the feature vector from a page, reusing `scratch`'s
-    /// buffers for term extraction. Identical output to
-    /// [`FeatureExtractor::extract`]; the batch path threads one scratch
-    /// through a whole chunk of pages.
-    pub fn extract_in(&self, page: &VisitedPage, scratch: &mut kyp_text::TermScratch) -> Vec<f64> {
         let splits = LinkSplits::of(page);
-        let sources = DataSources::from_page_with_splits(page, &splits, scratch);
+        let sources = DataSources::from_page_with_splits(page, &splits, true, None);
         self.extract_observed_with(page, &sources, &splits, &mut kyp_obs::NoopObserver)
     }
 
     /// Pages per worker chunk in [`FeatureExtractor::extract_batch`]:
-    /// large enough to amortise per-chunk scratch setup, small enough to
-    /// balance work across the pool.
+    /// large enough to amortise the fan-out, small enough to balance work
+    /// across the pool.
     const BATCH_CHUNK: usize = 32;
 
     /// Extracts feature vectors for a batch of pages, fanning chunks of
-    /// pages out over the default [`kyp_exec`] pool. Each worker carries
-    /// one [`kyp_text::TermScratch`] across its whole chunk, so the term
-    /// extraction buffers are reused instead of reallocated per page.
+    /// pages out over the default [`kyp_exec`] pool.
     ///
     /// Returns one vector per page in input order; element `i` is exactly
     /// `extract(&pages[i])` whatever the thread count.
     pub fn extract_batch(&self, pages: &[VisitedPage]) -> Vec<Vec<f64>> {
         let chunks = kyp_exec::pool().par_chunks(pages, Self::BATCH_CHUNK, |_, chunk| {
-            let mut scratch = kyp_text::TermScratch::new();
             chunk
                 .iter()
-                .map(|page| self.extract_in(page, &mut scratch))
+                .map(|page| self.extract(page))
                 .collect::<Vec<_>>()
         });
         chunks.into_iter().flatten().collect()
@@ -270,10 +259,9 @@ impl FeatureExtractor {
     pub fn extract_batch_flat(&self, pages: &[VisitedPage]) -> Vec<f64> {
         let width = self.feature_count();
         let chunks = kyp_exec::pool().par_chunks(pages, Self::BATCH_CHUNK, |_, chunk| {
-            let mut scratch = kyp_text::TermScratch::new();
             let mut flat = Vec::with_capacity(chunk.len() * width);
             for page in chunk {
-                flat.extend_from_slice(&self.extract_in(page, &mut scratch));
+                flat.extend_from_slice(&self.extract(page));
             }
             flat
         });
@@ -338,6 +326,7 @@ impl FeatureExtractor {
             consistency::push_f2_extended(
                 page,
                 sources,
+                splits,
                 &self.config.ocr,
                 self.config.consistency_metric,
                 &mut out,

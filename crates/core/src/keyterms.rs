@@ -14,140 +14,212 @@
 //!   also occur in at least one other source (handles image-based pages,
 //!   at the cost of a slow OCR pass).
 
-use crate::DataSources;
-use kyp_text::{extract_term_set, TermDistribution};
+use crate::{DataSources, Source};
+use kyp_text::DictionaryBuilder;
 use kyp_web::ocr::{simulate_ocr, OcrConfig};
 use kyp_web::VisitedPage;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 
 /// The paper's keyterm list length (N=5, "proved to be a sufficient
 /// number to represent a webpage").
 pub const DEFAULT_KEYTERM_COUNT: usize = 5;
 
-/// The five user-visible term sets of Section V-A.
-///
-/// Ordered sets (kyp-lint D01): keyterm candidates are collected by
-/// iterating these, and the ranked keyterm lists feed search queries, so
-/// hash order must never leak into them.
-#[derive(Debug, Clone)]
-pub struct VisibleSets {
-    /// `T_start ∪ T_startrdn ∪ T_land ∪ T_landrdn`.
-    pub url: BTreeSet<String>,
-    /// `T_title`.
-    pub title: BTreeSet<String>,
-    /// `T_text`.
-    pub text: BTreeSet<String>,
-    /// `T_copyright`.
-    pub copyright: BTreeSet<String>,
-    /// `T_intlink ∪ T_extlink` (FreeURL terms of HREF links).
-    pub links: BTreeSet<String>,
+/// The five user-visible term sets of Section V-A, as source masks:
+/// `T_start ∪ T_startrdn ∪ T_land ∪ T_landrdn`, `T_title`, `T_text`,
+/// `T_copyright`, and `T_intlink ∪ T_extlink` (FreeURL terms of HREF
+/// links).
+const URL_SET: u16 =
+    Source::Start.bit() | Source::Startrdn.bit() | Source::Land.bit() | Source::Landrdn.bit();
+const TITLE_SET: u16 = Source::Title.bit();
+const TEXT_SET: u16 = Source::Text.bit();
+const COPYRIGHT_SET: u16 = Source::Copyright.bit();
+const LINKS_SET: u16 = Source::Intlink.bit() | Source::Extlink.bit();
+
+/// Every visible source: their term counts rank keyterms.
+const VISIBLE: u16 = URL_SET | TITLE_SET | TEXT_SET | COPYRIGHT_SET | LINKS_SET;
+
+/// Terms of every *controlled* data source (Section III-A: everything
+/// but the external links).
+const CONTROLLED: u16 = Source::Text.bit()
+    | Source::Title.bit()
+    | Source::Copyright.bit()
+    | Source::Start.bit()
+    | Source::Land.bit()
+    | Source::Startrdn.bit()
+    | Source::Landrdn.bit()
+    | Source::Intlog.bit()
+    | Source::Intlink.bit()
+    | Source::Intrdn.bit();
+
+/// Per-term facts about one page, indexed by the page dictionary's term
+/// ids: which sources hold each term, how often the visible sources use
+/// it, and how often all of the page's sources do. Keyterm extraction
+/// and target identification read these instead of building term sets.
+#[derive(Debug)]
+pub(crate) struct TermIndex<'a> {
+    sources: &'a DataSources,
+    /// Per term: a [`Source::bit`] for every source holding it.
+    masks: Vec<u16>,
+    /// Per term: occurrences across the visible sources — the keyterm
+    /// ranking criterion.
+    visible: Vec<u32>,
+    /// Per term: occurrences across every page source (the image
+    /// excepted) — a candidate target's appearances.
+    appearances: Vec<usize>,
 }
 
-impl VisibleSets {
-    /// Builds the five sets from a page's term distributions.
-    pub fn from_sources(sources: &DataSources) -> Self {
-        let set = |dists: &[&TermDistribution]| -> BTreeSet<String> {
-            dists
-                .iter()
-                .flat_map(|d| d.terms().map(str::to_owned))
-                .collect()
+impl<'a> TermIndex<'a> {
+    /// Indexes the page's sources.
+    pub(crate) fn new(sources: &'a DataSources) -> Self {
+        let n = sources.dictionary().len();
+        let mut index = TermIndex {
+            sources,
+            masks: vec![0; n],
+            visible: vec![0; n],
+            appearances: vec![0; n],
         };
-        VisibleSets {
-            url: set(&[
-                &sources.start,
-                &sources.startrdn,
-                &sources.land,
-                &sources.landrdn,
-            ]),
-            title: set(&[&sources.title]),
-            text: set(&[&sources.text]),
-            copyright: set(&[&sources.copyright]),
-            links: set(&[&sources.intlink, &sources.extlink]),
+        for source in Source::ALL {
+            if source == Source::Image {
+                continue;
+            }
+            let bit = source.bit();
+            for &(id, count) in sources.run(source) {
+                let id = id as usize;
+                if let Some(mask) = index.masks.get_mut(id) {
+                    *mask |= bit;
+                }
+                if bit & VISIBLE != 0 {
+                    if let Some(v) = index.visible.get_mut(id) {
+                        *v += count;
+                    }
+                }
+                if let Some(a) = index.appearances.get_mut(id) {
+                    *a += count as usize;
+                }
+            }
         }
+        index
     }
 
-    /// In how many of the five sets the term occurs, with flags for the
-    /// text and links memberships (needed by the *prominent* variant).
-    fn membership(&self, term: &str) -> (usize, bool, bool) {
-        let in_text = self.text.contains(term);
-        let in_links = self.links.contains(term);
-        let count = usize::from(self.url.contains(term))
-            + usize::from(self.title.contains(term))
+    fn mask(&self, id: u32) -> u16 {
+        self.masks.get(id as usize).copied().unwrap_or(0)
+    }
+
+    /// In how many of the five visible sets the term occurs, with flags
+    /// for the text and links memberships (needed by the *prominent*
+    /// variant).
+    fn membership(&self, id: u32) -> (usize, bool, bool) {
+        let mask = self.mask(id);
+        let in_text = mask & TEXT_SET != 0;
+        let in_links = mask & LINKS_SET != 0;
+        let count = usize::from(mask & URL_SET != 0)
+            + usize::from(mask & TITLE_SET != 0)
             + usize::from(in_text)
-            + usize::from(self.copyright.contains(term))
+            + usize::from(mask & COPYRIGHT_SET != 0)
             + usize::from(in_links);
         (count, in_text, in_links)
     }
 
-    /// Union of all five sets.
-    pub fn all_terms(&self) -> BTreeSet<String> {
-        let mut all = self.url.clone();
-        all.extend(self.title.iter().cloned());
-        all.extend(self.text.iter().cloned());
-        all.extend(self.copyright.iter().cloned());
-        all.extend(self.links.iter().cloned());
-        all
+    /// Ranks candidate terms by visible frequency, ties by term, and
+    /// returns the top `n`.
+    fn top(&self, mut candidates: Vec<u32>, n: usize) -> Vec<String> {
+        candidates.sort_unstable_by_key(|&id| {
+            (
+                Reverse(self.visible.get(id as usize).copied().unwrap_or(0)),
+                id,
+            )
+        });
+        let dict = self.sources.dictionary();
+        candidates
+            .into_iter()
+            .take(n)
+            .map(|id| dict.term(id).to_owned())
+            .collect()
     }
-}
 
-/// Overall frequency of terms across the visible parts of the page, used
-/// as the keyterm ranking criterion.
-fn visible_frequency(sources: &DataSources) -> TermDistribution {
-    let mut freq = sources.text.clone();
-    for d in [
-        &sources.title,
-        &sources.copyright,
-        &sources.start,
-        &sources.startrdn,
-        &sources.land,
-        &sources.landrdn,
-        &sources.intlink,
-        &sources.extlink,
-    ] {
-        freq.merge(d);
+    /// Ids of every term of the page.
+    fn ids(&self) -> impl Iterator<Item = u32> {
+        0..self.masks.len() as u32
     }
-    freq
-}
 
-fn rank_terms(candidates: Vec<String>, freq: &TermDistribution, n: usize) -> Vec<String> {
-    let mut scored: Vec<(String, u32)> = candidates
-        .into_iter()
-        .map(|t| {
-            let c = freq.count(&t);
-            (t, c)
-        })
-        .collect();
-    scored.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    scored.into_iter().take(n).map(|(t, _)| t).collect()
+    /// The top-`n` boosted prominent terms.
+    pub(crate) fn boosted(&self, n: usize) -> Vec<String> {
+        let candidates = self
+            .ids()
+            .filter(|&id| self.membership(id).0 >= 2)
+            .collect();
+        self.top(candidates, n)
+    }
+
+    /// The top-`n` prominent terms.
+    pub(crate) fn prominent(&self, n: usize) -> Vec<String> {
+        let candidates = self
+            .ids()
+            .filter(|&id| {
+                let (count, in_text, in_links) = self.membership(id);
+                count >= 2 && !(count == 2 && in_text && in_links)
+            })
+            .collect();
+        self.top(candidates, n)
+    }
+
+    /// The top-`n` OCR prominent terms.
+    pub(crate) fn ocr_prominent(
+        &self,
+        page: &VisitedPage,
+        ocr: &OcrConfig,
+        n: usize,
+    ) -> Vec<String> {
+        let mut read = DictionaryBuilder::new(1);
+        read.push(0, &simulate_ocr(&page.screenshot_text, ocr));
+        let read = read.into_dictionary();
+        let dict = self.sources.dictionary();
+        let candidates = read
+            .run(0)
+            .iter()
+            .filter_map(|&(id, _)| dict.find(read.term(id)))
+            .filter(|&id| self.membership(id).0 >= 1)
+            .collect();
+        self.top(candidates, n)
+    }
+
+    /// `true` when a controlled source holds `term`.
+    pub(crate) fn is_controlled(&self, term: &str) -> bool {
+        self.sources
+            .dictionary()
+            .find(term)
+            .is_some_and(|id| self.mask(id) & CONTROLLED != 0)
+    }
+
+    /// The controlled terms that `canon` contains, in term order.
+    pub(crate) fn controlled_within<'s>(&'s self, canon: &'s str) -> impl Iterator<Item = &'s str> {
+        let dict = self.sources.dictionary();
+        self.ids()
+            .filter(move |&id| self.mask(id) & CONTROLLED != 0)
+            .map(move |id| dict.term(id))
+            .filter(move |term| canon.contains(term))
+    }
+
+    /// How often the page's sources hold `term`, summed over sources.
+    pub(crate) fn appearances(&self, term: &str) -> usize {
+        self.sources
+            .dictionary()
+            .find(term)
+            .and_then(|id| self.appearances.get(id as usize).copied())
+            .unwrap_or(0)
+    }
 }
 
 /// Extracts the top-`n` **boosted prominent terms**: terms occurring in at
 /// least two of the five visible sources, ranked by overall frequency.
 pub fn boosted_prominent_terms(sources: &DataSources, n: usize) -> Vec<String> {
-    let sets = VisibleSets::from_sources(sources);
-    let freq = visible_frequency(sources);
-    let candidates = sets
-        .all_terms()
-        .into_iter()
-        .filter(|t| sets.membership(t).0 >= 2)
-        .collect();
-    rank_terms(candidates, &freq, n)
+    TermIndex::new(sources).boosted(n)
 }
 
 /// Extracts the top-`n` **prominent terms**: like boosted, but a term
 /// whose only two sources are text and HREF links does not qualify.
 pub fn prominent_terms(sources: &DataSources, n: usize) -> Vec<String> {
-    let sets = VisibleSets::from_sources(sources);
-    let freq = visible_frequency(sources);
-    let candidates = sets
-        .all_terms()
-        .into_iter()
-        .filter(|t| {
-            let (count, in_text, in_links) = sets.membership(t);
-            count >= 2 && !(count == 2 && in_text && in_links)
-        })
-        .collect();
-    rank_terms(candidates, &freq, n)
+    TermIndex::new(sources).prominent(n)
 }
 
 /// Extracts the top-`n` **OCR prominent terms**: terms recognised on the
@@ -158,15 +230,7 @@ pub fn ocr_prominent_terms(
     ocr: &OcrConfig,
     n: usize,
 ) -> Vec<String> {
-    let read = simulate_ocr(&page.screenshot_text, ocr);
-    let image_terms = extract_term_set(&read);
-    let sets = VisibleSets::from_sources(sources);
-    let freq = visible_frequency(sources);
-    let candidates = image_terms
-        .into_iter()
-        .filter(|t| sets.membership(t).0 >= 1)
-        .collect();
-    rank_terms(candidates, &freq, n)
+    TermIndex::new(sources).ocr_prominent(page, ocr, n)
 }
 
 #[cfg(test)]
@@ -293,13 +357,24 @@ mod tests {
     fn visible_sets_membership_counts() {
         let p = phish();
         let s = DataSources::from_page(&p);
-        let sets = VisibleSets::from_sources(&s);
-        // "paypal" is visible in url (path), title, text, copyright and links.
-        let all = sets.all_terms();
-        assert!(all.contains("paypal"));
-        assert!(sets.url.contains("paypal"));
-        assert!(sets.title.contains("paypal"));
-        assert!(sets.text.contains("paypal"));
+        let index = TermIndex::new(&s);
+        let id = |term| s.dictionary().find(term).unwrap();
+        // "paypal" is visible in url (path), title, text and copyright;
+        // the HREF links name it only in their RDN, which is not a
+        // visible set.
+        assert_eq!(index.membership(id("paypal")), (4, true, false));
+        let mask = index.mask(id("paypal"));
+        for set in [URL_SET, TITLE_SET, TEXT_SET, COPYRIGHT_SET] {
+            assert_ne!(mask & set, 0);
+        }
+        assert_eq!(mask & LINKS_SET, 0);
+        // "signin" is in the starting URL's path only.
+        assert_eq!(index.membership(id("signin")), (1, false, false));
+        assert!(index.is_controlled("signin"));
+        // "help" is in an external HREF link's FreeURL only: visible, but
+        // not controlled.
+        assert_eq!(index.membership(id("help")), (1, false, true));
+        assert!(!index.is_controlled("help"));
     }
 
     #[test]

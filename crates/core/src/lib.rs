@@ -6,9 +6,10 @@
 //!
 //! This crate implements Sections III–V of Marchal et al. (ICDCS 2016):
 //!
-//! - [`DataSources`] — the term distributions of Table I, split by the
-//!   phisher's *control* (internal/external links) and *constraints*
-//!   (RDN vs FreeURL) as described in Section III-A;
+//! - [`DataSources`] — the term distributions of Table I ([`Source`]),
+//!   split by the phisher's *control* (internal/external links) and
+//!   *constraints* (RDN vs FreeURL) as described in Section III-A, held
+//!   in one term dictionary per page;
 //! - [`features`] — the 212-feature vector of Section IV-B, grouped into
 //!   the five sets of Table III (f1 URL, f2 term-usage consistency,
 //!   f3 mld usage, f4 RDN usage, f5 content);
@@ -60,5 +61,5 @@ pub use features::{ConsistencyMetric, ExtractorConfig, FeatureExtractor, Feature
 pub use kyp_obs::VerdictStage;
 pub use pipeline::{BatchRun, ClassifiedPage, Pipeline, PipelineVerdict, ScrapeReport};
 pub use snapshot::{ModelSnapshot, SnapshotError, MODEL_SNAPSHOT_VERSION, STAGE_FULL, STAGE_URL};
-pub use sources::DataSources;
+pub use sources::{DataSources, Source};
 pub use target::{TargetCandidate, TargetIdentifier, TargetIdentifierConfig, TargetVerdict};

@@ -1,129 +1,202 @@
-use kyp_text::{TermDistribution, TermScratch};
+use kyp_text::{DictionaryBuilder, TermDictionary, TermDistribution};
 use kyp_url::Url;
 use kyp_web::{SourceAvailability, VisitedPage};
 
-/// The term distributions of the paper's Table I, computed once per page
-/// and shared by the f2/f3 features and the keyterm extractor.
+/// One data source of the paper's Table I.
 ///
-/// Distributions are grouped by the phisher's *level of control*
-/// (internal vs external links, split on the RDNs of the redirection
-/// chain) and *constraints* (RDN — registrar-constrained — vs FreeURL —
-/// freely choosable), per Section III-A.
+/// Sources are grouped by the phisher's *level of control* (internal vs
+/// external links, split on the RDNs of the redirection chain) and
+/// *constraints* (RDN — registrar-constrained — vs FreeURL — freely
+/// choosable), per Section III-A. The first twelve, in declaration order,
+/// are the f2 consistency sources ([`Source::F2`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// `D_text`: rendered body text.
+    Text,
+    /// `D_title`: page title.
+    Title,
+    /// `D_start`: FreeURL of the starting URL.
+    Start,
+    /// `D_land`: FreeURL of the landing URL.
+    Land,
+    /// `D_intlog`: FreeURL of internal logged links.
+    Intlog,
+    /// `D_intlink`: FreeURL of internal HREF links.
+    Intlink,
+    /// `D_startrdn`: RDN of the starting URL.
+    Startrdn,
+    /// `D_landrdn`: RDN of the landing URL.
+    Landrdn,
+    /// `D_intrdn`: RDNs of internal links (HREF and logged).
+    Intrdn,
+    /// `D_extrdn`: RDNs of external logged links.
+    Extrdn,
+    /// `D_extlog`: FreeURL of external logged links.
+    Extlog,
+    /// `D_extlink`: FreeURL of external HREF links.
+    Extlink,
+    /// `D_copyright`: copyright notice (keyterms and extended f2).
+    Copyright,
+    /// `D_image`: OCR read of the screenshot. Only the extended f2
+    /// features intern it; every other [`DataSources`] leaves it empty.
+    Image,
+}
+
+impl Source {
+    /// The 12 distributions used by the f2 consistency features, in the
+    /// crate's canonical order (Table I minus copyright and image).
+    pub const F2: [Source; 12] = [
+        Source::Text,
+        Source::Title,
+        Source::Start,
+        Source::Land,
+        Source::Intlog,
+        Source::Intlink,
+        Source::Startrdn,
+        Source::Landrdn,
+        Source::Intrdn,
+        Source::Extrdn,
+        Source::Extlog,
+        Source::Extlink,
+    ];
+
+    /// Every source of Table I: [`Source::F2`], then copyright and
+    /// image — the extended f2 order.
+    pub const ALL: [Source; 14] = [
+        Source::Text,
+        Source::Title,
+        Source::Start,
+        Source::Land,
+        Source::Intlog,
+        Source::Intlink,
+        Source::Startrdn,
+        Source::Landrdn,
+        Source::Intrdn,
+        Source::Extrdn,
+        Source::Extlog,
+        Source::Extlink,
+        Source::Copyright,
+        Source::Image,
+    ];
+
+    /// The source's short name (`text`, `startrdn`, ...), as feature
+    /// names spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Source::Text => "text",
+            Source::Title => "title",
+            Source::Start => "start",
+            Source::Land => "land",
+            Source::Intlog => "intlog",
+            Source::Intlink => "intlink",
+            Source::Startrdn => "startrdn",
+            Source::Landrdn => "landrdn",
+            Source::Intrdn => "intrdn",
+            Source::Extrdn => "extrdn",
+            Source::Extlog => "extlog",
+            Source::Extlink => "extlink",
+            Source::Copyright => "copyright",
+            Source::Image => "image",
+        }
+    }
+
+    /// The source's bit in a per-term source mask.
+    pub(crate) const fn bit(self) -> u16 {
+        1 << self as u16
+    }
+}
+
+/// The term distributions of the paper's Table I, computed once per page
+/// and shared by the f2/f3/f5 features, the keyterm extractor and the
+/// target identifier.
+///
+/// Every source of the page is interned into one [`TermDictionary`]: the
+/// page's distinct terms numbered in lexicographic order, and each
+/// source as a sorted `(id, count)` run. A page that lands where it
+/// started reads its landing sources from the starting URL's runs.
 #[derive(Debug, Clone)]
 pub struct DataSources {
-    /// `D_text`: rendered body text.
-    pub text: TermDistribution,
-    /// `D_title`: page title.
-    pub title: TermDistribution,
-    /// `D_copyright`: copyright notice (used by keyterms, not by f2).
-    pub copyright: TermDistribution,
-    /// `D_start`: FreeURL of the starting URL.
-    pub start: TermDistribution,
-    /// `D_land`: FreeURL of the landing URL.
-    pub land: TermDistribution,
-    /// `D_intlog`: FreeURL of internal logged links.
-    pub intlog: TermDistribution,
-    /// `D_intlink`: FreeURL of internal HREF links.
-    pub intlink: TermDistribution,
-    /// `D_startrdn`: RDN of the starting URL.
-    pub startrdn: TermDistribution,
-    /// `D_landrdn`: RDN of the landing URL.
-    pub landrdn: TermDistribution,
-    /// `D_intrdn`: RDNs of internal links (HREF and logged).
-    pub intrdn: TermDistribution,
-    /// `D_extrdn`: RDNs of external logged links.
-    pub extrdn: TermDistribution,
-    /// `D_extlog`: FreeURL of external logged links.
-    pub extlog: TermDistribution,
-    /// `D_extlink`: FreeURL of external HREF links.
-    pub extlink: TermDistribution,
+    dict: TermDictionary,
+    /// Whether the link-derived sources were captured.
+    links: bool,
+    /// Starting URL == landing URL: `Land`/`Landrdn` read the starting
+    /// URL's runs.
+    same_url: bool,
 }
 
 impl DataSources {
     /// Computes every distribution from a scraped page.
     pub fn from_page(page: &VisitedPage) -> Self {
-        Self::from_page_in(page, &mut TermScratch::new())
+        Self::from_page_with_splits(page, &crate::features::LinkSplits::of(page), true, None)
     }
 
-    /// Computes every distribution from a scraped page, reusing
-    /// `scratch`'s buffers for the term extraction. Identical output to
-    /// [`Self::from_page`]; meant for batch loops, where one scratch
-    /// serves thousands of pages without reallocating.
-    pub fn from_page_in(page: &VisitedPage, scratch: &mut TermScratch) -> Self {
-        Self::from_page_with_splits(page, &crate::features::LinkSplits::of(page), scratch)
-    }
-
-    /// [`Self::from_page_in`] with the control-split link sets already
-    /// computed — the extraction hot path computes them once per page and
-    /// shares them with the f1/f4 features.
+    /// Interns the page's sources, with the control-split link sets
+    /// already computed — the extraction hot path computes them once per
+    /// page and shares them with the f1/f4 features. The link-derived
+    /// sources stay empty unless `links`; `image` is the OCR read the
+    /// extended f2 features intern as [`Source::Image`].
     pub(crate) fn from_page_with_splits(
         page: &VisitedPage,
         splits: &crate::features::LinkSplits<'_>,
-        scratch: &mut TermScratch,
+        links: bool,
+        image: Option<&str>,
     ) -> Self {
-        let (intlog_urls, extlog_urls) = (&splits.intlog, &splits.extlog);
-        let (intlink_urls, extlink_urls) = (&splits.intlink, &splits.extlink);
-
-        // URL-derived distributions extract terms straight from the URLs'
+        // URL-derived sources take terms straight from the URLs'
         // borrowed pieces: the joined FreeURL string would only add
         // separators that term extraction splits on anyway.
-        let free = |urls: &[&Url], scratch: &mut TermScratch| {
-            TermDistribution::from_texts_in(urls.iter().flat_map(|u| u.free_parts()), scratch)
-        };
-        let rdns = |urls: &[&Url], scratch: &mut TermScratch| {
-            TermDistribution::from_texts_in(urls.iter().filter_map(|u| u.rdn()), scratch)
-        };
-
-        let mut intrdn = rdns(intlink_urls, scratch);
-        intrdn.merge(&rdns(intlog_urls, scratch));
-
-        // Pages that land where they started (no cross-host redirect)
-        // share the starting URL's distributions: equal URLs extract
-        // equal distributions, so cloning is bit-identical and skips a
-        // second extraction + sort.
-        let start = TermDistribution::from_texts_in(page.starting_url.free_parts(), scratch);
-        let startrdn = TermDistribution::from_texts_in(page.starting_url.rdn(), scratch);
+        fn free(dict: &mut DictionaryBuilder, source: Source, urls: &[&Url]) {
+            for part in urls.iter().flat_map(|u| u.free_parts()) {
+                dict.push(source as usize, part);
+            }
+        }
+        fn rdns(dict: &mut DictionaryBuilder, source: Source, urls: &[&Url]) {
+            for rdn in urls.iter().filter_map(|u| u.rdn()) {
+                dict.push(source as usize, rdn);
+            }
+        }
+        let mut dict = DictionaryBuilder::new(Source::ALL.len());
+        dict.push(Source::Text as usize, &page.text);
+        dict.push(Source::Title as usize, &page.title);
+        if let Some(copyright) = &page.copyright {
+            dict.push(Source::Copyright as usize, copyright);
+        }
+        free(&mut dict, Source::Start, &[&page.starting_url]);
+        rdns(&mut dict, Source::Startrdn, &[&page.starting_url]);
+        // Equal URLs extract equal distributions, so a page that lands
+        // where it started interns the URL once.
         let same_url = page.starting_url == page.landing_url;
-        let land = if same_url {
-            start.clone()
-        } else {
-            TermDistribution::from_texts_in(page.landing_url.free_parts(), scratch)
-        };
-        let landrdn = if same_url {
-            startrdn.clone()
-        } else {
-            TermDistribution::from_texts_in(page.landing_url.rdn(), scratch)
-        };
-
+        if !same_url {
+            free(&mut dict, Source::Land, &[&page.landing_url]);
+            rdns(&mut dict, Source::Landrdn, &[&page.landing_url]);
+        }
+        if links {
+            free(&mut dict, Source::Intlog, &splits.intlog);
+            free(&mut dict, Source::Intlink, &splits.intlink);
+            free(&mut dict, Source::Extlog, &splits.extlog);
+            free(&mut dict, Source::Extlink, &splits.extlink);
+            rdns(&mut dict, Source::Intrdn, &splits.intlink);
+            rdns(&mut dict, Source::Intrdn, &splits.intlog);
+            rdns(&mut dict, Source::Extrdn, &splits.extlog);
+        }
+        if let Some(read) = image {
+            dict.push(Source::Image as usize, read);
+        }
         DataSources {
-            text: TermDistribution::from_text_in(&page.text, scratch),
-            title: TermDistribution::from_text_in(&page.title, scratch),
-            copyright: TermDistribution::from_text_in(
-                page.copyright.as_deref().unwrap_or(""),
-                scratch,
-            ),
-            start,
-            land,
-            intlog: free(intlog_urls, scratch),
-            intlink: free(intlink_urls, scratch),
-            startrdn,
-            landrdn,
-            intrdn,
-            extrdn: rdns(extlog_urls, scratch),
-            extlog: free(extlog_urls, scratch),
-            extlink: free(extlink_urls, scratch),
+            dict: dict.into_dictionary(),
+            links,
+            same_url,
         }
     }
 
     /// Computes distributions from a *partially* captured page.
     ///
-    /// Sources the scraper could not capture intact are replaced by empty
-    /// distributions — the same neutral value a genuinely empty source
-    /// produces — rather than trusting half-delivered data:
+    /// Sources the scraper could not capture intact are left empty — the
+    /// same neutral value a genuinely empty source produces — rather than
+    /// trusting half-delivered data:
     ///
     /// - when `links` is unavailable (truncated HTML may have cut
     ///   references off the end of the document), every link-derived
-    ///   distribution is emptied;
+    ///   distribution is empty;
     /// - URL-derived and text-derived distributions always remain: the
     ///   URLs are known before any content arrives, and partial text is
     ///   still honest evidence (a prefix of the real page).
@@ -132,44 +205,70 @@ impl DataSources {
     /// null value, so degraded pages still yield complete, finite feature
     /// vectors (see `FeatureExtractor::extract_degraded`).
     pub fn from_partial(page: &VisitedPage, availability: &SourceAvailability) -> Self {
-        let mut sources = Self::from_page(page);
-        if !availability.links {
-            let empty = TermDistribution::default;
-            sources.intlog = empty();
-            sources.intlink = empty();
-            sources.intrdn = empty();
-            sources.extrdn = empty();
-            sources.extlog = empty();
-            sources.extlink = empty();
+        Self::from_page_with_splits(
+            page,
+            &crate::features::LinkSplits::of(page),
+            availability.links,
+            None,
+        )
+    }
+
+    /// The sources again, with the OCR read `image` interned as
+    /// [`Source::Image`] and the same link availability.
+    pub(crate) fn with_image(
+        &self,
+        page: &VisitedPage,
+        splits: &crate::features::LinkSplits<'_>,
+        image: &str,
+    ) -> Self {
+        Self::from_page_with_splits(page, splits, self.links, Some(image))
+    }
+
+    /// The page's term dictionary; index its runs with [`Self::dictionary_slot`].
+    pub(crate) fn dictionary(&self) -> &TermDictionary {
+        &self.dict
+    }
+
+    /// The dictionary source holding `source`'s run.
+    pub(crate) fn dictionary_slot(&self, source: Source) -> usize {
+        match source {
+            Source::Land if self.same_url => Source::Start as usize,
+            Source::Landrdn if self.same_url => Source::Startrdn as usize,
+            _ => source as usize,
         }
-        sources
     }
 
-    /// The 12 distributions used by the f2 consistency features, in the
-    /// crate's canonical order (Table I minus copyright and image).
-    pub fn f2_distributions(&self) -> [&TermDistribution; 12] {
-        [
-            &self.text,
-            &self.title,
-            &self.start,
-            &self.land,
-            &self.intlog,
-            &self.intlink,
-            &self.startrdn,
-            &self.landrdn,
-            &self.intrdn,
-            &self.extrdn,
-            &self.extlog,
-            &self.extlink,
-        ]
+    /// `source`'s `(id, count)` pairs, ascending by term id.
+    pub(crate) fn run(&self, source: Source) -> &[(u32, u32)] {
+        self.dict.run(self.dictionary_slot(source))
     }
 
-    /// Names matching [`DataSources::f2_distributions`], for feature naming.
-    pub fn f2_names() -> [&'static str; 12] {
-        [
-            "text", "title", "start", "land", "intlog", "intlink", "startrdn", "landrdn", "intrdn",
-            "extrdn", "extlog", "extlink",
-        ]
+    /// Total term occurrences in `source`.
+    pub fn total(&self, source: Source) -> u32 {
+        self.dict.total(self.dictionary_slot(source))
+    }
+
+    /// `true` when `source` holds no term. Empty distributions yield the
+    /// paper's "null features" (Section VII-B, IP-based URLs).
+    pub fn is_empty(&self, source: Source) -> bool {
+        self.total(source) == 0
+    }
+
+    /// `true` when `source` holds `term`.
+    pub fn contains(&self, source: Source, term: &str) -> bool {
+        self.dict
+            .find(term)
+            .is_some_and(|id| self.dict.count(self.dictionary_slot(source), id) > 0)
+    }
+
+    /// `source`'s distinct terms, in lexicographic order.
+    pub fn terms(&self, source: Source) -> impl Iterator<Item = &str> + '_ {
+        self.run(source).iter().map(|&(id, _)| self.dict.term(id))
+    }
+
+    /// `source` as an owned [`TermDistribution`].
+    pub fn distribution(&self, source: Source) -> TermDistribution {
+        self.dict.distribution(self.dictionary_slot(source))
     }
 }
 
@@ -207,32 +306,32 @@ mod tests {
     #[test]
     fn distributions_reflect_sources() {
         let s = DataSources::from_page(&page());
-        assert!(s.text.contains("paypal"));
-        assert!(s.title.contains("paypal"));
-        assert!(s.title.contains("login"));
-        assert!(s.copyright.contains("paypal"));
+        assert!(s.contains(Source::Text, "paypal"));
+        assert!(s.contains(Source::Title, "paypal"));
+        assert!(s.contains(Source::Title, "login"));
+        assert!(s.contains(Source::Copyright, "paypal"));
         // FreeURL of the starting URL: path "paypal/login" + query.
-        assert!(s.start.contains("paypal"));
-        assert!(s.start.contains("session"));
+        assert!(s.contains(Source::Start, "paypal"));
+        assert!(s.contains(Source::Start, "session"));
         // startrdn holds the phisher's registered domain terms.
-        assert!(s.startrdn.contains("evil"));
-        assert!(s.startrdn.contains("host"));
-        assert!(!s.startrdn.contains("paypal"));
+        assert!(s.contains(Source::Startrdn, "evil"));
+        assert!(s.contains(Source::Startrdn, "host"));
+        assert!(!s.contains(Source::Startrdn, "paypal"));
     }
 
     #[test]
     fn internal_external_split_follows_chain_control() {
         let s = DataSources::from_page(&page());
         // paypal.com is NOT in the redirection chain → external.
-        assert!(s.extrdn.contains("paypal"));
-        assert!(!s.intrdn.contains("paypal"));
-        assert!(s.intrdn.contains("evil"));
+        assert!(s.contains(Source::Extrdn, "paypal"));
+        assert!(!s.contains(Source::Intrdn, "paypal"));
+        assert!(s.contains(Source::Intrdn, "evil"));
         // External HREF FreeURL contains "help".
-        assert!(s.extlink.contains("help"));
-        assert!(s.intlink.contains("submit"));
+        assert!(s.contains(Source::Extlink, "help"));
+        assert!(s.contains(Source::Intlink, "submit"));
         // External logged FreeURL: "logo.png" → "logo" + "png".
-        assert!(s.extlog.contains("logo"));
-        assert!(s.intlog.contains("css"));
+        assert!(s.contains(Source::Extlog, "logo"));
+        assert!(s.contains(Source::Intlog, "css"));
     }
 
     #[test]
@@ -245,13 +344,18 @@ mod tests {
         };
         let s = DataSources::from_partial(&p, &degraded);
         for d in [
-            &s.intlog, &s.intlink, &s.intrdn, &s.extrdn, &s.extlog, &s.extlink,
+            Source::Intlog,
+            Source::Intlink,
+            Source::Intrdn,
+            Source::Extrdn,
+            Source::Extlog,
+            Source::Extlink,
         ] {
-            assert!(d.is_empty(), "link-derived distributions must be neutral");
+            assert!(s.is_empty(d), "link-derived distributions must be neutral");
         }
         // URL- and text-derived distributions survive.
-        assert!(s.start.contains("paypal"));
-        assert!(s.text.contains("paypal"));
+        assert!(s.contains(Source::Start, "paypal"));
+        assert!(s.contains(Source::Text, "paypal"));
 
         // A full mask reproduces from_page exactly.
         let full = DataSources::from_partial(&p, &SourceAvailability::FULL);
@@ -263,21 +367,52 @@ mod tests {
 
     #[test]
     fn f2_distribution_count() {
-        let s = DataSources::from_page(&page());
-        assert_eq!(s.f2_distributions().len(), 12);
-        assert_eq!(DataSources::f2_names().len(), 12);
+        assert_eq!(Source::F2.len(), 12);
+        assert_eq!(Source::ALL[..12], Source::F2);
+        for (i, s) in Source::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{}", s.name());
+        }
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_construction() {
-        let mut scratch = kyp_text::TermScratch::new();
-        let p = page();
-        // Reuse the same scratch repeatedly; every pass must equal the
-        // allocate-fresh path.
-        for _ in 0..3 {
-            let a = DataSources::from_page_in(&p, &mut scratch);
-            let b = DataSources::from_page(&p);
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    fn one_dictionary_matches_per_source_distributions() {
+        // Each source read off the shared dictionary equals the
+        // distribution of that source's texts alone.
+        let mut p = page();
+        p.landing_url = url("https://www.evil-host.tk/paypal/verify?step=2");
+        for p in [page(), p] {
+            let s = DataSources::from_page(&p);
+            let splits = crate::features::LinkSplits::of(&p);
+            let free = |urls: &[&Url]| {
+                TermDistribution::from_texts(urls.iter().flat_map(|u| u.free_parts()))
+            };
+            let rdns =
+                |urls: &[&Url]| TermDistribution::from_texts(urls.iter().filter_map(|u| u.rdn()));
+            let mut intrdn = rdns(&splits.intlink);
+            intrdn.merge(&rdns(&splits.intlog));
+            let want = [
+                (Source::Text, TermDistribution::from_text(&p.text)),
+                (Source::Title, TermDistribution::from_text(&p.title)),
+                (Source::Start, free(&[&p.starting_url])),
+                (Source::Land, free(&[&p.landing_url])),
+                (Source::Intlog, free(&splits.intlog)),
+                (Source::Intlink, free(&splits.intlink)),
+                (Source::Startrdn, rdns(&[&p.starting_url])),
+                (Source::Landrdn, rdns(&[&p.landing_url])),
+                (Source::Intrdn, intrdn),
+                (Source::Extrdn, rdns(&splits.extlog)),
+                (Source::Extlog, free(&splits.extlog)),
+                (Source::Extlink, free(&splits.extlink)),
+                (
+                    Source::Copyright,
+                    TermDistribution::from_text(p.copyright.as_deref().unwrap_or("")),
+                ),
+                (Source::Image, TermDistribution::new()),
+            ];
+            for (source, dist) in want {
+                assert_eq!(s.distribution(source), dist, "{}", source.name());
+                assert_eq!(s.total(source), dist.total_count(), "{}", source.name());
+            }
         }
     }
 
@@ -286,7 +421,7 @@ mod tests {
         let mut p = page();
         p.copyright = None;
         let s = DataSources::from_page(&p);
-        assert!(s.copyright.is_empty());
+        assert!(s.is_empty(Source::Copyright));
     }
 
     #[test]
@@ -297,9 +432,9 @@ mod tests {
         p.redirection_chain = vec![url("http://192.168.1.1/login")];
         let s = DataSources::from_page(&p);
         assert!(
-            s.startrdn.is_empty(),
+            s.is_empty(Source::Startrdn),
             "paper: IP URLs → empty distributions"
         );
-        assert!(s.landrdn.is_empty());
+        assert!(s.is_empty(Source::Landrdn));
     }
 }

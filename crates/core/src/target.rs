@@ -16,7 +16,7 @@
 //! 5. Rank candidates by how often they appear across the page's data
 //!    sources; return the top 1–3.
 
-use crate::keyterms::{self, DEFAULT_KEYTERM_COUNT};
+use crate::keyterms::{TermIndex, DEFAULT_KEYTERM_COUNT};
 use crate::DataSources;
 use kyp_search::{SearchEngine, SearchHit};
 use kyp_text::extract_terms;
@@ -158,10 +158,10 @@ impl TargetIdentifier {
         use kyp_obs::TargetStepOutcome;
         let n = DEFAULT_KEYTERM_COUNT;
         let suspected = suspected_rdns(page);
-        let controlled_terms = controlled_term_set(sources);
+        let terms = TermIndex::new(sources);
 
         // ---- Step 1: guess the target FQDN from boosted prominent terms.
-        let boosted = keyterms::boosted_prominent_terms(sources, n);
+        let boosted = terms.boosted(n);
         let collected = collect_mlds(page);
         for (mld, rdn) in &collected {
             if !composable(mld, &boosted) {
@@ -177,38 +177,38 @@ impl TargetIdentifier {
 
         // ---- Steps 2-4: keyterm searches. Each step reports its outcome
         // before step 5 (candidate ranking) reports the final cut.
-        let prominent = keyterms::prominent_terms(sources, n);
-        match self.search_step(&prominent, &suspected, &controlled_terms, 2) {
+        let prominent = terms.prominent(n);
+        match self.search_step(&prominent, &suspected, &terms, 2) {
             StepOutcome::Legitimate(step) => {
                 obs.target_step(step, &TargetStepOutcome::ConfirmedLegitimate);
                 return TargetVerdict::Legitimate { step };
             }
             StepOutcome::Candidates(c) => {
                 obs.target_step(2, &TargetStepOutcome::Candidates { count: c.len() });
-                return Self::step5(page, sources, c, obs);
+                return Self::step5(page, &terms, c, obs);
             }
             StepOutcome::Continue => obs.target_step(2, &TargetStepOutcome::Continue),
         }
-        match self.search_step(&boosted, &suspected, &controlled_terms, 3) {
+        match self.search_step(&boosted, &suspected, &terms, 3) {
             StepOutcome::Legitimate(step) => {
                 obs.target_step(step, &TargetStepOutcome::ConfirmedLegitimate);
                 return TargetVerdict::Legitimate { step };
             }
             StepOutcome::Candidates(c) => {
                 obs.target_step(3, &TargetStepOutcome::Candidates { count: c.len() });
-                return Self::step5(page, sources, c, obs);
+                return Self::step5(page, &terms, c, obs);
             }
             StepOutcome::Continue => obs.target_step(3, &TargetStepOutcome::Continue),
         }
-        let ocr_terms = keyterms::ocr_prominent_terms(page, sources, &self.config.ocr, n);
-        match self.search_step(&ocr_terms, &suspected, &controlled_terms, 4) {
+        let ocr_terms = terms.ocr_prominent(page, &self.config.ocr, n);
+        match self.search_step(&ocr_terms, &suspected, &terms, 4) {
             StepOutcome::Legitimate(step) => {
                 obs.target_step(step, &TargetStepOutcome::ConfirmedLegitimate);
                 return TargetVerdict::Legitimate { step };
             }
             StepOutcome::Candidates(c) => {
                 obs.target_step(4, &TargetStepOutcome::Candidates { count: c.len() });
-                return Self::step5(page, sources, c, obs);
+                return Self::step5(page, &terms, c, obs);
             }
             StepOutcome::Continue => obs.target_step(4, &TargetStepOutcome::Continue),
         }
@@ -220,7 +220,7 @@ impl TargetIdentifier {
         &self,
         terms: &[String],
         suspected: &BTreeSet<&str>,
-        controlled_terms: &BTreeSet<String>,
+        page_terms: &TermIndex<'_>,
         step: u8,
     ) -> StepOutcome {
         if terms.is_empty() {
@@ -232,7 +232,7 @@ impl TargetIdentifier {
         }
         let candidates: Vec<SearchHit> = hits
             .into_iter()
-            .filter(|h| mld_appears_in(&h.mld, controlled_terms))
+            .filter(|h| mld_appears_in(&h.mld, page_terms))
             .collect();
         if candidates.is_empty() {
             StepOutcome::Continue
@@ -245,7 +245,7 @@ impl TargetIdentifier {
     /// reporting the final (capped) candidate count.
     fn step5(
         page: &VisitedPage,
-        sources: &DataSources,
+        page_terms: &TermIndex<'_>,
         hits: Vec<SearchHit>,
         obs: &mut dyn kyp_obs::PipelineObserver,
     ) -> TargetVerdict {
@@ -254,7 +254,7 @@ impl TargetIdentifier {
             if candidates.iter().any(|c| c.mld == hit.mld) {
                 continue;
             }
-            let appearances = count_appearances(&hit.mld, page, sources);
+            let appearances = count_appearances(&hit.mld, page, page_terms);
             candidates.push(TargetCandidate {
                 mld: hit.mld,
                 rdn: hit.rdn,
@@ -309,43 +309,22 @@ fn collect_mlds(page: &VisitedPage) -> Vec<(&str, &str)> {
     out
 }
 
-/// Terms of every *controlled* data source (Section III-A: everything but
-/// the external links).
-fn controlled_term_set(sources: &DataSources) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    for d in [
-        &sources.text,
-        &sources.title,
-        &sources.copyright,
-        &sources.start,
-        &sources.land,
-        &sources.startrdn,
-        &sources.landrdn,
-        &sources.intlog,
-        &sources.intlink,
-        &sources.intrdn,
-    ] {
-        set.extend(d.terms().map(str::to_owned));
-    }
-    set
-}
-
-/// Whether a candidate mld "appears in" a term set: either verbatim as a
-/// term, or composable from the set's terms.
-fn mld_appears_in(mld: &str, terms: &BTreeSet<String>) -> bool {
+/// Whether a candidate mld "appears in" the page's controlled sources
+/// (Section III-A: everything but the external links): either verbatim
+/// as a term, or composable from their terms.
+fn mld_appears_in(mld: &str, page_terms: &TermIndex<'_>) -> bool {
     let canon = crate::features::canonical_mld(mld);
     if canon.is_empty() {
         return false;
     }
-    if terms.contains(&canon) {
+    if page_terms.is_controlled(&canon) {
         return true;
     }
-    let term_vec: Vec<String> = terms
-        .iter()
-        .filter(|t| canon.contains(t.as_str()))
-        .cloned()
+    let parts: Vec<String> = page_terms
+        .controlled_within(&canon)
+        .map(str::to_owned)
         .collect();
-    composable(mld, &term_vec)
+    composable(mld, &parts)
 }
 
 /// Whether `mld` can be composed from `keyterms`, possibly separated by a
@@ -409,29 +388,12 @@ pub(crate) fn composable(mld: &str, keyterms: &[String]) -> bool {
 
 /// How many times a candidate mld appears across the page's data sources:
 /// term occurrences in every distribution plus links whose RDN contains it.
-fn count_appearances(mld: &str, page: &VisitedPage, sources: &DataSources) -> usize {
+fn count_appearances(mld: &str, page: &VisitedPage, page_terms: &TermIndex<'_>) -> usize {
     let canon = crate::features::canonical_mld(mld);
     if canon.is_empty() {
         return 0;
     }
-    let mut count = 0usize;
-    for d in [
-        &sources.text,
-        &sources.title,
-        &sources.copyright,
-        &sources.start,
-        &sources.land,
-        &sources.startrdn,
-        &sources.landrdn,
-        &sources.intlog,
-        &sources.intlink,
-        &sources.intrdn,
-        &sources.extrdn,
-        &sources.extlog,
-        &sources.extlink,
-    ] {
-        count += d.count(&canon) as usize;
-    }
+    let mut count = page_terms.appearances(&canon);
     for u in page.logged_links.iter().chain(&page.href_links) {
         if let Some(rdn) = u.rdn() {
             let rdn_terms = extract_terms(rdn).join("");

@@ -28,6 +28,36 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// The largest corpus scale [`check_scale`] accepts: ten times the
+/// paper's Table V, about 1.5 million pages to generate and scrape.
+pub const MAX_SCALE: f64 = 10.0;
+
+/// Checks a corpus scale before anything is sized from it.
+/// [`CampaignConfig::scaled`] turns the scale into page counts, so it
+/// must be a finite number > 0 and at most [`MAX_SCALE`]; a larger one
+/// would ask for more pages than memory holds, and an infinite one
+/// saturates every count. The error says what a scale must be, for the
+/// caller's message.
+///
+/// # Examples
+///
+/// ```
+/// use kyp_datagen::campaign::check_scale;
+///
+/// assert!(check_scale(0.02).is_ok());
+/// for refused in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e6, 1e300] {
+///     assert!(check_scale(refused).is_err());
+/// }
+/// ```
+pub fn check_scale(scale: f64) -> Result<(), String> {
+    // NaN fails both comparisons, and infinity the second.
+    if scale > 0.0 && scale <= MAX_SCALE {
+        Ok(())
+    } else {
+        Err(format!("a finite number > 0 and at most {MAX_SCALE}"))
+    }
+}
+
 /// Sizes and seed of a corpus generation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
@@ -62,7 +92,8 @@ impl CampaignConfig {
     }
 
     /// Table V scaled by `fraction` (class ratios preserved; minimums keep
-    /// every set non-trivial).
+    /// every set non-trivial). Callers taking the fraction from a user
+    /// run [`check_scale`] on it first.
     pub fn scaled(fraction: f64) -> Self {
         let full = Self::paper_scale();
         let s = |n: usize, min: usize| (((n as f64) * fraction).round() as usize).max(min);

@@ -40,7 +40,7 @@ pub mod sites;
 pub mod stats;
 
 pub use brands::{Brand, BrandCorpus, Sector};
-pub use campaign::{CampaignConfig, Corpus, PhishRecord};
+pub use campaign::{check_scale, CampaignConfig, Corpus, PhishRecord, MAX_SCALE};
 pub use lexicon::Language;
 pub use phish::{EvasionProfile, HostingStrategy, PhishGenerator, PhishSite};
 pub use sites::{SiteGenerator, SiteInfo, SiteKind};

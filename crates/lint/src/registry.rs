@@ -27,8 +27,9 @@ pub const ENTRY_POINTS: &[(&str, &str, &str)] = &[
     ("store", "FrameReader", "*"),
 ];
 
-/// H01 budget list: the flat-model, term-distribution and URL-accessor
-/// kernels, the URL check the page-block view runs on every stored URL,
+/// H01 budget list: the flat-model kernels, the page term dictionary's
+/// build and the f2 id kernel, the URL accessors, the URL check the
+/// page-block view runs on every stored URL,
 /// the public-suffix lookup every URL parse runs, the URL stage's
 /// typosquat kernel, and the store framing decoder.
 /// Allocating calls here, or in callees to depth 2, are flagged.
@@ -36,9 +37,9 @@ pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("ml", "FlatModel", "predict_proba"),
     ("ml", "FlatModel", "decision_function"),
     ("ml", "FlatModel", "tree_leaf"),
-    ("text", "TermDistribution", "from_text_in"),
-    ("text", "TermDistribution", "from_texts_in"),
-    ("text", "TermScratch", "push_text"),
+    ("text", "DictionaryBuilder", "push"),
+    ("text", "DictionaryBuilder", "into_dictionary"),
+    ("core", "PairTable", "distance"),
     ("url", "Url", "check"),
     ("url", "Url", "mld"),
     ("url", "Url", "rdn"),
@@ -61,7 +62,7 @@ pub const CANONICAL_REDUCERS: &[(&str, &str, &str)] = &[
     ("core", "", "mean"),
     ("core", "", "std_dev"),
     ("text", "TermDistribution", "hellinger_squared"),
-    ("text", "KeyedDistribution", "hellinger_squared"),
+    ("core", "PairTable", "distance"),
 ];
 
 /// H01 setup exemption: callees with these name prefixes are constructors

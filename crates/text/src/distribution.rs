@@ -1,4 +1,4 @@
-use crate::{canonicalize_char, MIN_TERM_LEN};
+use crate::{DictionaryBuilder, MIN_TERM_LEN};
 use serde::{Deserialize, Serialize};
 
 /// A term distribution `D_S`: the terms of a data source with their
@@ -7,12 +7,13 @@ use serde::{Deserialize, Serialize};
 /// The distribution is stored as raw counts so distributions can be merged
 /// cheaply; probabilities are derived on demand. Internally the distinct
 /// terms live concatenated in one `String` with a `(start, end, count)`
-/// span table sorted by term — building a distribution costs two
-/// allocations however many terms it holds, lookups are a binary search
-/// over contiguous memory, and the pairwise distances walk two sorted
-/// tables in lockstep — the layout behind the hot-path consistency
-/// features. The JSON form is unchanged from the original tree-backed
-/// representation (`counts` as a sorted object).
+/// span table sorted by term: lookups are a binary search over contiguous
+/// memory, and the pairwise distances walk two sorted tables in lockstep.
+/// Text is turned into terms by a one-source [`crate::TermDictionary`];
+/// the feature extractor reads a whole page's sources from one dictionary
+/// instead of building a distribution per source. The JSON form is
+/// unchanged from the original tree-backed representation (`counts` as a
+/// sorted object).
 ///
 /// # Examples
 ///
@@ -44,151 +45,6 @@ fn push_entry(terms: &mut String, spans: &mut Vec<(u32, u32, u32)>, term: &str, 
     spans.push((start, terms.len() as u32, count));
 }
 
-/// Reusable buffers for allocation-light distribution building.
-///
-/// [`TermDistribution::from_text_in`] canonicalises the input into one
-/// growable byte buffer, records term *spans* instead of owned strings,
-/// sorts the spans, and emits the distribution in two allocations. The
-/// buffers are retained (not freed) across calls, so a batch loop that
-/// processes thousands of pages reuses the same backing storage
-/// throughout.
-///
-/// # Examples
-///
-/// ```
-/// use kyp_text::{TermDistribution, TermScratch};
-///
-/// let mut scratch = TermScratch::new();
-/// let a = TermDistribution::from_text_in("pay pal pay", &mut scratch);
-/// let b = TermDistribution::from_text("pay pal pay");
-/// assert_eq!(a, b);
-/// ```
-#[derive(Debug, Default)]
-pub struct TermScratch {
-    /// Canonicalised letters of all kept terms, concatenated.
-    buf: String,
-    /// `(start, end)` byte spans of terms inside `buf`.
-    spans: Vec<(u32, u32)>,
-    /// Sort workspace: `(prefix key, start, end)` per span.
-    keyed: Vec<(u64, u32, u32)>,
-}
-
-/// The first eight bytes of a term packed big-endian into a `u64`,
-/// zero-padded on the right. Terms are canonical (`[a-z]+`, no zero
-/// bytes), so comparing keys equals comparing the first eight bytes
-/// lexicographically, with a shorter term sorting before its extensions —
-/// exactly the prefix of full lexicographic order. Two distinct terms
-/// share a key only when both are at least eight bytes long and agree on
-/// the first eight, so a tie-break on the bytes past the prefix restores
-/// the total order.
-#[inline]
-fn prefix_key(bytes: &[u8]) -> u64 {
-    let mut packed = [0u8; 8];
-    let n = bytes.len().min(8);
-    packed[..n].copy_from_slice(&bytes[..n]);
-    u64::from_be_bytes(packed)
-}
-
-impl TermScratch {
-    /// Creates an empty scratch space.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears the recorded terms, keeping the allocations.
-    fn reset(&mut self) {
-        self.buf.clear();
-        self.spans.clear();
-    }
-
-    /// Ends the term starting at `start`: records its span when long
-    /// enough, discards it otherwise. Returns the next term's start.
-    #[inline]
-    fn flush_span(&mut self, start: usize) -> usize {
-        if self.buf.len() - start >= MIN_TERM_LEN {
-            self.spans.push((start as u32, self.buf.len() as u32));
-        } else {
-            self.buf.truncate(start);
-        }
-        self.buf.len()
-    }
-
-    /// Canonicalises `text` and records its term spans.
-    ///
-    /// ASCII bytes — the overwhelming majority in page text and URLs —
-    /// are classified directly; only multi-byte characters go through
-    /// [`canonicalize_char`]'s full table, matching its ASCII fast path
-    /// exactly.
-    fn push_text(&mut self, text: &str) {
-        let mut start = self.buf.len();
-        let bytes = text.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            let b = bytes[i];
-            let letter = if b.is_ascii() {
-                i += 1;
-                if b.is_ascii_lowercase() {
-                    Some(b as char)
-                } else if b.is_ascii_uppercase() {
-                    Some(b.to_ascii_lowercase() as char)
-                } else {
-                    None
-                }
-            } else {
-                let Some(c) = text[i..].chars().next() else {
-                    break;
-                };
-                i += c.len_utf8();
-                canonicalize_char(c)
-            };
-            if let Some(l) = letter {
-                self.buf.push(l);
-            } else {
-                start = self.flush_span(start);
-            }
-        }
-        self.flush_span(start);
-    }
-
-    /// Sorts the recorded spans and run-length-encodes them into a
-    /// distribution — two allocations however many terms were pushed.
-    ///
-    /// Spans are sorted by their [`prefix_key`] with a byte tie-break
-    /// past the prefix — the same total order as comparing whole terms,
-    /// with almost every comparison a single integer compare.
-    fn build(&mut self) -> TermDistribution {
-        let bytes = self.buf.as_bytes();
-        self.keyed.clear();
-        self.keyed.extend(
-            self.spans
-                .iter()
-                .map(|&(s, e)| (prefix_key(&bytes[s as usize..e as usize]), s, e)),
-        );
-        self.keyed.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| {
-                let ta = &bytes[(a.1 + 8).min(a.2) as usize..a.2 as usize];
-                let tb = &bytes[(b.1 + 8).min(b.2) as usize..b.2 as usize];
-                ta.cmp(tb)
-            })
-        });
-        let buf = self.buf.as_str();
-        let mut terms = String::with_capacity(self.buf.len());
-        let mut spans: Vec<(u32, u32, u32)> = Vec::with_capacity(self.keyed.len());
-        for &(_, s, e) in &self.keyed {
-            let term = &buf[s as usize..e as usize];
-            match spans.last_mut() {
-                Some(last) if terms[last.0 as usize..last.1 as usize] == *term => last.2 += 1,
-                _ => push_entry(&mut terms, &mut spans, term, 1),
-            }
-        }
-        TermDistribution {
-            terms,
-            spans,
-            total: self.spans.len() as u32,
-        }
-    }
-}
-
 impl TermDistribution {
     /// Creates an empty distribution.
     pub fn new() -> Self {
@@ -198,41 +54,39 @@ impl TermDistribution {
     /// Builds a distribution from raw text using the paper's term
     /// extraction rules.
     pub fn from_text(text: &str) -> Self {
-        let mut scratch = TermScratch::new();
-        Self::from_text_in(text, &mut scratch)
-    }
-
-    /// Builds a distribution from raw text, reusing `scratch`'s buffers.
-    /// Identical output to [`Self::from_text`]; meant for batch loops.
-    pub fn from_text_in(text: &str, scratch: &mut TermScratch) -> Self {
-        scratch.reset();
-        scratch.push_text(text);
-        scratch.build()
+        Self::from_texts([text])
     }
 
     /// Builds a distribution from several texts (e.g. the FreeURL parts of
-    /// a whole set of links).
+    /// a whole set of links), through a one-source [`DictionaryBuilder`].
     pub fn from_texts<I, S>(texts: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut scratch = TermScratch::new();
-        Self::from_texts_in(texts, &mut scratch)
+        let mut builder = DictionaryBuilder::new(1);
+        for t in texts {
+            builder.push(0, t.as_ref());
+        }
+        builder.into_dictionary().distribution(0)
     }
 
-    /// Builds a distribution from several texts, reusing `scratch`'s
-    /// buffers. Identical output to [`Self::from_texts`].
-    pub fn from_texts_in<I, S>(texts: I, scratch: &mut TermScratch) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        scratch.reset();
-        for t in texts {
-            scratch.push_text(t.as_ref());
+    /// Builds a distribution from distinct terms in ascending order with
+    /// their counts, and the total those counts sum to.
+    pub(crate) fn from_sorted_counts<'t>(
+        counts: impl Iterator<Item = (&'t str, u32)>,
+        total: u32,
+    ) -> Self {
+        let mut terms = String::new();
+        let mut spans = Vec::new();
+        for (t, c) in counts {
+            push_entry(&mut terms, &mut spans, t, c);
         }
-        scratch.build()
+        TermDistribution {
+            terms,
+            spans,
+            total,
+        }
     }
 
     /// Builds a distribution from already-extracted terms.
@@ -514,159 +368,6 @@ impl TermDistribution {
             .map(|(_, p)| p)
             .sum()
     }
-
-    /// A prefix-keyed view for repeated pairwise distances: see
-    /// [`KeyedDistribution`]. Build it once per distribution when taking
-    /// many distances (the f2 features take 11 per distribution).
-    pub fn keyed(&self) -> KeyedDistribution<'_> {
-        let total = f64::from(self.total.max(1));
-        let all = self.terms.as_bytes();
-        let entries = self
-            .spans
-            .iter()
-            .map(|&(s, e, c)| {
-                let bytes = &all[s as usize..e as usize];
-                let p = f64::from(c) / total;
-                KeyedEntry {
-                    key: prefix_key(bytes),
-                    tail: &bytes[bytes.len().min(8)..],
-                    prob: p,
-                    sqrt_prob: p.sqrt(),
-                }
-            })
-            .collect();
-        KeyedDistribution {
-            entries,
-            empty: self.is_empty(),
-        }
-    }
-}
-
-/// One distinct term of a [`KeyedDistribution`].
-#[derive(Debug, Clone, Copy)]
-struct KeyedEntry<'a> {
-    /// [`prefix_key`] of the term.
-    key: u64,
-    /// Term bytes past the eight-byte prefix (usually empty).
-    tail: &'a [u8],
-    /// `count / total`, exactly as the unkeyed methods compute it.
-    prob: f64,
-    /// `prob.sqrt()`, cached so each pairwise distance doesn't recompute
-    /// it.
-    sqrt_prob: f64,
-}
-
-impl KeyedEntry<'_> {
-    /// Lexicographic term order via `(key, tail)` — see [`prefix_key`].
-    #[inline]
-    fn cmp_term(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| self.tail.cmp(other.tail))
-    }
-}
-
-/// A prefix-keyed borrow of a [`TermDistribution`] that makes repeated
-/// pairwise distances cheap.
-///
-/// Term order is encoded as `(u64 prefix key, tail bytes)` so the
-/// lockstep walks compare integers instead of strings, and each term's
-/// probability and its square root are computed once instead of once per
-/// pair. The distances are **bit-identical** to
-/// [`TermDistribution::hellinger_squared`] and
-/// [`TermDistribution::jaccard_distance`]: the accumulation order and
-/// every floating-point operand are unchanged.
-///
-/// # Examples
-///
-/// ```
-/// use kyp_text::TermDistribution;
-///
-/// let a = TermDistribution::from_text("pay pal pay");
-/// let b = TermDistribution::from_text("pay bank");
-/// let (ka, kb) = (a.keyed(), b.keyed());
-/// assert_eq!(ka.hellinger_squared(&kb), a.hellinger_squared(&b));
-/// ```
-#[derive(Debug)]
-pub struct KeyedDistribution<'a> {
-    /// Distinct terms in lexicographic order.
-    entries: Vec<KeyedEntry<'a>>,
-    /// Whether the source distribution was empty (null-feature marker).
-    empty: bool,
-}
-
-impl KeyedDistribution<'_> {
-    /// The squared Hellinger distance; bit-identical to
-    /// [`TermDistribution::hellinger_squared`] on the source
-    /// distributions.
-    pub fn hellinger_squared(&self, other: &KeyedDistribution<'_>) -> Option<f64> {
-        if self.empty || other.empty {
-            return None;
-        }
-        let mut sum = 0.0;
-        // Pass 1: every term of `self` in sorted order, with `other`'s
-        // matching mass found by a merge cursor (one comparison per
-        // cursor position).
-        let mut j = 0;
-        for e in &self.entries {
-            let mut sq = 0.0;
-            while j < other.entries.len() {
-                match other.entries[j].cmp_term(e) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        sq = other.entries[j].sqrt_prob;
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-            let d = e.sqrt_prob - sq;
-            sum += d * d;
-        }
-        // Pass 2: terms only in `other` contribute their probability.
-        let mut i = 0;
-        for e in &other.entries {
-            let mut shared = false;
-            while i < self.entries.len() {
-                match self.entries[i].cmp_term(e) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Equal => {
-                        shared = true;
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-            if !shared {
-                sum += e.prob;
-            }
-        }
-        Some((sum / 2.0).clamp(0.0, 1.0))
-    }
-
-    /// Jaccard distance over term sets; bit-identical to
-    /// [`TermDistribution::jaccard_distance`] on the source
-    /// distributions.
-    pub fn jaccard_distance(&self, other: &KeyedDistribution<'_>) -> Option<f64> {
-        if self.empty || other.empty {
-            return None;
-        }
-        let mut intersection = 0usize;
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() && j < other.entries.len() {
-            match self.entries[i].cmp_term(&other.entries[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    intersection += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        let union = self.entries.len() + other.entries.len() - intersection;
-        Some(1.0 - intersection as f64 / union as f64)
-    }
 }
 
 // Hand-written (de)serialization: `counts` must keep its original JSON
@@ -714,16 +415,10 @@ impl Deserialize for TermDistribution {
         counts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let total = u32::from_json_value(serde::obj_get(fields, "total"))
             .map_err(|e| serde::Error::custom(format!("TermDistribution.total: {e}")))?;
-        let mut terms = String::new();
-        let mut spans = Vec::with_capacity(counts.len());
-        for (t, c) in &counts {
-            push_entry(&mut terms, &mut spans, t, *c);
-        }
-        Ok(TermDistribution {
-            terms,
-            spans,
+        Ok(Self::from_sorted_counts(
+            counts.iter().map(|(t, c)| (t.as_str(), *c)),
             total,
-        })
+        ))
     }
 }
 
@@ -893,23 +588,26 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_construction() {
-        let mut scratch = TermScratch::new();
+    fn from_text_matches_extracted_terms() {
         let texts = [
             "Café Zürich: sign-in 24/7!",
             "pay pal paypal",
             "",
             "abc abc abc xyz",
+            "longprefixalpha longprefixbeta longprefix longprefixalpha",
         ];
         for t in texts {
             assert_eq!(
-                TermDistribution::from_text_in(t, &mut scratch),
                 TermDistribution::from_text(t),
+                TermDistribution::from_terms(crate::extract_terms(t)),
                 "{t:?}"
             );
         }
-        let multi = TermDistribution::from_texts_in(texts, &mut scratch);
-        assert_eq!(multi, TermDistribution::from_texts(texts));
+        let all: Vec<String> = texts.iter().flat_map(|t| crate::extract_terms(t)).collect();
+        assert_eq!(
+            TermDistribution::from_texts(texts),
+            TermDistribution::from_terms(all)
+        );
     }
 
     #[test]
@@ -925,8 +623,10 @@ mod tests {
 
     #[test]
     fn prefix_key_order_matches_lexicographic() {
-        // Shorter terms sort before their extensions; ties past eight
-        // bytes fall to the tail compare.
+        // The dictionary sorts terms by prefix key: shorter terms sort
+        // before their extensions; ties past eight bytes fall to the tail
+        // compare.
+        use crate::dictionary::prefix_key;
         let terms = [
             "abc",
             "abcd",
@@ -946,54 +646,6 @@ mod tests {
         let mut lex: Vec<&str> = terms.to_vec();
         lex.sort_unstable();
         assert_eq!(by_key, lex);
-    }
-
-    #[test]
-    fn keyed_distances_match_unkeyed_bitwise() {
-        let pairs = [
-            ("one two three three", "two three four"),
-            ("alpha beta", "gamma delta"),
-            ("pay pal paypal bank pay", "pay bank banking online pal"),
-            // Long terms sharing an eight-byte prefix exercise the tail
-            // tie-break.
-            (
-                "longprefixalpha longprefixbeta longprefix",
-                "longprefixalpha longprefixgamma",
-            ),
-            ("aaa bbb ccc", "aaa bbb ccc"),
-            ("zzz yyy xxx www", "aaa zzz mmm"),
-            ("Café Zürich sign-in", "cafe zurich login"),
-        ];
-        for (x, y) in pairs {
-            let (a, b) = (dist(x), dist(y));
-            let (ka, kb) = (a.keyed(), b.keyed());
-            assert_eq!(
-                ka.hellinger_squared(&kb).map(f64::to_bits),
-                a.hellinger_squared(&b).map(f64::to_bits),
-                "hellinger {x:?} vs {y:?}"
-            );
-            assert_eq!(
-                kb.hellinger_squared(&ka).map(f64::to_bits),
-                b.hellinger_squared(&a).map(f64::to_bits),
-                "hellinger (swapped) {x:?} vs {y:?}"
-            );
-            assert_eq!(
-                ka.jaccard_distance(&kb).map(f64::to_bits),
-                a.jaccard_distance(&b).map(f64::to_bits),
-                "jaccard {x:?} vs {y:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn keyed_empty_distribution_is_null() {
-        let full = dist("alpha beta");
-        let a = full.keyed();
-        let nothing = TermDistribution::new();
-        let empty = nothing.keyed();
-        assert_eq!(a.hellinger_squared(&empty), None);
-        assert_eq!(empty.hellinger_squared(&a), None);
-        assert_eq!(empty.jaccard_distance(&a), None);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! A *term distribution* is the set of extracted terms with their relative
 //! frequencies; distributions from different data sources of a webpage are
 //! compared with the (squared) Hellinger distance, which yields the paper's
-//! 66 term-usage-consistency features.
+//! 66 term-usage-consistency features. A [`TermDictionary`] holds all of
+//! one page's sources at once: its distinct terms numbered in
+//! lexicographic order, and each source as a sorted `(id, count)` run.
 //!
 //! # Examples
 //!
@@ -31,11 +33,13 @@
 //! ```
 
 mod canonical;
+mod dictionary;
 mod distribution;
 pub mod tfidf;
 
 pub use canonical::canonicalize_char;
-pub use distribution::{KeyedDistribution, TermDistribution, TermScratch};
+pub use dictionary::{DictionaryBuilder, TermDictionary};
+pub use distribution::TermDistribution;
 
 /// Minimum length of a term (paper: "throw away any substring whose length
 /// is less than 3").

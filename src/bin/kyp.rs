@@ -25,7 +25,7 @@ use knowyourphish::core::{
     CascadeBand, CascadeClassifier, CascadeDecision, DetectorConfig, ModelSnapshot, PhishDetector,
     Pipeline, PipelineVerdict, STAGE_FULL,
 };
-use knowyourphish::datagen::{CampaignConfig, Corpus};
+use knowyourphish::datagen::{check_scale, CampaignConfig, Corpus};
 use knowyourphish::ml::metrics;
 use knowyourphish::obs::{ObsSink, PipelineObserver};
 use knowyourphish::serve::{
@@ -518,11 +518,10 @@ fn write_obs_exports(opts: &ParsedOpts, sink: &ObsSink) -> Result<(), String> {
 fn cmd_gen(opts: &ParsedOpts) -> Result<(), String> {
     let dir = Path::new(opts.require("out")?);
     let scale: f64 = opts.num("scale", 0.02)?;
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(format!(
-            "invalid --scale {scale} (want a finite number > 0)"
-        ));
-    }
+    check_scale(scale).map_err(|want| {
+        let given = opts.get("scale").unwrap_or_default();
+        format!("invalid --scale {given} (want {want})")
+    })?;
     let mut config = CampaignConfig::scaled(scale);
     config.seed = opts.num("seed", config.seed)?;
     let fault_rate: f64 = opts.num("fault-rate", 0.0)?;
@@ -1003,22 +1002,32 @@ mod tests {
             (
                 "--scale",
                 "inf",
-                "invalid --scale inf (want a finite number > 0)",
+                "invalid --scale inf (want a finite number > 0 and at most 10)",
             ),
             (
                 "--scale",
                 "nan",
-                "invalid --scale NaN (want a finite number > 0)",
+                "invalid --scale nan (want a finite number > 0 and at most 10)",
             ),
             (
                 "--scale",
                 "0",
-                "invalid --scale 0 (want a finite number > 0)",
+                "invalid --scale 0 (want a finite number > 0 and at most 10)",
             ),
             (
                 "--scale",
                 "-1",
-                "invalid --scale -1 (want a finite number > 0)",
+                "invalid --scale -1 (want a finite number > 0 and at most 10)",
+            ),
+            (
+                "--scale",
+                "1e300",
+                "invalid --scale 1e300 (want a finite number > 0 and at most 10)",
+            ),
+            (
+                "--scale",
+                "1e6",
+                "invalid --scale 1e6 (want a finite number > 0 and at most 10)",
             ),
             (
                 "--fault-rate",

@@ -46,7 +46,7 @@ use kyp_store::{
     features_path, pages_path, validate_pair, FeatureStoreReader, FeatureStoreWriter, FrameReader,
     PageStoreReader, PageStoreWriter, StoreHeader, StoreKind, WorldStamp, BLOCK_RECORDS,
 };
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::fs;
 use std::fs::File;
 use std::io::{BufRead as _, BufReader, BufWriter, Write};
@@ -55,7 +55,8 @@ use std::sync::Arc;
 
 /// One searchable page of the legitimate index (`index.jsonl`) — the
 /// persisted form of what a crawler would store about a site.
-#[derive(Debug, Serialize, Deserialize)]
+/// [`write_index_line`] writes it without building one.
+#[derive(Debug, Deserialize)]
 struct IndexEntry {
     /// Registered domain of the landing URL.
     rdn: String,
@@ -66,8 +67,10 @@ struct IndexEntry {
 }
 
 /// Appends the `index.jsonl` line of a page that landed at `landing_url`
-/// with `title` and `text`. A landing URL without a registered domain
-/// (an IP host) gives no entry: the engine keys pages by RDN and mld.
+/// with `title` and `text`: the compact JSON of an [`IndexEntry`] whose
+/// `text` is `"{title} {text}"`, escaped straight into `index` with no
+/// allocation. A landing URL without a registered domain (an IP host)
+/// gives no entry: the engine keys pages by RDN and mld.
 fn write_index_line(
     index: &mut impl Write,
     landing_url: &Url,
@@ -77,13 +80,18 @@ fn write_index_line(
     let (Some(rdn), Some(mld)) = (landing_url.rdn(), landing_url.mld()) else {
         return Ok(());
     };
-    let entry = IndexEntry {
-        rdn: rdn.to_owned(),
-        mld: mld.to_owned(),
-        text: format!("{title} {text}"),
+    let mut line = || -> std::io::Result<()> {
+        index.write_all(b"{\"rdn\":\"")?;
+        serde_json::write_str_contents(index, rdn)?;
+        index.write_all(b"\",\"mld\":\"")?;
+        serde_json::write_str_contents(index, mld)?;
+        index.write_all(b"\",\"text\":\"")?;
+        serde_json::write_str_contents(index, title)?;
+        index.write_all(b" ")?;
+        serde_json::write_str_contents(index, text)?;
+        index.write_all(b"\"}\n")
     };
-    let line = serde_json::to_string(&entry).map_err(|e| e.to_string())?;
-    writeln!(index, "{line}").map_err(|e| e.to_string())
+    line().map_err(|e| e.to_string())
 }
 
 /// Writes the offline popularity ranking, `ranker.json`.
@@ -732,4 +740,55 @@ pub fn load_serving_pages(dir: &Path) -> Result<(StoredPages, Vec<String>), Stri
     }
     let urls: Vec<String> = pages.iter().map(|p| p.starting_url.to_string()).collect();
     Ok((StoredPages::new(pages), urls))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The line `serde_json` writes for an index entry.
+    #[derive(serde::Serialize)]
+    struct Line {
+        rdn: String,
+        mld: String,
+        text: String,
+    }
+
+    #[test]
+    fn index_lines_are_serde_json_lines() {
+        let url = Url::parse("https://www.pay-pal2.co.uk/login").unwrap();
+        let samples = [
+            ("Quote \" and \\ backslash", "line\nbreak\r and\ttab"),
+            (
+                "control \u{1}\u{8}\u{c}\u{1b}\u{1f}",
+                "non-ASCII é ü ß ñ 漢字 🦀 © \u{7f}",
+            ),
+            ("", ""),
+            ("\"", "\\\n"),
+        ];
+        for (title, text) in samples {
+            let mut got = Vec::new();
+            write_index_line(&mut got, &url, title, text).unwrap();
+            let want = serde_json::to_string(&Line {
+                rdn: url.rdn().unwrap().to_owned(),
+                mld: url.mld().unwrap().to_owned(),
+                text: format!("{title} {text}"),
+            })
+            .unwrap();
+            let got = String::from_utf8(got).unwrap();
+            assert_eq!(got, format!("{want}\n"), "{title:?} {text:?}");
+            let back: IndexEntry = serde_json::from_str(got.trim_end()).unwrap();
+            assert_eq!(back.text, format!("{title} {text}"));
+        }
+        // An IP host has no registered domain, so no line.
+        let mut got = Vec::new();
+        write_index_line(
+            &mut got,
+            &Url::parse("http://10.0.0.1/x").unwrap(),
+            "t",
+            "x",
+        )
+        .unwrap();
+        assert!(got.is_empty());
+    }
 }

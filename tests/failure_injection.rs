@@ -4,7 +4,7 @@
 
 use knowyourphish::core::{
     features::FEATURE_COUNT, DataSources, DetectorConfig, FeatureExtractor, PhishDetector,
-    Pipeline, TargetIdentifier, TargetVerdict,
+    Pipeline, Source, TargetIdentifier, TargetVerdict,
 };
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::html::Document;
@@ -49,8 +49,8 @@ fn ip_hosted_page_yields_null_fqdn_features() {
     // The paper: IP-based URLs have empty FQDN term distributions.
     let visit = empty_page_visit("http://192.0.2.9/login.php?a=1");
     let sources = DataSources::from_page(&visit);
-    assert!(sources.startrdn.is_empty());
-    assert!(sources.landrdn.is_empty());
+    assert!(sources.is_empty(Source::Startrdn));
+    assert!(sources.is_empty(Source::Landrdn));
     let features = FeatureExtractor::default().extract(&visit);
     assert!(features.iter().all(|v| v.is_finite()));
 }
@@ -350,5 +350,5 @@ fn unicode_soup_everywhere() {
     assert!(features.iter().all(|v| v.is_finite()));
     let sources = DataSources::from_page(&visit);
     // Latin-adjacent letters canonicalise; CJK/Arabic/Cyrillic split terms.
-    assert!(sources.title.is_empty() || sources.title.terms().count() > 0);
+    assert!(sources.is_empty(Source::Title) || sources.terms(Source::Title).count() > 0);
 }
