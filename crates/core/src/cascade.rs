@@ -58,8 +58,12 @@ const TYPOSQUAT_REFERENCES: usize = 64;
 const TYPOSQUAT_CAP: usize = 10;
 
 /// What a non-ASCII reference char becomes in [`reference_bytes`]: a byte
-/// outside the 128-entry match-mask table, so it matches no pattern byte.
+/// outside the 128-entry match-mask tables, so it matches no query byte.
 const NON_ASCII: u8 = 0x80;
+
+/// Most `u64` words [`PackedReferences`] fills: at worst one per
+/// reference.
+const MAX_WORDS: usize = TYPOSQUAT_REFERENCES;
 
 /// A verdict together with the cascade stage that produced it — the
 /// provenance-carrying verdict API.
@@ -241,26 +245,16 @@ impl CascadeCounters {
 #[derive(Debug, Clone)]
 pub struct UrlFeaturizer {
     ranker: DomainRanker,
-    /// Main-level domains of the best-ranked RDNs, in deterministic
-    /// `(rank, name)` order — the typosquat references, as
-    /// [`reference_bytes`].
-    top_mlds: Vec<Vec<u8>>,
+    /// Main-level domains of the best-ranked RDNs — the typosquat
+    /// references — packed as patterns.
+    references: PackedReferences,
 }
 
 impl UrlFeaturizer {
     /// Builds a featurizer over a domain-popularity ranking.
     pub fn new(ranker: DomainRanker) -> Self {
-        let top_mlds = ranker
-            .top_rdns(TYPOSQUAT_REFERENCES)
-            .into_iter()
-            .map(|(_rank, rdn)| {
-                let mld = rdn
-                    .split_once('.')
-                    .map_or(rdn.as_str(), |(mld, _suffix)| mld);
-                reference_bytes(mld)
-            })
-            .collect();
-        UrlFeaturizer { ranker, top_mlds }
+        let references = PackedReferences::new(&reference_mlds(&ranker));
+        UrlFeaturizer { ranker, references }
     }
 
     /// The ranking the featurizer was built over.
@@ -315,38 +309,222 @@ impl UrlFeaturizer {
     /// `1`–`2` on an unranked RDN is the typosquat signature; the cap
     /// means "unrelated".
     fn typosquat_distance(&self, url: &Url) -> usize {
-        // `Url::parse` yields MLDs of 1..=63 bytes of `[a-z0-9_-]`, which
-        // always fit; one that does not (only a deserialized `Url` can
-        // carry it) counts as unrelated.
-        let Some(masks) = url.mld().and_then(MatchMasks::new) else {
-            return TYPOSQUAT_CAP;
-        };
-        let mut best = TYPOSQUAT_CAP;
-        for reference in &self.top_mlds {
-            let d = masks.capped_distance(reference, best);
-            if d < best {
-                best = d;
-                if best == 0 {
-                    break;
-                }
-            }
-        }
-        best
+        url.mld()
+            .map_or(TYPOSQUAT_CAP, |mld| self.references.min_distance(mld))
     }
 }
 
-/// A typosquat reference as the text side of [`MatchMasks::capped_distance`]:
-/// one byte per char, every non-ASCII char mapped to [`NON_ASCII`].
+/// The typosquat references of a ranking: the main-level domains of its
+/// best-ranked RDNs, in deterministic `(rank, name)` order, as
+/// [`reference_bytes`].
+fn reference_mlds(ranker: &DomainRanker) -> Vec<Vec<u8>> {
+    ranker
+        .top_rdns(TYPOSQUAT_REFERENCES)
+        .into_iter()
+        .map(|(_rank, rdn)| {
+            let mld = rdn
+                .split_once('.')
+                .map_or(rdn.as_str(), |(mld, _suffix)| mld);
+            reference_bytes(mld)
+        })
+        .collect()
+}
+
+/// A typosquat reference as a byte string: one byte per char, every
+/// non-ASCII char mapped to [`NON_ASCII`].
 fn reference_bytes(mld: &str) -> Vec<u8> {
     mld.chars()
         .map(|c| if c.is_ascii() { c as u8 } else { NON_ASCII })
         .collect()
 }
 
+/// `true` for 1..=64 ASCII bytes: a query MLD [`PackedReferences`] and
+/// [`MatchMasks`] accept.
+fn fits_one_word(mld: &str) -> bool {
+    !mld.is_empty() && mld.len() <= 64 && mld.is_ascii()
+}
+
+/// One packed reference: the bits it owns in its word.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    /// Index of the word.
+    word: usize,
+    /// The reference's bits, one per byte, lowest first.
+    bits: u64,
+    /// The reference's length in bytes: the number of `bits`.
+    len: usize,
+}
+
+/// The typosquat references as the *patterns* of Myers' bit-parallel edit
+/// distance, packed many to a `u64` word (multi-pattern bit-parallelism;
+/// Hyyrö, Fredriksson and Navarro, 2005). Each reference of 1..=64 bytes
+/// owns a segment of consecutive bits of one word, filled from bit 0 up,
+/// and a query MLD is walked once as the *text* across every word.
+///
+/// Within a word the DP columns of all its segments advance together:
+/// the addition's carry stops at each segment's highest bit, and the
+/// shifts bring row 0's +1 into each segment's lowest bit, so no segment
+/// sees another. After the last text char a segment holds the vertical
+/// deltas of its final column, and its distance is row 0's value plus
+/// their sum: `n + |pv ∩ seg| − |mv ∩ seg|`. The minimum over every
+/// reference is the one the single-pattern kernel finds, capped at
+/// [`TYPOSQUAT_CAP`].
+#[derive(Debug, Clone, Default)]
+struct PackedReferences {
+    /// Words in use.
+    words: usize,
+    /// `eq[c * words + w]`: the bits of word `w` whose reference byte is
+    /// `c`, for every ASCII `c`.
+    eq: Vec<u64>,
+    /// Per word: the lowest bit of every segment.
+    first: Vec<u64>,
+    /// Per word: the highest bit of every segment.
+    last: Vec<u64>,
+    /// Every packed reference.
+    segments: Vec<Segment>,
+    /// References no word holds (over 64 bytes), as the text side of
+    /// [`MatchMasks::capped_distance`]. Only a deserialized ranker
+    /// carries one.
+    long: Vec<Vec<u8>>,
+    /// Whether a reference is empty: it scores the query's length. Only
+    /// a deserialized ranker carries one.
+    empty: bool,
+}
+
+impl PackedReferences {
+    /// Packs references of one byte per char (see [`reference_bytes`]),
+    /// each into the current word while it fits and into a new word
+    /// otherwise.
+    fn new(references: &[Vec<u8>]) -> Self {
+        let mut packed = PackedReferences::default();
+        // (word, lowest bit, reference) of every packed reference.
+        let mut placed = Vec::with_capacity(references.len());
+        let mut used = 64;
+        for reference in references {
+            let len = reference.len();
+            if len == 0 {
+                packed.empty = true;
+                continue;
+            }
+            if used + len > 64 {
+                if len > 64 || packed.words == MAX_WORDS {
+                    packed.long.push(reference.clone());
+                    continue;
+                }
+                packed.words += 1;
+                used = 0;
+            }
+            placed.push((packed.words - 1, used, reference));
+            used += len;
+        }
+        let words = packed.words;
+        packed.eq = vec![0; 128 * words];
+        packed.first = vec![0; words];
+        packed.last = vec![0; words];
+        for (word, low, reference) in placed {
+            let len = reference.len();
+            for (bit, &c) in reference.iter().enumerate() {
+                // A non-ASCII char has no row: it matches nothing.
+                if let Some(mask) = packed.eq.get_mut(usize::from(c) * words + word) {
+                    *mask |= 1 << (low + bit);
+                }
+            }
+            if let (Some(first), Some(last)) =
+                (packed.first.get_mut(word), packed.last.get_mut(word))
+            {
+                *first |= 1 << low;
+                *last |= 1 << (low + len - 1);
+            }
+            packed.segments.push(Segment {
+                word,
+                bits: (u64::MAX >> (64 - len)) << low,
+                len,
+            });
+        }
+        packed
+    }
+
+    /// `min(levenshtein(mld, r), TYPOSQUAT_CAP)` over every reference
+    /// `r`, counting a non-ASCII reference char as matching nothing.
+    /// `Url::parse` yields MLDs of 1..=63 bytes of `[a-z0-9_-]`; one that
+    /// is not 1..=64 ASCII bytes (only a deserialized `Url` can carry it)
+    /// counts as unrelated.
+    fn min_distance(&self, mld: &str) -> usize {
+        if !fits_one_word(mld) {
+            return TYPOSQUAT_CAP;
+        }
+        let text = mld.as_bytes();
+        // Vertical deltas of every segment's current column, all +1 at
+        // column 0; bits above a word's last segment never reach it.
+        let mut pv = [!0u64; MAX_WORDS];
+        let mut mv = [0u64; MAX_WORDS];
+        for &c in text {
+            // Row `c` and the rows after it; the zip keeps one per word.
+            let eqs = self
+                .eq
+                .get(usize::from(c) * self.words..)
+                .unwrap_or_default();
+            let state = pv.iter_mut().zip(mv.iter_mut());
+            let masks = eqs.iter().zip(&self.first).zip(&self.last);
+            for ((pv, mv), ((&eq, &first), &last)) in state.zip(masks) {
+                // The step of `MatchMasks::capped_distance`, with each
+                // segment's carry dropped at its highest bit.
+                let xv = eq | *mv;
+                let x = eq & *pv;
+                let sum = (x & !last).wrapping_add(*pv & !last) ^ ((x ^ *pv) & last);
+                let xh = (sum ^ *pv) | eq;
+                let ph = *mv | !(xh | *pv);
+                let mh = *pv & xh;
+                // Row 0 grows by one per text char in every segment.
+                let ph = (ph << 1) | first;
+                let mh = (mh << 1) & !first;
+                *pv = mh | !(xv | ph);
+                *mv = ph & xv;
+            }
+        }
+        let n = text.len();
+        let mut best = if self.empty { n } else { TYPOSQUAT_CAP };
+        for s in &self.segments {
+            if let (Some(&pv), Some(&mv)) = (pv.get(s.word), mv.get(s.word)) {
+                // n + |pv ∩ seg| − |mv ∩ seg|, as n + |pv ∩ seg| + |¬mv ∩ seg| − len.
+                best = best.min(n + ones(pv & s.bits, !mv & s.bits) - s.len);
+            }
+        }
+        if !self.long.is_empty() {
+            // The single-pattern kernel, with the query as the pattern.
+            if let Some(masks) = MatchMasks::new(mld) {
+                for reference in &self.long {
+                    best = best.min(masks.capped_distance(reference, best));
+                }
+            }
+        }
+        best.min(TYPOSQUAT_CAP)
+    }
+}
+
+/// `a.count_ones() + b.count_ones()` in one pass of the SWAR population
+/// count (the build targets no `popcnt` instruction): two-bit and
+/// four-bit lane sums of each word, then one byte-lane sum of both.
+fn ones(a: u64, b: u64) -> usize {
+    const M1: u64 = 0x5555_5555_5555_5555;
+    const M2: u64 = 0x3333_3333_3333_3333;
+    const M4: u64 = 0x0f0f_0f0f_0f0f_0f0f;
+    const H01: u64 = 0x0101_0101_0101_0101;
+    let a = a - ((a >> 1) & M1);
+    let b = b - ((b >> 1) & M1);
+    // Four-bit lanes of at most 4 + 4 = 8.
+    let s = (a & M2) + ((a >> 2) & M2) + (b & M2) + ((b >> 2) & M2);
+    // Byte lanes of at most 16; their sum, at most 128, is the top byte.
+    let s = (s & M4) + ((s >> 4) & M4);
+    (s.wrapping_mul(H01) >> 56) as usize
+}
+
 /// The pattern side of the bit-parallel edit distance of Myers (1999), in
 /// Hyyrö's formulation for whole-string Levenshtein distance: one `u64`
 /// holds a column of the DP matrix as vertical +1/-1 delta bits, so each
 /// text char costs a handful of word operations instead of a row of cells.
+/// The query MLD is the one pattern: [`PackedReferences`] runs it against
+/// the references no word holds.
 struct MatchMasks {
     /// Bit `i` of `peq[c]` is set when pattern byte `i` is `c`.
     peq: [u64; 128],
@@ -359,7 +537,7 @@ struct MatchMasks {
 impl MatchMasks {
     /// Masks for a pattern of 1..=64 ASCII bytes; `None` for any other.
     fn new(pattern: &str) -> Option<Self> {
-        if pattern.is_empty() || pattern.len() > 64 || !pattern.is_ascii() {
+        if !fits_one_word(pattern) {
             return None;
         }
         let mut peq = [0u64; 128];
@@ -700,6 +878,236 @@ mod tests {
                 cap
             );
         }
+    }
+
+    /// The typosquat distance as the single-pattern kernel computes it:
+    /// the MLD is the one pattern and each reference in turn the text.
+    fn single_pattern_distance(references: &[Vec<u8>], url: &Url) -> usize {
+        let Some(masks) = url.mld().and_then(MatchMasks::new) else {
+            return TYPOSQUAT_CAP;
+        };
+        references.iter().fold(TYPOSQUAT_CAP, |best, reference| {
+            best.min(masks.capped_distance(reference, best))
+        })
+    }
+
+    /// `min(levenshtein(query, r), TYPOSQUAT_CAP)` over `references` by the
+    /// textbook DP.
+    fn textbook_min(references: &[String], query: &str) -> usize {
+        references
+            .iter()
+            .map(|r| levenshtein_capped(query, r, TYPOSQUAT_CAP))
+            .fold(TYPOSQUAT_CAP, usize::min)
+    }
+
+    #[test]
+    fn ones_counts_both_words() {
+        for (a, b) in [
+            (0, 0),
+            (u64::MAX, u64::MAX),
+            (u64::MAX, 0),
+            (1 << 63, 1),
+            (0x5555_5555_5555_5555, 0xaaaa_aaaa_aaaa_aaaa),
+            (0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210),
+        ] {
+            assert_eq!(ones(a, b), (a.count_ones() + b.count_ones()) as usize);
+        }
+    }
+
+    #[test]
+    fn packing_fills_words_and_sets_aside_what_none_holds() {
+        let refs = |specs: &[(&str, usize)]| -> Vec<Vec<u8>> {
+            specs
+                .iter()
+                .map(|&(s, n)| reference_bytes(&s.repeat(n)))
+                .collect()
+        };
+        // 40 + 24 bytes fill one word; 1 byte opens a second one.
+        let packed = PackedReferences::new(&refs(&[("a", 40), ("b", 24), ("c", 1)]));
+        assert_eq!((packed.words, packed.segments.len()), (2, 3));
+        assert_eq!(packed.first, [1 | 1 << 40, 1]);
+        assert_eq!(packed.last, [1 << 39 | 1 << 63, 1]);
+        assert!(packed.long.is_empty() && !packed.empty);
+        // Empty and over-long references are held outside the words.
+        let packed = PackedReferences::new(&refs(&[("", 1), ("é", 70), ("a", 64)]));
+        assert_eq!(
+            (packed.words, packed.long.len(), packed.empty),
+            (1, 1, true)
+        );
+        assert_eq!(packed.min_distance("b"), 1, "the empty reference");
+        assert_eq!(packed.min_distance(&"a".repeat(63)), 1);
+        // A 65th word is never opened: its reference takes the
+        // single-pattern path.
+        let packed = PackedReferences::new(&refs(&[("ab", 32); MAX_WORDS + 1]));
+        assert_eq!((packed.words, packed.long.len()), (MAX_WORDS, 1));
+        assert_eq!(packed.min_distance(&"ab".repeat(32)), 0);
+        assert_eq!(packed.min_distance(&"ab".repeat(31)), 2);
+        // Queries that are not 1..=64 ASCII bytes count as unrelated.
+        for query in ["", "bänk", &"a".repeat(65)] {
+            assert_eq!(packed.min_distance(query), TYPOSQUAT_CAP, "{query:?}");
+        }
+    }
+
+    /// A reference set of 0–80 MLDs of 0–90 chars (non-ASCII chars,
+    /// duplicates and references over 64 bytes included), a query of
+    /// 1–63 bytes of `[a-z0-9_-]` drawn near one of them by up to 6
+    /// edits or unrelated, and a host form for the query.
+    fn references_and_query() -> impl Strategy<Value = (Vec<String>, String, usize)> {
+        let reference: proptest::strategy::Union<String> = prop_oneof![
+            "[a-z0-9-]{1,16}",
+            "[a-z0-9-]{1,16}",
+            "[a-z0-9-]{1,16}",
+            "[ab_]{0,12}",
+            "[a-zé漢]{0,90}",
+            "[ab]{60,90}",
+        ];
+        (
+            collection::vec(reference, 0..=80),
+            any::<usize>(),
+            any::<bool>(),
+            collection::vec((0usize..3, any::<usize>(), "[a-z0-9_-]"), 0..=6),
+            "[a-z0-9_-]{1,63}",
+            0usize..4,
+        )
+            .prop_map(|(mut references, pick, near, edits, unrelated, host)| {
+                if references.is_empty() || !near {
+                    return (references, unrelated, host);
+                }
+                let base = references[pick % references.len()].clone();
+                references.push(base.clone());
+                let alphabet = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+                let mut query: Vec<char> = base
+                    .chars()
+                    .map(|c| if alphabet(c) { c } else { 'x' })
+                    .collect();
+                for (op, at, c) in edits {
+                    let c = c.chars().next().unwrap();
+                    let at = at % (query.len() + 1);
+                    match op {
+                        0 => query.insert(at, c),
+                        1 if at < query.len() => {
+                            query.remove(at);
+                        }
+                        _ if at < query.len() => query[at] = c,
+                        _ => {}
+                    }
+                }
+                query.truncate(63);
+                if query.is_empty() {
+                    query.push('a');
+                }
+                (references, query.into_iter().collect(), host)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn packed_references_match_textbook_dp(case in references_and_query()) {
+            let (references, query, host) = case;
+            let bytes: Vec<Vec<u8>> = references.iter().map(|r| reference_bytes(r)).collect();
+            prop_assert_eq!(
+                PackedReferences::new(&bytes).min_distance(&query),
+                textbook_min(&references, &query),
+                "{:?} against {:?}",
+                query,
+                references
+            );
+            // Through a featurizer: its references are the MLDs of the
+            // ranking's top RDNs (repeated MLDs under other suffixes), and
+            // a host with no MLD is unrelated.
+            let suffixes = ["com", "net", "co.uk"];
+            let featurizer = UrlFeaturizer::new(DomainRanker::from_ranked(
+                references
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| format!("{r}.{}", suffixes[i % suffixes.len()])),
+            ));
+            let url = match host {
+                0 => format!("http://{query}.com/a"),
+                1 => format!("https://www.{query}.co.uk/"),
+                2 => "http://10.0.0.7/login".to_owned(),
+                _ => "http://co.uk/".to_owned(),
+            };
+            if let Ok(url) = Url::parse(&url) {
+                let want = match url.mld() {
+                    Some(mld) => {
+                        let top: Vec<String> = featurizer
+                            .ranker()
+                            .top_rdns(TYPOSQUAT_REFERENCES)
+                            .into_iter()
+                            .map(|(_, rdn)| rdn.split_once('.').map_or(rdn.clone(), |(m, _)| m.to_owned()))
+                            .collect();
+                        textbook_min(&top, mld)
+                    }
+                    None => TYPOSQUAT_CAP,
+                };
+                prop_assert_eq!(featurizer.typosquat_distance(&url), want, "{}", url.as_str());
+            }
+        }
+    }
+
+    /// A URL-stage snapshot over a ranking no generated corpus has — an
+    /// empty MLD, a 70-byte one, a non-ASCII one and repeated ones —
+    /// loads, and scores exactly what the single-pattern kernel scores.
+    #[test]
+    fn hostile_ranker_snapshot_matches_single_pattern_path() {
+        let long = "a".repeat(70);
+        let ranker = DomainRanker::from_ranked([
+            ".com".to_owned(),
+            format!("{long}.com"),
+            "bänk.com".to_owned(),
+            "bigbank.com".to_owned(),
+            "bigbank.net".to_owned(),
+            "bigbank.co.uk".to_owned(),
+            "shopmart.com".to_owned(),
+        ]);
+        let legit = urls("https://s{i}.bigbank.com/account", 60);
+        let phish = urls("http://bank{i}.badhost.tk/login.php?id={i}", 60);
+        let detector =
+            train_url_stage(&legit, &phish, &ranker, &DetectorConfig::url_stage()).unwrap();
+        let json = crate::ModelSnapshot::new_url_stage(detector, ranker)
+            .to_json()
+            .unwrap();
+        let snapshot = crate::ModelSnapshot::from_json(&json).unwrap();
+        let cascade = CascadeClassifier::from_snapshot(snapshot, CascadeBand::default()).unwrap();
+        let featurizer = cascade.featurizer();
+        let references = reference_mlds(featurizer.ranker());
+        assert!(references.iter().any(Vec::is_empty));
+        assert!(references.iter().any(|r| r.len() == 70));
+        assert!(references.contains(&vec![b'b', NON_ASCII, b'n', b'k']));
+        assert_eq!(
+            references
+                .iter()
+                .filter(|r| r.as_slice() == b"bigbank")
+                .count(),
+            3
+        );
+        let probes = [
+            "http://b.com/".to_owned(),
+            format!("http://{}.com/", "a".repeat(63)),
+            "http://bank.com/".to_owned(),
+            "https://www.bigbanc.co.uk/".to_owned(),
+            "http://10.0.0.1/".to_owned(),
+            "http://co.uk/".to_owned(),
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for url in probes.iter().chain(&legit).chain(&phish) {
+            let parsed = Url::parse(url).unwrap();
+            let row = featurizer.features(&parsed);
+            let mut want = row;
+            want[16] = single_pattern_distance(&references, &parsed) as f64;
+            seen.insert(want[16] as usize);
+            assert_eq!(row.map(f64::to_bits), want.map(f64::to_bits), "{url}");
+            assert_eq!(
+                cascade.url_score(url).map(f64::to_bits),
+                Some(cascade.detector.score(&want).to_bits()),
+                "{url}"
+            );
+        }
+        // The empty reference, the 70-byte one and the cap all decide.
+        assert!(seen.contains(&1) && seen.contains(&7) && seen.contains(&TYPOSQUAT_CAP));
     }
 
     #[test]

@@ -292,25 +292,20 @@ impl FeatureExtractor {
     /// Extracts features reusing already-computed term distributions
     /// (the keyterm extractor needs the same [`DataSources`]).
     pub fn extract_with_sources(&self, page: &VisitedPage, sources: &DataSources) -> Vec<f64> {
-        self.extract_with_sources_observed(page, sources, &mut kyp_obs::NoopObserver)
+        self.extract_observed_with(
+            page,
+            sources,
+            &LinkSplits::of(page),
+            &mut kyp_obs::NoopObserver,
+        )
     }
 
-    /// Like [`FeatureExtractor::extract_with_sources`], reporting each
-    /// feature family to `obs` as it completes. The observer only
-    /// watches; the returned vector is identical to the unobserved call.
-    pub fn extract_with_sources_observed(
-        &self,
-        page: &VisitedPage,
-        sources: &DataSources,
-        obs: &mut dyn kyp_obs::PipelineObserver,
-    ) -> Vec<f64> {
-        self.extract_observed_with(page, sources, &LinkSplits::of(page), obs)
-    }
-
-    /// Innermost extraction: sources *and* link splits already computed.
-    /// The batch hot path computes one [`LinkSplits`] per page and shares
-    /// it between [`DataSources`] and the f1/f4 features.
-    fn extract_observed_with(
+    /// Innermost extraction: sources *and* link splits already computed,
+    /// each feature family reported to `obs` as it completes. The hot
+    /// paths compute one [`LinkSplits`] per page and share it between
+    /// [`DataSources`] and the f1/f4 features. The observer only watches;
+    /// the returned vector is identical to the unobserved call.
+    pub(crate) fn extract_observed_with(
         &self,
         page: &VisitedPage,
         sources: &DataSources,

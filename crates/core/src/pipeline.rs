@@ -5,6 +5,7 @@
 //! ("suspicious"). Section VI-D shows this pipeline cutting the false
 //! positive rate from 0.0005 to 0.0001 on the English test set.
 
+use crate::features::LinkSplits;
 use crate::{
     DataSources, FeatureExtractor, PhishDetector, TargetCandidate, TargetIdentifier, TargetVerdict,
 };
@@ -154,10 +155,12 @@ impl Pipeline {
         obs: &mut dyn kyp_obs::PipelineObserver,
     ) -> PipelineVerdict {
         obs.page_start(page.starting_url.as_str());
-        let sources = DataSources::from_partial(page, availability);
+        // One control split serves the link sources and the f1/f4 features.
+        let splits = LinkSplits::of(page);
+        let sources = DataSources::from_page_with_splits(page, &splits, availability.links, None);
         let features = self
             .extractor
-            .extract_with_sources_observed(page, &sources, obs);
+            .extract_observed_with(page, &sources, &splits, obs);
         let score = self.detector.score(&features);
         let flagged = score >= self.detector.threshold();
         obs.detector_score(score, flagged);

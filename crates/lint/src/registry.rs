@@ -31,7 +31,8 @@ pub const ENTRY_POINTS: &[(&str, &str, &str)] = &[
 /// build and the f2 id kernel, the URL accessors, the URL check the
 /// page-block view runs on every stored URL,
 /// the public-suffix lookup every URL parse runs, the URL stage's
-/// typosquat kernel, and the store framing decoder.
+/// typosquat distance and its packed multi-pattern kernel, and the store
+/// framing decoder.
 /// Allocating calls here, or in callees to depth 2, are flagged.
 pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("ml", "FlatModel", "predict_proba"),
@@ -52,6 +53,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("url", "Url", "fqdn_len"),
     ("url", "", "suffix_label_count"),
     ("core", "UrlFeaturizer", "typosquat_distance"),
+    ("core", "PackedReferences", "min_distance"),
     ("store", "FrameReader", "next_block"),
 ];
 

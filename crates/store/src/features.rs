@@ -199,8 +199,14 @@ impl<R: Read> FeatureStoreReader<R> {
             return Ok(None);
         };
         let n = n as usize;
-        let want = 4 + n + n * self.n_features * 8;
-        if self.payload.len() != want {
+        // A forged record count times a forged header width can pass
+        // `usize::MAX`: a size no payload holds.
+        let want = n
+            .checked_mul(self.n_features)
+            .and_then(|values| values.checked_mul(8))
+            .and_then(|bytes| bytes.checked_add(4 + n));
+        if want != Some(self.payload.len()) {
+            let want = want.map_or_else(|| "more than usize::MAX".to_owned(), |w| w.to_string());
             return Err(StoreError::Corrupt {
                 offset,
                 detail: format!(
@@ -350,6 +356,22 @@ mod tests {
         }
         assert_eq!(back_rows, rows);
         assert_eq!(back_labels, labels);
+    }
+
+    #[test]
+    fn forged_shape_past_usize_is_corrupt_not_an_overflow() {
+        let mut bytes = Vec::new();
+        let mut fw = FrameWriter::new(&mut bytes, &header(u32::MAX)).unwrap();
+        fw.write_block(u32::MAX, &[0, 0, 0, 0, 1]).unwrap();
+        fw.finish().unwrap();
+        let frame = FrameReader::new(&bytes[..]).unwrap();
+        match FeatureStoreReader::from_frame(frame).unwrap().next_block() {
+            Err(StoreError::Corrupt { detail, .. }) => assert_eq!(
+                detail,
+                "feature block holds 5 bytes, expected more than usize::MAX for 4294967295 rows"
+            ),
+            other => panic!("expected a corrupt-block error, got {other:?}"),
+        }
     }
 
     #[test]
