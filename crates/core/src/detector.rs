@@ -132,16 +132,6 @@ impl PhishDetector {
         &self.model
     }
 
-    /// Reassembles a detector from a deserialised model and threshold
-    /// (model persistence for deployment, e.g. shipping with an add-on).
-    pub fn from_parts(model: GradientBoosting, threshold: f64) -> Self {
-        PhishDetector {
-            model,
-            threshold,
-            compiled: OnceLock::new(),
-        }
-    }
-
     /// Calibrates the discrimination threshold on held-out data: picks the
     /// lowest threshold whose false-positive rate stays within `max_fpr`
     /// (maximising recall at the allowed FP budget), sets it, and returns

@@ -175,44 +175,28 @@ impl TargetIdentifier {
         }
         obs.target_step(1, &TargetStepOutcome::Continue);
 
-        // ---- Steps 2-4: keyterm searches. Each step reports its outcome
-        // before step 5 (candidate ranking) reports the final cut.
-        let prominent = terms.prominent(n);
-        match self.search_step(&prominent, &suspected, &terms, 2) {
-            StepOutcome::Legitimate(step) => {
-                obs.target_step(step, &TargetStepOutcome::ConfirmedLegitimate);
-                return TargetVerdict::Legitimate { step };
+        // ---- Steps 2-4: keyterm searches over the prominent, boosted and
+        // OCR prominent terms. Each step reports its outcome before step 5
+        // (candidate ranking) reports the final cut. The OCR terms are the
+        // slow path, so they are computed only when steps 2 and 3 continue.
+        let ocr_terms =
+            std::iter::once_with(|| (4, terms.ocr_prominent(page, &self.config.ocr, n)));
+        let keyterm_steps = [(2, terms.prominent(n)), (3, boosted)]
+            .into_iter()
+            .chain(ocr_terms);
+        for (step, keyterms) in keyterm_steps {
+            match self.search_step(&keyterms, &suspected, &terms) {
+                StepOutcome::Legitimate => {
+                    obs.target_step(step, &TargetStepOutcome::ConfirmedLegitimate);
+                    return TargetVerdict::Legitimate { step };
+                }
+                StepOutcome::Candidates(c) => {
+                    obs.target_step(step, &TargetStepOutcome::Candidates { count: c.len() });
+                    return Self::step5(page, &terms, c, obs);
+                }
+                StepOutcome::Continue => obs.target_step(step, &TargetStepOutcome::Continue),
             }
-            StepOutcome::Candidates(c) => {
-                obs.target_step(2, &TargetStepOutcome::Candidates { count: c.len() });
-                return Self::step5(page, &terms, c, obs);
-            }
-            StepOutcome::Continue => obs.target_step(2, &TargetStepOutcome::Continue),
         }
-        match self.search_step(&boosted, &suspected, &terms, 3) {
-            StepOutcome::Legitimate(step) => {
-                obs.target_step(step, &TargetStepOutcome::ConfirmedLegitimate);
-                return TargetVerdict::Legitimate { step };
-            }
-            StepOutcome::Candidates(c) => {
-                obs.target_step(3, &TargetStepOutcome::Candidates { count: c.len() });
-                return Self::step5(page, &terms, c, obs);
-            }
-            StepOutcome::Continue => obs.target_step(3, &TargetStepOutcome::Continue),
-        }
-        let ocr_terms = terms.ocr_prominent(page, &self.config.ocr, n);
-        match self.search_step(&ocr_terms, &suspected, &terms, 4) {
-            StepOutcome::Legitimate(step) => {
-                obs.target_step(step, &TargetStepOutcome::ConfirmedLegitimate);
-                return TargetVerdict::Legitimate { step };
-            }
-            StepOutcome::Candidates(c) => {
-                obs.target_step(4, &TargetStepOutcome::Candidates { count: c.len() });
-                return Self::step5(page, &terms, c, obs);
-            }
-            StepOutcome::Continue => obs.target_step(4, &TargetStepOutcome::Continue),
-        }
-
         TargetVerdict::Unknown
     }
 
@@ -221,14 +205,13 @@ impl TargetIdentifier {
         terms: &[String],
         suspected: &BTreeSet<&str>,
         page_terms: &TermIndex<'_>,
-        step: u8,
     ) -> StepOutcome {
         if terms.is_empty() {
             return StepOutcome::Continue;
         }
         let hits = self.engine.query(terms, SEARCH_RESULTS);
         if hits.iter().any(|h| suspected.contains(h.rdn.as_str())) {
-            return StepOutcome::Legitimate(step);
+            return StepOutcome::Legitimate;
         }
         let candidates: Vec<SearchHit> = hits
             .into_iter()
@@ -278,7 +261,7 @@ impl TargetIdentifier {
 }
 
 enum StepOutcome {
-    Legitimate(u8),
+    Legitimate,
     Candidates(Vec<SearchHit>),
     Continue,
 }

@@ -120,13 +120,6 @@ impl PageBuilder {
         self
     }
 
-    /// Adds pre-built raw HTML to the body (trusted input only).
-    pub fn raw_body(mut self, html: &str) -> Self {
-        self.body.push_str(html);
-        self.body.push('\n');
-        self
-    }
-
     /// Assembles the final HTML document.
     pub fn build(&self) -> String {
         let mut out = String::with_capacity(self.body.len() + 256);

@@ -258,11 +258,6 @@ impl MetricsRegistry {
         let _ = self.slot(name, Metric::Counter(0));
     }
 
-    /// Registers a gauge (no-op if `name` already exists).
-    pub fn register_gauge(&mut self, name: &str) {
-        let _ = self.slot(name, Metric::Gauge(0));
-    }
-
     /// Registers a histogram with the given bucket bounds (no-op if `name`
     /// already exists).
     pub fn register_histogram(&mut self, name: &str, bounds: &[u64]) {

@@ -126,11 +126,6 @@ impl ObsSink {
         &self.tracer
     }
 
-    /// Mutable access to the trace log.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// Splits the sink into its registry and tracer.
     pub fn into_parts(self) -> (MetricsRegistry, Tracer) {
         (self.registry, self.tracer)

@@ -22,7 +22,8 @@
 //!                                   │ MicroBatcher: flush on max_batch
 //!                                   ▼            or max_delay_ms
 //!                    ┌────────────────────────────────────────────┐
-//!                    │ VerdictCache (LRU + TTL, landing-URL key)  │
+//!                    │ fetch memo (request URL) → verdict cache   │
+//!                    │ (landing URL → verdict; no capacity/TTL)   │
 //!                    │   hit ──────────────▶ response             │
 //!                    │   miss ─▶ Pipeline::classify_scraped ─▶ …  │
 //!                    └──────────────┬─────────────────────────────┘
@@ -49,11 +50,11 @@
 //! - under a **fault plan** — all retry/breaker timing is virtual.
 //!
 //! The cache's payoff is wall-clock time only: hits skip feature
-//! extraction and both model stages. perfbench's `serve-cascade`
+//! extraction and both model stages. It is a memo with no capacity or
+//! expiry (see [`service`] for why). perfbench's `serve-cascade`
 //! workload measures it.
 
 pub mod batcher;
-pub mod cache;
 pub mod protocol;
 pub mod queue;
 pub mod service;
@@ -62,10 +63,9 @@ pub mod stats;
 pub mod workload;
 
 pub use batcher::{BatchCounters, BatchPolicy, MicroBatcher};
-pub use cache::{CacheConfig, CacheCounters, VerdictCache};
 pub use protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 pub use queue::{AdmissionQueue, QueueCounters};
 pub use service::{ScoringService, ServeConfig, SHED_QUEUE_FULL};
 pub use source::{canonical_url, PageSource, ScraperSource, StoredPages};
-pub use stats::{LatencySummary, ServeReport};
+pub use stats::{CacheCounters, LatencySummary, ServeReport};
 pub use workload::{generate, ArrivalPattern, WorkloadConfig};

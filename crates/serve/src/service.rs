@@ -26,6 +26,12 @@
 //!   captured page, so a cached verdict equals the verdict recomputation
 //!   would produce.
 //!
+//! The verdict cache is therefore a memo, not a policy: it maps each
+//! canonical landing URL to its verdict for the service's lifetime, with
+//! no capacity or expiry, because the fetch memo already holds every page
+//! for that long and an entry could only be recomputed to the same bytes.
+//! Freshness, if pages ever change, belongs to the fetch memo.
+//!
 //! The virtual cost model is deliberately cache-independent: hits and
 //! misses cost the same *virtual* time, so queueing, shedding and batch
 //! boundaries are identical in both runs. The cache's benefit is real
@@ -33,11 +39,10 @@
 //! stages — which is exactly what the serving benchmark measures.
 
 use crate::batcher::{BatchPolicy, MicroBatcher};
-use crate::cache::{CacheConfig, VerdictCache};
 use crate::protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
 use crate::queue::AdmissionQueue;
 use crate::source::{canonical_url, PageSource};
-use crate::stats::{LatencySummary, ServeReport};
+use crate::stats::{CacheCounters, LatencySummary, ServeReport};
 use kyp_core::{CascadeClassifier, CascadeCounters, CascadeDecision, Pipeline, PipelineVerdict};
 use kyp_obs::{Histogram, VerdictStage};
 use kyp_web::{FailureCause, ScrapedPage};
@@ -59,8 +64,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Micro-batching policy.
     pub batch: BatchPolicy,
-    /// Verdict cache policy; `None` disables the cache.
-    pub cache: Option<CacheConfig>,
+    /// Whether verdicts are memoized by canonical landing URL.
+    pub cache: bool,
 }
 
 impl Default for ServeConfig {
@@ -68,7 +73,7 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 64,
             batch: BatchPolicy::default(),
-            cache: Some(CacheConfig::default()),
+            cache: true,
         }
     }
 }
@@ -100,7 +105,10 @@ enum Slot {
 pub struct ScoringService<S> {
     pipeline: Pipeline,
     source: S,
-    cache: Option<VerdictCache<(PipelineVerdict, bool)>>,
+    /// The verdict cache: `(verdict, degraded)` by canonical landing URL,
+    /// or `None` with the cache off.
+    cache: Option<HashMap<String, (PipelineVerdict, bool)>>,
+    cache_counters: CacheCounters,
     cascade: Option<CascadeClassifier>,
     cascade_counters: CascadeCounters,
     queue: AdmissionQueue<ServeRequest>,
@@ -122,7 +130,8 @@ impl<S: PageSource> ScoringService<S> {
         ScoringService {
             pipeline,
             source,
-            cache: config.cache.map(VerdictCache::new),
+            cache: config.cache.then(HashMap::new),
+            cache_counters: CacheCounters::default(),
             cascade: None,
             cascade_counters: CascadeCounters::default(),
             queue: AdmissionQueue::new(config.queue_capacity),
@@ -347,11 +356,7 @@ impl<S: PageSource> ScoringService<S> {
             unfetchable: self.unfetchable,
             degraded: self.degraded,
             cache_enabled: self.cache.is_some(),
-            cache: self
-                .cache
-                .as_ref()
-                .map(super::cache::VerdictCache::counters)
-                .unwrap_or_default(),
+            cache: self.cache_counters,
             cascade_enabled: self.cascade.is_some(),
             cascade: self.cascade_counters,
             queue,
@@ -387,16 +392,6 @@ impl<S: PageSource> ScoringService<S> {
             registry,
             "serve.report.cache.insertions",
             report.cache.insertions,
-        );
-        gauge(
-            registry,
-            "serve.report.cache.evictions",
-            report.cache.evictions,
-        );
-        gauge(
-            registry,
-            "serve.report.cache.expirations",
-            report.cache.expirations,
         );
         registry.set_gauge(
             "serve.report.cascade_enabled",
@@ -498,15 +493,14 @@ impl<S: PageSource> ScoringService<S> {
             let slot = match stored {
                 Err(cause) => Slot::Unfetchable(*cause),
                 Ok(stored) => {
-                    let cached = self
-                        .cache
-                        .as_mut()
-                        .and_then(|c| c.get(&stored.landing_key, flush_ms));
+                    let cached = self.cache.as_ref().and_then(|c| c.get(&stored.landing_key));
                     if let Some((verdict, degraded)) = cached {
+                        self.cache_counters.hits += 1;
                         obs.cache_hit();
-                        Slot::Cached(verdict, degraded)
+                        Slot::Cached(verdict.clone(), *degraded)
                     } else {
                         if self.cache.is_some() {
+                            self.cache_counters.misses += 1;
                             obs.cache_miss();
                         }
                         let idx = to_classify.len();
@@ -521,12 +515,9 @@ impl<S: PageSource> ScoringService<S> {
 
         let classified = self.pipeline.classify_scraped(&to_classify, obs);
         if let Some(cache) = self.cache.as_mut() {
-            for (key, page) in pending_keys.iter().zip(&classified) {
-                cache.insert(
-                    key.clone(),
-                    (page.verdict.clone(), page.degraded),
-                    completion_ms,
-                );
+            for (key, page) in pending_keys.into_iter().zip(&classified) {
+                cache.insert(key, (page.verdict.clone(), page.degraded));
+                self.cache_counters.insertions += 1;
             }
         }
 
@@ -676,7 +667,7 @@ mod tests {
             pipeline(),
             pages,
             ServeConfig {
-                cache: cache.then(CacheConfig::default),
+                cache,
                 ..ServeConfig::default()
             },
         )
@@ -740,6 +731,85 @@ mod tests {
     }
 
     #[test]
+    fn cache_counts_hits_misses_and_insertions() {
+        use CacheState::{Disabled, Hit, Miss};
+        let (_, urls) = store(20);
+        // One request per batch, then a same-instant pair that shares one.
+        let mut trace: Vec<ServeRequest> = [0, 0, 1, 0, 1, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| ServeRequest {
+                id: i as u64,
+                url: urls[u].clone(),
+                arrival_ms: i as u64 * 1_000,
+            })
+            .collect();
+        for id in [6, 7] {
+            trace.push(ServeRequest {
+                id,
+                url: urls[3].clone(),
+                arrival_ms: 6_000,
+            });
+        }
+        let mut on = service(true);
+        let states: Vec<CacheState> = on.run_trace(&trace).iter().map(|r| r.cache).collect();
+        assert_eq!(states, [Miss, Hit, Miss, Hit, Hit, Miss, Miss, Miss]);
+        let k = on.report().cache;
+        assert_eq!((k.hits, k.misses, k.insertions), (3, 5, 5));
+
+        let mut off = service(false);
+        let states: Vec<CacheState> = off.run_trace(&trace).iter().map(|r| r.cache).collect();
+        assert_eq!(states, [Disabled; 8]);
+        assert_eq!(off.report().cache, CacheCounters::default());
+    }
+
+    #[test]
+    fn revisits_after_five_virtual_minutes_still_hit_the_cache() {
+        // One request per batch, 20 virtual seconds apart: an hour of
+        // revisits that no capacity or expiry may turn into misses.
+        let (_, urls) = store(20);
+        let trace = generate(
+            &WorkloadConfig {
+                requests: 180,
+                duplicate_rate: 0.5,
+                arrival: ArrivalPattern::Steady { gap_ms: 20_000 },
+                ..WorkloadConfig::default()
+            },
+            &urls,
+        );
+        let mut on = service(true);
+        let responses = on.run_trace(&trace);
+        assert_eq!(on.report().batches.max_size, 1);
+        let mut first_visit: HashMap<String, u64> = HashMap::new();
+        let mut late_revisits = 0;
+        for (request, response) in trace.iter().zip(&responses) {
+            assert_eq!(request.id, response.id);
+            let first = *first_visit
+                .entry(canonical_url(&request.url))
+                .or_insert(request.arrival_ms);
+            let expected = if first == request.arrival_ms {
+                CacheState::Miss
+            } else {
+                CacheState::Hit
+            };
+            assert_eq!(response.cache, expected, "request {}", request.id);
+            if request.arrival_ms - first > 300_000 {
+                late_revisits += 1;
+            }
+        }
+        assert!(late_revisits > 0, "no revisit after five minutes");
+
+        let mut off = service(false);
+        let lines_off: Vec<String> = off
+            .run_trace(&trace)
+            .iter()
+            .map(ServeResponse::verdict_line)
+            .collect();
+        let lines_on: Vec<String> = responses.iter().map(ServeResponse::verdict_line).collect();
+        assert_eq!(lines_on, lines_off);
+    }
+
+    #[test]
     fn bursty_overload_sheds_deterministically() {
         let (_, urls) = store(20);
         let trace = generate(
@@ -762,7 +832,6 @@ mod tests {
                 pages,
                 ServeConfig {
                     queue_capacity: 8,
-                    cache: Some(CacheConfig::default()),
                     ..ServeConfig::default()
                 },
             );
@@ -874,6 +943,42 @@ mod tests {
         }]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].cache, CacheState::Miss, "restart emptied the cache");
+    }
+
+    #[test]
+    fn restart_empties_the_cache_but_keeps_its_counters() {
+        let mut svc = service(true);
+        let _ = svc.run_trace(&trace(40, 0.5));
+        let before = svc.report().cache;
+        assert!(before.hits > 0 && before.insertions > 0);
+        svc.restart();
+        assert_eq!(svc.report().cache, before, "lifetime accounting survives");
+        // The cold cache misses on a key it used to hold, then refills and
+        // keeps counting from the surviving totals.
+        let (_, urls) = store(20);
+        let out = svc.run_trace(&[
+            ServeRequest {
+                id: 1_000,
+                url: urls[0].clone(),
+                arrival_ms: 2_000_000,
+            },
+            ServeRequest {
+                id: 1_001,
+                url: urls[0].clone(),
+                arrival_ms: 3_000_000,
+            },
+        ]);
+        let states: Vec<CacheState> = out.iter().map(|r| r.cache).collect();
+        assert_eq!(
+            states,
+            [CacheState::Miss, CacheState::Hit],
+            "restart emptied the cache"
+        );
+        let k = svc.report().cache;
+        assert_eq!(
+            (k.hits, k.misses, k.insertions),
+            (before.hits + 1, before.misses + 1, before.insertions + 1)
+        );
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl<'w, W: World> ScraperSource<'w, W> {
             browser: ResilientBrowser::new(world),
         }
     }
-
-    /// A source wrapping an explicitly configured browser.
-    pub fn with_browser(browser: ResilientBrowser<'w, W>) -> Self {
-        ScraperSource { browser }
-    }
 }
 
 impl<W: World> PageSource for ScraperSource<'_, W> {

@@ -1,5 +1,5 @@
 //! Latency accounting: the percentile summary of a latency histogram,
-//! and the service's serializable run report.
+//! and the service's serializable run report with its cache counts.
 //!
 //! Latencies are recorded into a [`kyp_obs::Histogram::pow2`], so the
 //! serving layer's percentile semantics are exactly the observability
@@ -8,7 +8,6 @@
 //! overshoots it.
 
 use crate::batcher::BatchCounters;
-use crate::cache::CacheCounters;
 use crate::queue::QueueCounters;
 use kyp_core::CascadeCounters;
 use kyp_obs::Histogram;
@@ -61,6 +60,18 @@ impl LatencySummary {
             max_ms: histogram.max(),
         }
     }
+}
+
+/// Verdict-cache event counts of one service's lifetime; a restart
+/// empties the cache but keeps them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CacheCounters {
+    /// Lookups answered from a cached verdict.
+    pub hits: u64,
+    /// Lookups that found no verdict for the landing URL.
+    pub misses: u64,
+    /// Verdicts written.
+    pub insertions: u64,
 }
 
 /// Serializable end-of-run report of a scoring service.

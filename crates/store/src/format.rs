@@ -355,8 +355,8 @@ impl<R: Read> FrameReader<R> {
             });
         }
         offset += 4;
-        let mut json = vec![0u8; header_len as usize];
-        read_exact_at(&mut input, &mut json, offset, "header json")?;
+        let mut json = Vec::new();
+        read_vec_at(&mut input, &mut json, header_len, offset, "header json")?;
         offset += u64::from(header_len);
         let mut sum = [0u8; 8];
         read_exact_at(&mut input, &mut sum, offset, "header checksum")?;
@@ -429,8 +429,13 @@ impl<R: Read> FrameReader<R> {
             });
         }
         self.offset += 8;
-        payload.resize(payload_len as usize, 0);
-        read_exact_at(&mut self.input, payload, self.offset, "block payload")?;
+        read_vec_at(
+            &mut self.input,
+            payload,
+            payload_len,
+            self.offset,
+            "block payload",
+        )?;
         self.offset += u64::from(payload_len);
         let mut sum = [0u8; 8];
         read_exact_at(&mut self.input, &mut sum, self.offset, "block checksum")?;
@@ -493,6 +498,29 @@ fn read_exact_at<R: Read>(
             StoreError::Io(e)
         }
     })
+}
+
+/// Replaces `buf` with the next `len` bytes of `input`, reporting a short
+/// read like [`read_exact_at`]. The buffer grows only as bytes arrive, so
+/// a forged length over a short file costs what the file holds, not what
+/// the length claims.
+fn read_vec_at<R: Read>(
+    input: &mut R,
+    buf: &mut Vec<u8>,
+    len: u32,
+    offset: u64,
+    what: &str,
+) -> Result<(), StoreError> {
+    buf.clear();
+    let got = input.by_ref().take(u64::from(len)).read_to_end(buf)?;
+    if got == len as usize {
+        Ok(())
+    } else {
+        Err(StoreError::Truncated {
+            offset,
+            detail: format!("file ends inside {what}"),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -612,6 +640,65 @@ mod tests {
             r.next_block(&mut payload),
             Err(StoreError::Truncated { .. })
         ));
+    }
+
+    /// A forged length over a few present bytes: 256 MiB, under
+    /// `MAX_BLOCK_LEN`, so only the bytes present can refuse it.
+    const FORGED_LEN: u32 = 256 << 20;
+
+    /// Reads through to `inner`, keeping the widest buffer a caller asked
+    /// it to fill: a reader cannot be asked to fill more than its caller
+    /// allocated.
+    #[derive(Debug)]
+    struct Widest<R> {
+        inner: R,
+        widest: usize,
+    }
+
+    impl<R: Read> Read for Widest<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn forged_block_length_is_truncated_without_allocating_it() {
+        let mut bytes = frame_bytes(&[]);
+        let body_at = bytes.len() as u64;
+        bytes.extend_from_slice(&FORGED_LEN.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(b"a few payload bytes");
+        let mut r = FrameReader::new(&bytes[..]).unwrap();
+        let mut payload = Vec::new();
+        match r.next_block(&mut payload) {
+            Err(StoreError::Truncated { offset, detail }) => {
+                assert_eq!(offset, body_at + 8);
+                assert_eq!(detail, "file ends inside block payload");
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        assert!(payload.capacity() < 1 << 20, "{}", payload.capacity());
+    }
+
+    #[test]
+    fn forged_header_length_is_truncated_without_allocating_it() {
+        let mut bytes = STORE_MAGIC.to_vec();
+        bytes.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&FORGED_LEN.to_le_bytes());
+        bytes.extend_from_slice(b"{\"kind\":");
+        let mut input = Widest {
+            inner: &bytes[..],
+            widest: 0,
+        };
+        match FrameReader::new(&mut input) {
+            Err(StoreError::Truncated { offset, detail }) => {
+                assert_eq!(offset, 16);
+                assert_eq!(detail, "file ends inside header json");
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        assert!(input.widest < 1 << 20, "{}", input.widest);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl TermDistribution {
         self.spans[i].2
     }
 
-    /// Adds the terms of `text` to the distribution.
-    pub fn add_text(&mut self, text: &str) {
-        self.merge(&Self::from_text(text));
-    }
-
     /// Adds one occurrence of an (already canonical) term.
     pub fn add_term(&mut self, term: String) {
         debug_assert!(

@@ -64,34 +64,13 @@ impl Corpus {
     /// TF-IDF scores of a document's terms against this corpus, in
     /// deterministic (term-sorted) order.
     pub fn tfidf(&self, text: &str) -> BTreeMap<String, f64> {
-        let terms = extract_terms(text);
-        let total = terms.len() as f64;
-        if total == 0.0 {
-            return BTreeMap::new();
-        }
-        let mut tf: BTreeMap<String, f64> = BTreeMap::new();
-        for t in terms {
-            *tf.entry(t).or_insert(0.0) += 1.0;
-        }
-        tf.into_iter()
-            .map(|(t, c)| {
-                let idf = self.idf(&t);
-                (t, c / total * idf)
-            })
-            .collect()
+        tfidf_with(text, |t| self.idf(t))
     }
 
     /// The `k` highest-TF-IDF terms of a document, best first; ties broken
     /// alphabetically for determinism.
     pub fn top_terms(&self, text: &str, k: usize) -> Vec<(String, f64)> {
-        let mut scored: Vec<(String, f64)> = self.tfidf(text).into_iter().collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        scored
+        top_terms_with(text, k, |t| self.idf(t))
     }
 
     /// Precomputes every term's IDF into a flat sorted table for batch
@@ -151,35 +130,48 @@ impl PreparedCorpus {
     /// TF-IDF scores of a document's terms, in deterministic
     /// (term-sorted) order; same values as [`Corpus::tfidf`].
     pub fn tfidf(&self, text: &str) -> BTreeMap<String, f64> {
-        let terms = extract_terms(text);
-        let total = terms.len() as f64;
-        if total == 0.0 {
-            return BTreeMap::new();
-        }
-        let mut tf: BTreeMap<String, f64> = BTreeMap::new();
-        for t in terms {
-            *tf.entry(t).or_insert(0.0) += 1.0;
-        }
-        tf.into_iter()
-            .map(|(t, c)| {
-                let idf = self.idf(&t);
-                (t, c / total * idf)
-            })
-            .collect()
+        tfidf_with(text, |t| self.idf(t))
     }
 
     /// The `k` highest-TF-IDF terms of a document, best first; ties
     /// broken alphabetically. Same ranking as [`Corpus::top_terms`].
     pub fn top_terms(&self, text: &str, k: usize) -> Vec<(String, f64)> {
-        let mut scored: Vec<(String, f64)> = self.tfidf(text).into_iter().collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        scored
+        top_terms_with(text, k, |t| self.idf(t))
     }
+}
+
+/// TF-IDF scores of `text`'s terms under `idf`, in term-sorted order: the
+/// one scorer behind [`Corpus`] and [`PreparedCorpus`], which differ only
+/// in how they look the IDF up.
+fn tfidf_with(text: &str, idf: impl Fn(&str) -> f64) -> BTreeMap<String, f64> {
+    let terms = extract_terms(text);
+    let total = terms.len() as f64;
+    if total == 0.0 {
+        return BTreeMap::new();
+    }
+    let mut tf: BTreeMap<String, f64> = BTreeMap::new();
+    for t in terms {
+        *tf.entry(t).or_insert(0.0) += 1.0;
+    }
+    tf.into_iter()
+        .map(|(t, c)| {
+            let idf = idf(&t);
+            (t, c / total * idf)
+        })
+        .collect()
+}
+
+/// The `k` highest of [`tfidf_with`]'s scores, best first; ties broken
+/// alphabetically for determinism.
+fn top_terms_with(text: &str, k: usize, idf: impl Fn(&str) -> f64) -> Vec<(String, f64)> {
+    let mut scored: Vec<(String, f64)> = tfidf_with(text, idf).into_iter().collect();
+    scored.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    scored.truncate(k);
+    scored
 }
 
 #[cfg(test)]

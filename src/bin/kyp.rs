@@ -29,8 +29,8 @@ use knowyourphish::datagen::{check_scale, CampaignConfig, Corpus};
 use knowyourphish::ml::metrics;
 use knowyourphish::obs::{ObsSink, PipelineObserver};
 use knowyourphish::serve::{
-    generate, ArrivalPattern, BatchPolicy, CacheConfig, ScoringService, ServeConfig, ServeRequest,
-    StoredPages, WorkloadConfig,
+    generate, ArrivalPattern, BatchPolicy, ScoringService, ServeConfig, ServeRequest, StoredPages,
+    WorkloadConfig,
 };
 use knowyourphish::storeflow;
 use knowyourphish::web::{FaultPlan, FlakyWorld, SourceAvailability, VisitedPage};
@@ -848,8 +848,8 @@ fn cmd_serve(opts: &ParsedOpts) -> Result<(), String> {
     };
     let (pipeline, pages, urls) = load_serving_stack(opts)?;
     let cache = match opts.get("cache") {
-        None | Some("on") => Some(CacheConfig::default()),
-        Some("off") => None,
+        None | Some("on") => true,
+        Some("off") => false,
         Some(other) => return Err(format!("invalid --cache {other:?} (want on or off)")),
     };
     let config = ServeConfig {
@@ -918,7 +918,6 @@ fn cmd_cluster(opts: &ParsedOpts) -> Result<(), String> {
         replicas: opts.num("replicas", 1)?,
         node: ServeConfig {
             queue_capacity: opts.num("queue-capacity", 64)?,
-            cache: Some(CacheConfig::default()),
             ..ServeConfig::default()
         },
         crash: (crash_rate > 0.0).then(|| CrashPlan::new(crash_seed, crash_rate)),

@@ -22,10 +22,10 @@ use knowyourphish::core::{
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::Dataset;
 use knowyourphish::serve::{
-    generate, ArrivalPattern, BatchPolicy, CacheConfig, ScoringService, ScraperSource, ServeConfig,
+    generate, ArrivalPattern, BatchPolicy, ScoringService, ScraperSource, ServeConfig,
     ServeRequest, ServeResponse, WorkloadConfig,
 };
-use knowyourphish::web::{FaultPlan, FlakyWorld, ResilientBrowser};
+use knowyourphish::web::{FaultPlan, FlakyWorld};
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -110,7 +110,7 @@ fn serve_config(cache_on: bool) -> ServeConfig {
             max_batch: 8,
             max_delay_ms: 25,
         },
-        cache: cache_on.then(CacheConfig::default),
+        cache: cache_on,
     }
 }
 
@@ -141,7 +141,7 @@ fn cascade_stream_is_invariant_across_threads_cache_and_faults() {
         knowyourphish::exec::set_threads(threads);
         for cache_on in [false, true] {
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
-            let source = ScraperSource::with_browser(ResilientBrowser::new(&flaky));
+            let source = ScraperSource::new(&flaky);
             let service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on))
                 .with_cascade(cascade.clone());
             let lines = verdict_lines(service, &trace);
@@ -179,14 +179,14 @@ fn forced_full_band_matches_the_cascade_free_stream() {
             // One FlakyWorld per run: it counts fetch attempts, so sharing
             // it would hand the second run a different fault schedule.
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, fault_rate));
-            let source = ScraperSource::with_browser(ResilientBrowser::new(&flaky));
+            let source = ScraperSource::new(&flaky);
             let plain = verdict_lines(
                 ScoringService::new(pipeline.clone(), source, serve_config(true)),
                 &trace,
             );
 
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, fault_rate));
-            let source = ScraperSource::with_browser(ResilientBrowser::new(&flaky));
+            let source = ScraperSource::new(&flaky);
             let mut service = ScoringService::new(pipeline.clone(), source, serve_config(true))
                 .with_cascade(forced.clone());
             let cascaded: Vec<String> = service

@@ -18,10 +18,10 @@ use knowyourphish::core::{
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::Dataset;
 use knowyourphish::serve::{
-    generate, ArrivalPattern, BatchPolicy, CacheConfig, PageSource, ScraperSource, ServeConfig,
-    ServeRequest, WorkloadConfig,
+    generate, ArrivalPattern, BatchPolicy, PageSource, ScraperSource, ServeConfig, ServeRequest,
+    WorkloadConfig,
 };
-use knowyourphish::web::{FaultPlan, FlakyWorld, ResilientBrowser};
+use knowyourphish::web::{FaultPlan, FlakyWorld};
 use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -107,7 +107,7 @@ fn cluster_config(shards: usize, replicas: usize, crash: bool) -> ClusterConfig 
                 max_batch: 4,
                 max_delay_ms: 25,
             },
-            cache: Some(CacheConfig::default()),
+            cache: true,
         },
         crash: crash.then(crash_plan),
         ..ClusterConfig::default()
@@ -236,7 +236,7 @@ fn cluster_stream_is_invariant_under_fetch_faults() {
         knowyourphish::exec::set_threads(threads);
         for shards in [1, 4] {
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
-            let source = ScraperSource::with_browser(ResilientBrowser::new(&flaky));
+            let source = ScraperSource::new(&flaky);
             let (lines, _) = run(&pipeline, source, cluster_config(shards, 2, true), &trace);
             match &baseline {
                 None => baseline = Some(lines),

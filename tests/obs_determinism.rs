@@ -20,7 +20,7 @@ use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::Dataset;
 use knowyourphish::obs::ObsSink;
 use knowyourphish::serve::{
-    generate, ArrivalPattern, BatchPolicy, CacheConfig, ScoringService, ScraperSource, ServeConfig,
+    generate, ArrivalPattern, BatchPolicy, ScoringService, ScraperSource, ServeConfig,
     ServeRequest, WorkloadConfig,
 };
 use knowyourphish::web::{FaultPlan, FlakyWorld, ResilientBrowser};
@@ -92,7 +92,7 @@ fn serve_config(cache_on: bool) -> ServeConfig {
             max_batch: 8,
             max_delay_ms: 25,
         },
-        cache: cache_on.then(CacheConfig::default),
+        cache: cache_on,
     }
 }
 
@@ -116,7 +116,7 @@ fn observed_serve_run(
         }
         Some(plan) => {
             let flaky = FlakyWorld::new(&corpus.world, plan);
-            let source = ScraperSource::with_browser(ResilientBrowser::new(&flaky));
+            let source = ScraperSource::new(&flaky);
             let mut service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on));
             let responses = service.run_trace_observed(trace, &mut sink);
             service.export_metrics(sink.registry_mut());

@@ -18,10 +18,10 @@ use knowyourphish::core::{
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::ml::Dataset;
 use knowyourphish::serve::{
-    generate, ArrivalPattern, BatchPolicy, CacheConfig, ScoringService, ScraperSource, ServeConfig,
+    generate, ArrivalPattern, BatchPolicy, ScoringService, ScraperSource, ServeConfig,
     ServeRequest, ServeResponse, WorkloadConfig,
 };
-use knowyourphish::web::{FaultPlan, FlakyWorld, ResilientBrowser};
+use knowyourphish::web::{FaultPlan, FlakyWorld};
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -97,7 +97,7 @@ fn serve_config(cache_on: bool, max_batch: usize) -> ServeConfig {
             max_batch,
             max_delay_ms: 25,
         },
-        cache: cache_on.then(CacheConfig::default),
+        cache: cache_on,
     }
 }
 
@@ -165,7 +165,7 @@ fn serve_stream_is_invariant_under_faults() {
         knowyourphish::exec::set_threads(threads);
         for cache_on in [false, true] {
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
-            let source = ScraperSource::with_browser(ResilientBrowser::new(&flaky));
+            let source = ScraperSource::new(&flaky);
             let service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on, 8));
             let lines = verdict_lines(service, &trace);
             match &baseline {
