@@ -4,14 +4,14 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ magic  "KYPSTORE"                                  8 bytes   │
-//! │ format_version                               u32 LE 4 bytes  │
+//! │ format_version  (2)                          u32 LE 4 bytes  │
 //! │ header_len                                   u32 LE 4 bytes  │
 //! │ header json  (StoreHeader, serde)            header_len      │
-//! │ header checksum  (FNV-1a 64 of header json)  u64 LE 8 bytes  │
+//! │ header checksum  (XXH64 of header json)      u64 LE 8 bytes  │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ block 0: payload_len u32 LE │ record_count u32 LE            │
 //! │          payload … payload_len bytes                         │
-//! │          checksum  (FNV-1a 64 of payload)    u64 LE 8 bytes  │
+//! │          checksum  (XXH64 of payload)        u64 LE 8 bytes  │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ block 1: …                                                   │
 //! └──────────────────────────────────────────────────────────────┘
@@ -22,6 +22,11 @@
 //! prefix of valid blocks followed by at most one torn block, which
 //! readers surface as [`StoreError::Truncated`] rather than silently
 //! accepting a short corpus.
+//!
+//! Every checksum is [`xxh64`] (seed 0) of the bytes it follows, stored
+//! little-endian. Format 1 checksummed with FNV-1a 64 and is otherwise
+//! the same bytes; a reader refuses any version but
+//! [`STORE_FORMAT_VERSION`] with [`StoreError::VersionMismatch`].
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -37,7 +42,7 @@ pub const STORE_MAGIC: [u8; 8] = *b"KYPSTORE";
 /// Bump on any change to the framing, the header schema, or the block
 /// payload encodings that older readers would misinterpret — mismatches
 /// are hard errors in the style of `ModelSnapshot`.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Records per block: bounds writer memory and the unit of checksum
 /// verification and streaming reads.
@@ -214,10 +219,11 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// FNV-1a 64-bit hash — the per-block and header checksum.
+/// FNV-1a 64-bit hash, one byte at a time.
 ///
-/// Dependency-free, stable across platforms, and already the hashing
-/// idiom of the workspace (fault plans, cluster ring).
+/// No longer the store checksum (that is [`xxh64`] since format 2): it
+/// stays as perfbench's digest of a store build's output files, which
+/// only has to be the same function on both sides of a comparison.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -225,6 +231,85 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// XXH64 with seed 0 — the header and block checksum.
+///
+/// Four independent 8-byte lanes of add-multiply-rotate rounds, so it
+/// runs at memory speed instead of one multiply per byte. Each round
+/// rotates its product by 31 bits before the next multiply, so a flip of
+/// a word's bit 63 is mixed back into the low bits instead of carried
+/// out of the word, which is how any two such flips cancel in a
+/// word-at-a-time FNV-1a. Written out from the published specification
+/// (`xxhash_spec.md`), with no dependency, no allocation and no panic
+/// site.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le64(word));
+            }
+        }
+        let [l1, l2, l3, l4] = lanes;
+        let h = l1
+            .rotate_left(1)
+            .wrapping_add(l2.rotate_left(7))
+            .wrapping_add(l3.rotate_left(12))
+            .wrapping_add(l4.rotate_left(18));
+        lanes.into_iter().fold(h, |h, lane| {
+            (h ^ xxh_round(0, lane))
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4)
+        })
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h ^= xxh_round(0, le64(word));
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+    }
+    let mut quads = words.remainder().chunks_exact(4);
+    for quad in &mut quads {
+        let quad = <[u8; 4]>::try_from(quad).map_or(0, u32::from_le_bytes);
+        h ^= u64::from(quad).wrapping_mul(XXH_P1);
+        h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+    }
+    for &b in quads.remainder() {
+        h ^= u64::from(b).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// One XXH64 round: mixes an 8-byte word into a lane.
+fn xxh_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// A little-endian word of an 8-byte chunk (every caller passes one).
+fn le64(word: &[u8]) -> u64 {
+    <[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -264,7 +349,7 @@ impl<W: Write> FrameWriter<W> {
         put_u32(&mut head, STORE_FORMAT_VERSION);
         put_u32(&mut head, json.len() as u32);
         head.extend_from_slice(&json);
-        head.extend_from_slice(&fnv1a64(&json).to_le_bytes());
+        head.extend_from_slice(&xxh64(&json).to_le_bytes());
         out.write_all(&head)?;
         Ok(FrameWriter {
             out,
@@ -281,7 +366,7 @@ impl<W: Write> FrameWriter<W> {
         head[4..].copy_from_slice(&record_count.to_le_bytes());
         self.out.write_all(&head)?;
         self.out.write_all(payload)?;
-        self.out.write_all(&fnv1a64(payload).to_le_bytes())?;
+        self.out.write_all(&xxh64(payload).to_le_bytes())?;
         self.offset += 8 + payload.len() as u64 + 8;
         self.blocks += 1;
         self.records += u64::from(record_count);
@@ -360,7 +445,7 @@ impl<R: Read> FrameReader<R> {
         offset += u64::from(header_len);
         let mut sum = [0u8; 8];
         read_exact_at(&mut input, &mut sum, offset, "header checksum")?;
-        if u64::from_le_bytes(sum) != fnv1a64(&json) {
+        if u64::from_le_bytes(sum) != xxh64(&json) {
             return Err(StoreError::Corrupt {
                 offset,
                 detail: "header checksum mismatch".to_string(),
@@ -439,7 +524,7 @@ impl<R: Read> FrameReader<R> {
         self.offset += u64::from(payload_len);
         let mut sum = [0u8; 8];
         read_exact_at(&mut self.input, &mut sum, self.offset, "block checksum")?;
-        if u64::from_le_bytes(sum) != fnv1a64(payload) {
+        if u64::from_le_bytes(sum) != xxh64(payload) {
             return Err(StoreError::Corrupt {
                 offset: self.offset,
                 detail: format!("block {} checksum mismatch", self.blocks_read),
@@ -585,14 +670,21 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        let mut bytes = frame_bytes(&[(1, b"x")]);
-        bytes[8] = 0xFF;
-        match FrameReader::new(&bytes[..]) {
-            Err(StoreError::VersionMismatch { found, expected }) => {
-                assert_eq!(expected, STORE_FORMAT_VERSION);
-                assert_ne!(found, STORE_FORMAT_VERSION);
+        // Format 1 (FNV-1a checksums) is refused by its version, before
+        // any checksum is read, as is any version but this build's.
+        for found in [1, STORE_FORMAT_VERSION + 1, 0xFF] {
+            let mut bytes = frame_bytes(&[(1, b"x")]);
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(found));
+            let err = FrameReader::new(&bytes[..]).unwrap_err();
+            match &err {
+                StoreError::VersionMismatch {
+                    found: f,
+                    expected: STORE_FORMAT_VERSION,
+                } => assert_eq!(*f, found),
+                other => panic!("expected VersionMismatch, got {other:?}"),
             }
-            other => panic!("expected VersionMismatch, got {other:?}"),
+            let message = format!("store format version {found} is not supported");
+            assert!(err.to_string().starts_with(&message), "{err}");
         }
     }
 
@@ -722,5 +814,98 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn xxh64_vectors() {
+        // Published XXH64 answers for seed 0; the last is 39 bytes, so it
+        // takes the four-lane path and then an 8-byte-free tail.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    /// `len` bytes that are neither constant nor periodic.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_tail_length_round_trips() {
+        // 0..=64 bytes reach every tail the stripes leave: no stripe or
+        // one, then zero to three 8-byte words, an optional 4-byte quad
+        // and zero to three single bytes.
+        for len in 0..=64 {
+            let payload = noise(len);
+            let bytes = frame_bytes(&[(1, &payload)]);
+            let sum = &bytes[bytes.len() - 8..];
+            assert_eq!(sum, xxh64(&payload).to_le_bytes(), "len {len}");
+            let mut r = FrameReader::new(&bytes[..]).unwrap();
+            let mut back = Vec::new();
+            assert_eq!(r.next_block(&mut back).unwrap(), Some(1), "len {len}");
+            assert_eq!(back, payload, "len {len}");
+            assert_eq!(r.next_block(&mut back).unwrap(), None);
+        }
+    }
+
+    /// A page block's size in a seed-7 store: 1,802 bytes per page.
+    const PAGE_BYTES: usize = 1802;
+
+    /// The error reading the one block of `bytes` gives.
+    fn block_error(bytes: &[u8]) -> StoreError {
+        let mut r = FrameReader::new(bytes).unwrap();
+        match r.next_block(&mut Vec::new()) {
+            Err(e) => e,
+            Ok(n) => panic!("a flipped block decoded: {n:?}"),
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        let payload = noise(PAGE_BYTES);
+        let bytes = frame_bytes(&[(1, &payload)]);
+        let start = bytes.len() - 8 - PAGE_BYTES;
+        for bit in 0..PAGE_BYTES * 8 {
+            let mut flipped = bytes.clone();
+            flipped[start + bit / 8] ^= 1 << (bit % 8);
+            match block_error(&flipped) {
+                StoreError::Corrupt { detail, .. } => {
+                    assert_eq!(detail, "block 0 checksum mismatch", "bit {bit}");
+                }
+                other => panic!("bit {bit}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_pair_of_high_bit_flips_is_detected() {
+        // Flipping bit 63 of two 8-byte words cancels in a word-at-a-time
+        // FNV-1a (the multiply carries it out of the word); XXH64
+        // rotates it back down before the next multiply.
+        let payload = noise(PAGE_BYTES);
+        let sum = xxh64(&payload);
+        let words = PAGE_BYTES / 8;
+        let mut flipped = payload.clone();
+        for i in 0..words {
+            flipped[8 * i + 7] ^= 0x80;
+            for j in i + 1..words {
+                flipped[8 * j + 7] ^= 0x80;
+                assert_ne!(xxh64(&flipped), sum, "words {i} and {j}");
+                flipped[8 * j + 7] ^= 0x80;
+            }
+            flipped[8 * i + 7] ^= 0x80;
+        }
     }
 }

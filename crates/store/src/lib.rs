@@ -27,7 +27,7 @@
 //! Both files open with magic + [`STORE_FORMAT_VERSION`] + a typed
 //! [`StoreHeader`] carrying the [`WorldStamp`] (seed and corpus
 //! configuration) the content was generated from. Every structure is
-//! checksummed (FNV-1a 64): a bit flip anywhere surfaces as
+//! checksummed ([`xxh64`], since format 2): a bit flip anywhere surfaces as
 //! [`StoreError::Corrupt`], a torn tail as [`StoreError::Truncated`],
 //! and a pages/features pairing from different worlds as
 //! [`StoreError::StampMismatch`] — hard errors in the style of
@@ -47,7 +47,7 @@ pub mod pages;
 
 pub use features::{FeatureBlock, FeatureStoreReader, FeatureStoreWriter};
 pub use format::{
-    fnv1a64, FrameReader, FrameWriter, StoreError, StoreHeader, StoreKind, WorldStamp,
+    fnv1a64, xxh64, FrameReader, FrameWriter, StoreError, StoreHeader, StoreKind, WorldStamp,
     BLOCK_RECORDS, STORE_FORMAT_VERSION, STORE_MAGIC,
 };
 pub use inspect::{inspect_dir, inspect_file, DirInspection, FileInspection};

@@ -1,6 +1,7 @@
 use crate::psl;
 use crate::ParseUrlError;
 use std::fmt;
+use std::ops::Range;
 
 /// A fully qualified domain name: a borrowed view of a parsed
 /// [`Url`](crate::Url)'s lowercased host, with the public suffix
@@ -51,23 +52,23 @@ impl DomainSplit {
         if host.len() > 253 {
             return Err(ParseUrlError::LabelTooLong);
         }
+        // One walk over the bytes; a `.` byte never sits inside a
+        // non-ASCII character, so it splits labels as `split('.')` would.
         let mut labels = 0;
-        for label in host.split('.') {
-            if label.is_empty() {
-                return Err(ParseUrlError::EmptyLabel);
+        let mut start = 0;
+        let mut bad = None;
+        for (i, &b) in host.as_bytes().iter().enumerate() {
+            if b == b'.' {
+                check_label(host, start..i, bad)?;
+                labels += 1;
+                start = i + 1;
+                bad = None;
+            } else if bad.is_none() && !is_host_byte(b) {
+                bad = Some(i);
             }
-            if label.len() > 63 {
-                return Err(ParseUrlError::LabelTooLong);
-            }
-            // A non-ASCII character's first byte is not a host byte, so
-            // the first bad byte starts the offending character.
-            if let Some(i) = label.bytes().position(|b| !is_host_byte(b)) {
-                let c = label[i..].chars().next().unwrap_or_default();
-                return Err(ParseUrlError::InvalidHostChar(c));
-            }
-            labels += 1;
         }
-        Ok(labels)
+        check_label(host, start..host.len(), bad)?;
+        Ok(labels + 1)
     }
 
     /// Resolves the public suffix of a lowercased, validated host of
@@ -92,10 +93,44 @@ impl DomainSplit {
     }
 }
 
+/// The checks of the label at `label` of `host`, whose first byte
+/// outside `[a-z0-9_-]` (after ASCII lowercasing) is at `bad`: an empty
+/// label beats an over-long one, which beats an invalid character. A
+/// non-ASCII character's first byte is not a host byte, so the first bad
+/// byte starts the offending character.
+fn check_label(host: &str, label: Range<usize>, bad: Option<usize>) -> Result<(), ParseUrlError> {
+    if label.is_empty() {
+        return Err(ParseUrlError::EmptyLabel);
+    }
+    if label.len() > 63 {
+        return Err(ParseUrlError::LabelTooLong);
+    }
+    match bad {
+        Some(i) => Err(ParseUrlError::InvalidHostChar(
+            host.get(i..)
+                .and_then(|rest| rest.chars().next())
+                .unwrap_or_default(),
+        )),
+        None => Ok(()),
+    }
+}
+
 /// `[a-z0-9_-]` after ASCII lowercasing.
 fn is_host_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
+    HOST_BYTES[usize::from(b)]
 }
+
+/// [`is_host_byte`] as a table: one load per byte of the label walk.
+const HOST_BYTES: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        table[b] = byte.is_ascii_alphanumeric() || byte == b'-' || byte == b'_';
+        b += 1;
+    }
+    table
+};
 
 impl<'a> Fqdn<'a> {
     pub(crate) fn new(name: &'a str, split: DomainSplit) -> Self {

@@ -293,7 +293,7 @@ impl Url {
     /// assert!(!Url::starts_with_scheme("/out?to=https://example.com/"));
     /// ```
     pub fn starts_with_scheme(s: &str) -> bool {
-        parse::find_scheme_end(s).is_some()
+        parse::scheme_len(s.as_bytes()).is_some()
     }
 
     /// The original string this URL was parsed from.

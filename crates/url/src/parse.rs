@@ -21,58 +21,71 @@ pub(crate) fn check(input: &str) -> Result<(), ParseUrlError> {
 
 /// Splits `input` by the paper's Fig. 1 into spans of `input` and checks
 /// every part: the checking end of the parser, which allocates nothing.
+///
+/// One forward pass: the trim, the scheme, then one walk over the
+/// authority to the first `/`, `?` or `#` that keeps the last `@` and
+/// `:` it passes. The path, query and fragment are cut only after the
+/// host, and the label and IPv4 checks read the host bytes alone.
 fn scan(input: &str) -> Result<Scanned, ParseUrlError> {
-    let trimmed = input.trim();
-    if trimmed.is_empty() {
+    let bytes = input.as_bytes();
+    let (start, end) = trim(input);
+    if start >= end {
         return Err(ParseUrlError::MissingHost);
     }
-    let lead = input.len() - input.trim_start().len();
-    let mut rest = Span {
-        start: lead,
-        end: lead + trimmed.len(),
-    };
+    let text = &bytes[..end];
 
-    // Scheme.
-    let scheme = match find_scheme_end(trimmed) {
-        Some(i) => {
-            let text = Span {
-                start: lead,
-                end: lead + i,
+    let (scheme, authority) = match scheme_len(&text[start..]) {
+        Some(len) => {
+            let span = Span {
+                start,
+                end: start + len,
             };
-            rest.start = text.end + 3;
-            let s = text.of(input);
-            if s.eq_ignore_ascii_case("http") {
+            let s = span.of(input);
+            let scheme = if s.eq_ignore_ascii_case("http") {
                 SchemeAt::Http
             } else if s.eq_ignore_ascii_case("https") {
                 SchemeAt::Https
             } else {
-                SchemeAt::Other(text)
-            }
+                SchemeAt::Other(span)
+            };
+            (scheme, span.end + 3)
         }
-        None => SchemeAt::Http,
+        None => (SchemeAt::Http, start),
     };
 
-    let fragment = rest.split_off(input, '#');
-    let query = rest.split_off(input, '?');
-    // Host[:port] / path.
-    let path = rest.split_off(input, '/');
-    let mut host = rest;
-    if host.is_empty() {
+    // The authority runs to the first `/`, `?` or `#`. Userinfo ends at
+    // its last `@` (the part before it is a decoy, a URL-obfuscation
+    // trick), and a port starts after its last `:` past that `@`.
+    let mut at = None;
+    let mut colon = None;
+    let mut host_end = end;
+    for (i, &b) in text.iter().enumerate().skip(authority) {
+        match AUTHORITY[usize::from(b)] {
+            PLAIN => {}
+            STOP => {
+                host_end = i;
+                break;
+            }
+            AT => at = Some(i),
+            _ => colon = Some(i),
+        }
+    }
+    if host_end == authority {
         return Err(ParseUrlError::MissingHost);
     }
+    let (path, query, fragment) = rest_spans(text, host_end);
 
-    // Strip userinfo if present (rare, used in URL obfuscation: the part
-    // before '@' is a decoy, the real host follows).
-    if let Some(i) = host.of(input).rfind('@') {
-        host.start += i + 1;
-    }
-
+    let host_start = at.map_or(authority, |i| i + 1);
+    let mut host = Span {
+        start: host_start,
+        end: host_end,
+    };
     let mut port = None;
-    if let Some(i) = host.of(input).rfind(':') {
-        let digits = &input[host.start + i + 1..host.end];
+    if let Some(colon) = colon.filter(|&i| i >= host_start) {
+        let digits = &input[colon + 1..host_end];
         if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
             port = Some(digits.parse().map_err(|_| ParseUrlError::InvalidPort)?);
-            host.end = host.start + i;
+            host.end = colon;
         } else if digits.bytes().any(|b| b.is_ascii_digit()) {
             return Err(ParseUrlError::InvalidPort);
         }
@@ -96,6 +109,68 @@ fn scan(input: &str) -> Result<Scanned, ParseUrlError> {
         fragment,
         ipv4,
         labels,
+    })
+}
+
+const PLAIN: u8 = 0;
+const STOP: u8 = 1;
+const AT: u8 = 2;
+const COLON: u8 = 3;
+
+/// The class of each byte in the authority walk: `/`, `?` and `#` stop
+/// it, `@` and `:` are kept, and every other byte is plain. A table
+/// lookup is one predictable branch per plain byte.
+const AUTHORITY: [u8; 256] = {
+    let mut classes = [PLAIN; 256];
+    classes[b'/' as usize] = STOP;
+    classes[b'?' as usize] = STOP;
+    classes[b'#' as usize] = STOP;
+    classes[b'@' as usize] = AT;
+    classes[b':' as usize] = COLON;
+    classes
+};
+
+/// Where `input.trim()` starts and ends. An input that starts and ends
+/// with an ASCII character that is not whitespace, as every stored URL
+/// does, is its own trim; only other inputs take the Unicode trims.
+fn trim(input: &str) -> (usize, usize) {
+    let kept = |b: &u8| b.is_ascii() && !char::from(*b).is_whitespace();
+    let bytes = input.as_bytes();
+    let start = if bytes.first().is_some_and(kept) {
+        0
+    } else {
+        input.len() - input.trim_start().len()
+    };
+    let end = if bytes.last().is_some_and(kept) {
+        input.len()
+    } else {
+        input.trim_end().len()
+    };
+    (start, end)
+}
+
+/// The path, query and fragment after a host that ends at `host_end`:
+/// a path runs from a `/` to the first `?` or `#`, a query from the first
+/// `?` before any `#` to that `#`, and a fragment from the first `#` on.
+fn rest_spans(text: &[u8], host_end: usize) -> (Option<Span>, Option<Span>, Option<Span>) {
+    let path = cut(text, host_end, b'/', |b| b == b'?' || b == b'#');
+    let at = path.map_or(host_end, |p| p.end);
+    let query = cut(text, at, b'?', |b| b == b'#');
+    let at = query.map_or(at, |q| q.end);
+    let fragment = cut(text, at, b'#', |_| false);
+    (path, query, fragment)
+}
+
+/// The span after the `delim` at `at`, up to the first byte `stop`
+/// takes; `None` when `text` has no `delim` at `at`.
+fn cut(text: &[u8], at: usize, delim: u8, stop: impl Fn(u8) -> bool) -> Option<Span> {
+    (text.get(at) == Some(&delim)).then(|| {
+        let start = at + 1;
+        let end = text
+            .get(start..)
+            .and_then(|rest| rest.iter().position(|&b| stop(b)))
+            .map_or(text.len(), |i| start + i);
+        Span { start, end }
     })
 }
 
@@ -197,26 +272,11 @@ pub(crate) fn parse(input: &str) -> Result<Url, ParseUrlError> {
     })
 }
 
-impl Span {
-    /// Cuts `self` at the first `delim` in `text`: keeps the part before
-    /// it and returns the part after it, if `delim` occurs.
-    fn split_off(&mut self, text: &str, delim: char) -> Option<Span> {
-        let i = self.of(text).find(delim)?;
-        let after = Span {
-            start: self.start + i + delim.len_utf8(),
-            end: self.end,
-        };
-        self.end = self.start + i;
-        Some(after)
-    }
-}
-
-/// The length of the scheme `s` starts with: an RFC 3986 scheme,
+/// The length of the scheme `bytes` starts with: an RFC 3986 scheme,
 /// `ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )`, directly followed by
 /// `://`. A `://` later in the string, such as one in a query parameter,
 /// never makes the text before it a scheme.
-pub(crate) fn find_scheme_end(s: &str) -> Option<usize> {
-    let bytes = s.as_bytes();
+pub(crate) fn scheme_len(bytes: &[u8]) -> Option<usize> {
     if !bytes.first()?.is_ascii_alphabetic() {
         return None;
     }
@@ -226,20 +286,35 @@ pub(crate) fn find_scheme_end(s: &str) -> Option<usize> {
     (bytes.get(end..end + 3) == Some(b"://")).then_some(end)
 }
 
+/// The octets of a dotted-decimal IPv4 literal: four parts of one to
+/// three digits, each at most 255. Anything else, such as a domain name
+/// (refused at its first letter), is `None`.
 fn parse_ipv4(s: &str) -> Option<[u8; 4]> {
     let mut octets = [0u8; 4];
     let mut count = 0;
-    for part in s.split('.') {
-        if count == 4 || part.is_empty() || part.len() > 3 {
+    let mut value: u16 = 0;
+    let mut digits = 0;
+    for &b in s.as_bytes() {
+        if b.is_ascii_digit() {
+            digits += 1;
+            value = value * 10 + u16::from(b - b'0');
+            if digits > 3 {
+                return None;
+            }
+        } else if b == b'.' && digits > 0 && count < 3 {
+            octets[count] = u8::try_from(value).ok()?;
+            count += 1;
+            value = 0;
+            digits = 0;
+        } else {
             return None;
         }
-        if !part.chars().all(|c| c.is_ascii_digit()) {
-            return None;
-        }
-        octets[count] = part.parse().ok()?;
-        count += 1;
     }
-    (count == 4).then_some(octets)
+    if digits == 0 || count != 3 {
+        return None;
+    }
+    octets[3] = u8::try_from(value).ok()?;
+    Some(octets)
 }
 
 /// Appends `octets` in dotted decimal, without leading zeros.
@@ -318,9 +393,9 @@ mod tests {
 
     #[test]
     fn scheme_must_start_the_url() {
-        assert_eq!(find_scheme_end("https://x.com/"), Some(5));
-        assert_eq!(find_scheme_end("svn+ssh://x.com/"), Some(7));
-        assert_eq!(find_scheme_end("a-b.c9://x.com/"), Some(6));
+        assert_eq!(scheme_len(b"https://x.com/"), Some(5));
+        assert_eq!(scheme_len(b"svn+ssh://x.com/"), Some(7));
+        assert_eq!(scheme_len(b"a-b.c9://x.com/"), Some(6));
         for s in [
             "x.com/login?r=https://y.com/",
             "/out?to=https://y.com/",
@@ -331,7 +406,7 @@ mod tests {
             "http:",
             "",
         ] {
-            assert_eq!(find_scheme_end(s), None, "{s:?}");
+            assert_eq!(scheme_len(s.as_bytes()), None, "{s:?}");
         }
     }
 

@@ -330,3 +330,95 @@ proptest! {
         }
     }
 }
+
+/// The scanner's edges, each against the reference, and `check` against
+/// `parse`: Unicode whitespace around the URL, `@` and `:` after the
+/// host, ports at and past the `u16` range, userinfo with a colon, IPv4
+/// hosts with ports and leading zeros, hosts and labels at their length
+/// limits, and non-ASCII host bytes.
+#[test]
+fn scanner_boundaries_match_reference() {
+    let label = |n: usize| "a".repeat(n);
+    let host_253 = [label(63), label(63), label(63), label(61)].join(".");
+    let host_254 = [label(63), label(63), label(63), label(62)].join(".");
+    assert_eq!((host_253.len(), host_254.len()), (253, 254));
+    let long_hosts = [
+        format!("http://{host_253}/"),
+        format!("http://{host_254}/"),
+        format!("{host_253}:80"),
+        format!("http://u@{host_254}:80/"),
+        format!("http://{}.com/", label(63)),
+        format!("http://{}.com/", label(64)),
+        format!("http://x.{}", label(63)),
+        format!("http://x.{}/", label(64)),
+        format!("http://{}!.com/", label(64)),
+        format!("http://{}.b!.com/", label(64)),
+    ];
+    let cases = [
+        // Unicode whitespace at either end.
+        "\u{a0}http://a.com/",
+        "http://a.com/\u{a0}",
+        "\u{85}http://a.com/x\u{85}",
+        "\u{3000}a.com\u{3000}",
+        "\u{b}http://a.com/\u{b}",
+        "\u{b}",
+        "\u{a0}",
+        " \u{3000}\u{85} ",
+        "\u{a0}https://A.com:8080/p?q#f\u{3000}",
+        // `@` and `:` after the host.
+        "http://a.com/p@q:1",
+        "http://a.com/?x=@:8",
+        "http://a.com#@:x",
+        "a.com/u@h.com:81/",
+        "http://h.com?u@evil.com:80",
+        "http://h.com/:80@x",
+        // Ports.
+        "http://a.com:0/",
+        "http://a.com:65535/",
+        "http://a.com:65536/",
+        "http://a.com:0080/",
+        "http://a.com:/",
+        "http://a.com:8a/",
+        "http://a.com:",
+        "http://a.com:99999999999999999999/",
+        "http://a.com::80/",
+        // Userinfo with a colon.
+        "http://u:p@h.com:81/",
+        "http://u:p@h.com/",
+        "http://u:8@h.com/",
+        "http://u@:80/",
+        "http://u:p@/",
+        "http://@h.com/",
+        "http://a@b@h.com:1/",
+        // IPv4 hosts with a port and with leading zeros.
+        "http://10.0.0.1:8080/x",
+        "http://010.000.0.001/",
+        "http://010.0.0.1:0080",
+        "http://256.0.0.1/",
+        "http://1.2.3.04:1/",
+        "1.2.3.4",
+        "1.2.3.4.",
+        "1.2.3",
+        "1.2.3.4.5",
+        "0001.2.3.4",
+        // Non-ASCII host bytes.
+        "http://é.com/",
+        "http://aé/",
+        "http://a.com\u{a0}b/",
+        "http://漢字.jp/",
+        "http://a.ü/",
+        "é",
+    ];
+    for input in cases
+        .iter()
+        .copied()
+        .chain(long_hosts.iter().map(String::as_str))
+    {
+        check(input);
+        assert_eq!(
+            Url::check(input),
+            Url::parse(input).map(|_| ()),
+            "{input:?}"
+        );
+    }
+}

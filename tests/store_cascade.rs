@@ -11,7 +11,7 @@ use knowyourphish::core::{
     ClassifiedPage, DetectorConfig, ModelSnapshot, PhishDetector, Pipeline,
 };
 use knowyourphish::datagen::{CampaignConfig, Corpus};
-use knowyourphish::store::{fnv1a64, pages_path, PageStoreReader, StoreError};
+use knowyourphish::store::{pages_path, xxh64, PageStoreReader, StoreError};
 use knowyourphish::storeflow;
 use std::path::{Path, PathBuf};
 
@@ -155,7 +155,7 @@ fn an_unparseable_href_in_a_url_final_row_fails_the_cascade_scan() {
     // A leading dot makes the host's first label empty; the block
     // checksum is rewritten, so only the column walk can notice.
     bytes[host] = b'.';
-    let sum = fnv1a64(&bytes[start..end]).to_le_bytes();
+    let sum = xxh64(&bytes[start..end]).to_le_bytes();
     bytes[end..end + 8].copy_from_slice(&sum);
     std::fs::write(&path, &bytes).unwrap();
 

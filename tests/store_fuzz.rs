@@ -1,23 +1,34 @@
-//! Structured fuzzing of the store readers over *real* store files.
+//! Structured fuzzing of the store readers over *real* store files, and
+//! round trips of random records through the writers.
 //!
 //! A bit flip only reaches the checksum (`store_corruption.rs`). These
 //! cases edit the fields the decoders trust instead: block record
 //! counts, string and URL-list length prefixes, copyright flags and
 //! numeric columns of page blocks; bundle ids, labels and values of
 //! feature blocks; and the header json of both files. Every edited
-//! structure gets a correct FNV-1a 64 checksum, so each edit reaches the
-//! decoder. Every case must end in `Ok` or a typed [`StoreError`] within
-//! a time bound, and on every edited page block `next_block` and
-//! `next_view` must agree: the same pages, or the same error.
+//! structure gets a correct XXH64 checksum (the store's, since format
+//! 2), so each edit reaches the decoder. Every case must end in `Ok` or
+//! a typed [`StoreError`] within a time bound, and on every edited page
+//! block `next_block` and `next_view` must agree: the same pages, or the
+//! same error.
+//!
+//! The writer round trips go the other way: random pages and feature
+//! rows, in counts on both sides of the block size, are written with
+//! `PageStoreWriter` and `FeatureStoreWriter` and must read back bit for
+//! bit through `next_block`, `next_view` and `FeatureStoreReader`.
 
 use knowyourphish::datagen::{CampaignConfig, Corpus};
 use knowyourphish::store::{
-    features_path, fnv1a64, pages_path, FeatureStoreReader, FrameReader, PageStoreReader,
-    StoreError,
+    features_path, pages_path, xxh64, FeatureStoreReader, FeatureStoreWriter, FrameReader,
+    PageStoreReader, PageStoreWriter, StoreError, StoreHeader, StoreKind, WorldStamp,
+    BLOCK_RECORDS,
 };
 use knowyourphish::storeflow;
+use knowyourphish::url::Url;
+use knowyourphish::web::VisitedPage;
 use proptest::prelude::*;
 use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -310,13 +321,13 @@ fn edited(
         }
     }
     for block in &frame.blocks {
-        let sum = fnv1a64(&out[block.payload.clone()]);
+        let sum = xxh64(&out[block.payload.clone()]);
         out[block.payload.end..block.payload.end + 8].copy_from_slice(&sum.to_le_bytes());
     }
     let mut file = out[..12].to_vec();
     file.extend_from_slice(&(json.len() as u32).to_le_bytes());
     file.extend_from_slice(&json);
-    file.extend_from_slice(&fnv1a64(&json).to_le_bytes());
+    file.extend_from_slice(&xxh64(&json).to_le_bytes());
     file.extend_from_slice(&out[frame.json.end + 8..]);
     file
 }
@@ -440,4 +451,289 @@ fn header_and_record_count_edits_pairwise() {
             }
         }
     }
+}
+
+/// Record counts on both sides of one and two blocks.
+const ROUND_TRIP_COUNTS: [usize; 6] = [0, 1, 255, 256, 257, 513];
+
+/// Writer round trips per property; each draws its record count from
+/// [`ROUND_TRIP_COUNTS`].
+const ROUND_TRIP_CASES: u32 = 12;
+
+/// A URL that parses, from a grammar with the parts the stored corpus
+/// rarely shows: an upper-case or other scheme or none, userinfo with or
+/// without a password, IPv4 hosts (some zero-padded) and mixed-case
+/// domains, ports from 0 to 65535, and a path, query and fragment that
+/// may hold non-ASCII text.
+fn url() -> impl Strategy<Value = Url> {
+    let scheme = prop_oneof![
+        Just(""),
+        Just("http://"),
+        Just("https://"),
+        Just("HTTPS://"),
+        Just("ftp://"),
+        Just(" http://"),
+    ];
+    let userinfo = prop_oneof![Just(""), Just("user@"), Just("u:p@"), Just("a@b@")];
+    let host = prop_oneof![
+        "[a-zA-Z0-9]{1,8}\\.[a-z]{2,3}",
+        "[a-z]{1,4}\\.[a-zA-Z0-9_-]{1,12}\\.co\\.uk",
+        (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255)
+            .prop_map(|(a, b, c, d)| format!("{a}.{b:03}.{c}.{d}")),
+    ];
+    let port = prop_oneof![
+        Just(String::new()),
+        Just(":0".to_owned()),
+        Just(":0080".to_owned()),
+        (0u32..=65535).prop_map(|p| format!(":{p}")),
+    ];
+    let rest = (
+        prop_oneof![Just(String::new()), "/[a-zA-Z0-9/._@:é-]{0,16}"],
+        prop_oneof![Just(String::new()), "\\?[a-z=&@:/]{0,10}"],
+        prop_oneof![Just(String::new()), "#[a-z?#ü]{0,6}"],
+    );
+    (scheme, userinfo, host, port, rest).prop_map(
+        |(scheme, userinfo, host, port, (path, query, fragment))| {
+            let text = format!("{scheme}{userinfo}{host}{port}{path}{query}{fragment}");
+            Url::parse(&text).unwrap_or_else(|e| panic!("{text:?} must parse: {e}"))
+        },
+    )
+}
+
+/// Text with non-ASCII characters, or empty.
+fn text() -> impl Strategy<Value = String> {
+    prop_oneof![Just(String::new()), ".{0,40}", "[a-zé漢 ]{0,12}"]
+}
+
+/// A count the page columns store as a `u32`, up to `u32::MAX`.
+fn count() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(u32::MAX as usize),
+        any::<u32>().prop_map(|n| n as usize),
+        0usize..8,
+    ]
+}
+
+/// A page of grammar URLs, non-ASCII or empty text, every copyright
+/// shape and counts up to `u32::MAX`.
+fn page() -> impl Strategy<Value = VisitedPage> {
+    (
+        (url(), url()),
+        (
+            collection::vec(url(), 0..3),
+            collection::vec(url(), 0..3),
+            collection::vec(url(), 0..4),
+        ),
+        (text(), text(), text()),
+        prop_oneof![Just(None), Just(Some(String::new())), text().prop_map(Some)],
+        (count(), count(), count()),
+    )
+        .prop_map(
+            |(
+                (starting_url, landing_url),
+                (redirection_chain, logged_links, href_links),
+                (text, title, screenshot_text),
+                copyright,
+                (input_count, image_count, iframe_count),
+            )| VisitedPage {
+                starting_url,
+                landing_url,
+                redirection_chain,
+                logged_links,
+                href_links,
+                text,
+                title,
+                copyright,
+                screenshot_text,
+                input_count,
+                image_count,
+                iframe_count,
+            },
+        )
+}
+
+/// A feature value as raw bits: anything, or a NaN payload, a negative
+/// zero, a subnormal or an infinity.
+fn feature() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(f64::NAN),
+        Just(f64::from_bits(0xfff8_0000_dead_beef)),
+        Just(-0.0),
+        Just(f64::from_bits(1)),
+        Just(f64::MIN_POSITIVE / 3.0),
+        Just(f64::NEG_INFINITY),
+        any::<f64>(),
+    ]
+}
+
+/// The header of a store of `kind` that the round trips write.
+fn round_trip_header(kind: StoreKind, n_features: u32) -> StoreHeader {
+    StoreHeader {
+        kind,
+        stamp: WorldStamp {
+            seed: 1,
+            phish_train: 0,
+            phish_test: 0,
+            phish_brand: 0,
+            leg_train: 0,
+            english_test: 0,
+            other_language_test: 0,
+            fault_rate: 0.0,
+            fault_seed: 0,
+        },
+        n_features,
+        bundles: vec!["a".into(), "b".into(), "c".into()],
+        block_records: BLOCK_RECORDS as u32,
+    }
+}
+
+/// A fresh file path under a directory of its own.
+fn temp_file(dir: &str, name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
+/// Writes `pages` with `PageStoreWriter` and reads them back through
+/// `next_block`, and through `next_view` row by row.
+fn page_round_trip(path: &Path, pages: &[VisitedPage]) {
+    let mut writer =
+        PageStoreWriter::create(path, &round_trip_header(StoreKind::Pages, 0)).unwrap();
+    for page in pages {
+        writer.append(page).unwrap();
+    }
+    let (blocks, records, _) = writer.finish().unwrap();
+    assert_eq!(records, pages.len() as u64);
+    assert_eq!(blocks, pages.len().div_ceil(BLOCK_RECORDS) as u64);
+
+    let mut reader = PageStoreReader::open(path).unwrap();
+    let mut back = Vec::new();
+    while let Some(block) = reader.next_block().unwrap() {
+        back.extend(block);
+    }
+    assert!(back == pages, "next_block must return the written pages");
+
+    let mut reader = PageStoreReader::open(path).unwrap();
+    let mut at = 0;
+    while let Some(view) = reader.next_view().unwrap() {
+        for i in 0..view.len() {
+            let page = view.page(i).unwrap();
+            assert_eq!(&view.starting_urls()[i], &pages[at].starting_url);
+            assert!(page == pages[at], "next_view row {at}");
+            at += 1;
+        }
+    }
+    assert_eq!(at, pages.len());
+}
+
+/// Writes labeled rows with `FeatureStoreWriter` in runs of one bundle
+/// each and reads every row back by its bits, with its label and bundle.
+fn feature_round_trip(path: &Path, n_features: usize, rows: &[(u32, bool, Vec<f64>)]) {
+    let header = round_trip_header(StoreKind::Features, n_features as u32);
+    let mut writer = FeatureStoreWriter::create(path, &header).unwrap();
+    let mut run = 0;
+    while run < rows.len() {
+        let bundle = rows[run].0;
+        let len = rows[run..].iter().take_while(|r| r.0 == bundle).count();
+        let labels: Vec<bool> = rows[run..run + len].iter().map(|r| r.1).collect();
+        let values: Vec<f64> = rows[run..run + len]
+            .iter()
+            .flat_map(|r| r.2.iter().copied())
+            .collect();
+        writer.append_rows(bundle, &values, &labels).unwrap();
+        run += len;
+    }
+    assert_eq!(writer.finish().unwrap().1, rows.len() as u64);
+
+    let mut reader = FeatureStoreReader::open(path).unwrap();
+    assert_eq!(reader.n_features(), n_features);
+    let mut back = Vec::new();
+    while let Some(block) = reader.next_block().unwrap() {
+        assert!(block.labels.len() <= BLOCK_RECORDS);
+        for (label, row) in block.labels.iter().zip(block.rows.chunks(n_features)) {
+            back.push((
+                block.bundle,
+                *label,
+                row.iter().map(|v| v.to_bits()).collect(),
+            ));
+        }
+    }
+    let want: Vec<(u32, bool, Vec<u64>)> = rows
+        .iter()
+        .map(|(bundle, label, row)| (*bundle, *label, row.iter().map(|v| v.to_bits()).collect()))
+        .collect();
+    assert_eq!(back, want, "feature rows must read back bit for bit");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(ROUND_TRIP_CASES))]
+
+    #[test]
+    fn written_pages_read_back_exactly(
+        pick in any::<usize>(),
+        pages in collection::vec(page(), 513),
+    ) {
+        let n = ROUND_TRIP_COUNTS[pick % ROUND_TRIP_COUNTS.len()];
+        let path = temp_file("kyp_store_page_round_trip", "pages.kyps");
+        page_round_trip(&path, &pages[..n]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn written_feature_rows_read_back_exactly(
+        pick in any::<usize>(),
+        n_features in 1usize..=5,
+        run in 1usize..=600,
+        rows in collection::vec((any::<bool>(), collection::vec(feature(), 5)), 513),
+    ) {
+        let n = ROUND_TRIP_COUNTS[pick % ROUND_TRIP_COUNTS.len()];
+        // Bundles change every `run` rows: a block is cut at each change,
+        // and a run of 256 or more fills whole blocks.
+        let rows: Vec<(u32, bool, Vec<f64>)> = rows[..n]
+            .iter()
+            .enumerate()
+            .map(|(i, (label, row))| ((i / run % 3) as u32, *label, row[..n_features].to_vec()))
+            .collect();
+        let path = temp_file("kyp_store_feature_round_trip", "features.kypf");
+        feature_round_trip(&path, n_features, &rows);
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Every record count of the round trips is reached, whatever the seeds
+/// draw: the last block full, one over, and two blocks and one more.
+#[test]
+fn round_trip_counts_cover_the_block_edges() {
+    let page = VisitedPage {
+        starting_url: Url::parse("HTTP://u:p@10.0.0.001:0080/é?q=@:#f").unwrap(),
+        landing_url: Url::parse(" https://A.b.co.uk:65535").unwrap(),
+        redirection_chain: Vec::new(),
+        logged_links: Vec::new(),
+        href_links: Vec::new(),
+        text: String::new(),
+        title: "漢".into(),
+        copyright: Some(String::new()),
+        screenshot_text: String::new(),
+        input_count: u32::MAX as usize,
+        image_count: 0,
+        iframe_count: 1,
+    };
+    let path = temp_file("kyp_store_round_trip_edges", "pages.kyps");
+    let features = path.with_file_name("features.kypf");
+    for n in ROUND_TRIP_COUNTS {
+        page_round_trip(&path, &vec![page.clone(); n]);
+        let rows: Vec<(u32, bool, Vec<f64>)> = (0..n)
+            .map(|i| {
+                (
+                    u32::from(i >= 256),
+                    i % 2 == 0,
+                    vec![-0.0, f64::NAN, f64::from_bits(1)],
+                )
+            })
+            .collect();
+        feature_round_trip(&features, 3, &rows);
+    }
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
