@@ -1,4 +1,5 @@
-use crate::tokenizer::{Token, Tokenizer};
+use crate::entity::decode_entities;
+use crate::tokenizer::{self, attr, byte_mask, first_byte, word_at, Markup};
 use std::borrow::Cow;
 
 /// The data sources extracted from a page's HTML (paper Section II-C).
@@ -34,72 +35,167 @@ impl Document {
     ///
     /// The parser is forgiving: unknown tags are ignored, missing `<body>`
     /// means all text outside `<head>` counts as body text, and broken
-    /// markup degrades to text.
+    /// markup degrades to text. It is one forward loop over the bytes
+    /// that fills the document where it reads: no token stream, no
+    /// recursion, and work linear in the input. Text runs are trimmed and
+    /// appended where they lie, and a start tag's lowercased name picks
+    /// the rule that locates and decodes at most one of its attributes.
     pub fn parse(html: &str) -> Self {
-        let mut doc = Document::default();
-        let mut in_title = false;
-        let mut in_head = false;
+        let mut page = Page::default();
+        // The text is the page's trimmed runs joined by single spaces:
+        // reserving the page's length spares regrowing it run by run.
+        page.doc.text.reserve(html.len());
+        let mut at = 0;
+        while let Some(&byte) = html.as_bytes().get(at) {
+            at = if byte == b'<' {
+                page.markup(html, at)
+            } else {
+                page.text(html, at)
+            };
+        }
+        page.into_document()
+    }
+}
 
-        for token in Tokenizer::new(html) {
-            match token {
-                // The tokenizer lowercases tag names, so one static match
-                // dispatches every tag.
-                Token::StartTag { name, attrs, .. } => match &*name {
-                    "head" => in_head = true,
-                    "title" => in_title = true,
-                    "a" | "area" => {
-                        if let Some(href) = attr(&attrs, "href") {
-                            if !href.is_empty() && !href.starts_with('#') {
-                                doc.href_links.push(href.to_owned());
-                            }
-                        }
-                    }
-                    "img" => {
-                        doc.image_count += 1;
-                        push_resource(&mut doc.resource_links, &attrs, "src");
-                    }
-                    "script" | "embed" | "source" | "audio" | "video" => {
-                        push_resource(&mut doc.resource_links, &attrs, "src");
-                    }
-                    "link" => push_resource(&mut doc.resource_links, &attrs, "href"),
-                    "iframe" | "frame" => {
-                        doc.iframe_count += 1;
-                        push_resource(&mut doc.resource_links, &attrs, "src");
-                    }
-                    "input" | "textarea" | "select" => {
-                        // Only fields that collect user data count
-                        // (phishing pages exist to harvest input).
-                        let non_data = attr(&attrs, "type").is_some_and(|t| {
-                            matches!(t, "hidden" | "submit" | "button" | "reset" | "image")
-                        });
-                        if !non_data {
-                            doc.input_count += 1;
-                        }
-                    }
-                    _ => {}
-                },
-                Token::EndTag { name } => match &*name {
-                    "head" => in_head = false,
-                    "title" => in_title = false,
-                    _ => {}
-                },
-                Token::Text(t) => {
-                    if in_title {
-                        doc.title.push_str(&t);
-                    } else if !in_head {
-                        let trimmed = t.trim();
-                        if !trimmed.is_empty() {
-                            if !doc.text.is_empty() {
-                                doc.text.push(' ');
-                            }
-                            doc.text.push_str(trimmed);
-                        }
-                    }
-                }
-                Token::RawText(_) => {}
+/// A [`Document`] being filled, and whether the loop is inside the title
+/// or the head, whose text is not body text.
+#[derive(Default)]
+struct Page {
+    doc: Document,
+    in_title: bool,
+    in_head: bool,
+}
+
+impl Page {
+    /// Takes the text run from `at` to the next `<`; returns its end.
+    fn text(&mut self, html: &str, at: usize) -> usize {
+        let bytes = html.as_bytes();
+        let start = if self.in_title {
+            at
+        } else {
+            // Outside the title a run is trimmed, so leading ASCII
+            // whitespace is skipped in place: most runs between tags are
+            // a line break and indentation, which end right at the next
+            // `<`.
+            let start = tokenizer::skip_ascii_whitespace(bytes, at);
+            if bytes.get(start).is_none_or(|&b| b == b'<') {
+                return start;
+            }
+            start
+        };
+        let (end, entity) = tokenizer::run_end(bytes, start, b'<');
+        if self.in_title || !self.in_head {
+            // Both ends are char boundaries: `start` follows ASCII
+            // whitespace and `end` is at a `<` or the end.
+            let run = html.get(start..end).unwrap_or_default();
+            let run = if entity {
+                decode_entities(run)
+            } else {
+                Cow::Borrowed(run)
+            };
+            if self.in_title {
+                self.doc.title.push_str(&run);
+            } else {
+                self.body_text(&run);
             }
         }
+        end
+    }
 
+    /// Appends a decoded run, trimmed, to the body text.
+    fn body_text(&mut self, run: &str) {
+        let run = run.trim();
+        if run.is_empty() {
+            return;
+        }
+        if !self.doc.text.is_empty() {
+            self.doc.text.push(' ');
+        }
+        self.doc.text.push_str(run);
+    }
+
+    /// Applies the markup opened by the `<` at `at`; returns the offset
+    /// to resume at.
+    fn markup(&mut self, html: &str, at: usize) -> usize {
+        let (markup, next) = tokenizer::markup(html, at);
+        match markup {
+            Markup::Skipped => {}
+            // A stray `<` is a text run of its own.
+            Markup::Stray if self.in_title => self.doc.title.push('<'),
+            Markup::Stray if !self.in_head => self.body_text("<"),
+            Markup::Stray => {}
+            Markup::EndTag(name) => {
+                if name.eq_ignore_ascii_case(b"head") {
+                    self.in_head = false;
+                } else if name.eq_ignore_ascii_case(b"title") {
+                    self.in_title = false;
+                }
+            }
+            Markup::StartTag { name, attrs } => return self.start_tag(html, name, attrs, next),
+        }
+        next
+    }
+
+    /// Applies the rule of a start tag; returns the offset to resume at,
+    /// past the content of a `script` or `style` element.
+    fn start_tag(&mut self, html: &str, name: &[u8], attrs: &str, next: usize) -> usize {
+        // Every name a rule matches fits in eight bytes.
+        let mut buf = [0u8; 8];
+        let Some(lower) = buf.get_mut(..name.len()) else {
+            return next;
+        };
+        for (to, from) in lower.iter_mut().zip(name) {
+            *to = from.to_ascii_lowercase();
+        }
+        let doc = &mut self.doc;
+        match &*lower {
+            b"head" => self.in_head = true,
+            b"title" => self.in_title = true,
+            b"a" | b"area" => {
+                if let Some(href) = attr(attrs, b"href") {
+                    if !href.is_empty() && !href.starts_with('#') {
+                        doc.href_links.push(href.into_owned());
+                    }
+                }
+            }
+            b"img" => {
+                doc.image_count += 1;
+                push_resource(&mut doc.resource_links, attrs, b"src");
+            }
+            b"script" => {
+                push_resource(&mut doc.resource_links, attrs, b"src");
+                if !tokenizer::is_self_closing(attrs) {
+                    return tokenizer::raw_text_end(html, next, b"</script");
+                }
+            }
+            b"style" if !tokenizer::is_self_closing(attrs) => {
+                return tokenizer::raw_text_end(html, next, b"</style");
+            }
+            b"embed" | b"source" | b"audio" | b"video" => {
+                push_resource(&mut doc.resource_links, attrs, b"src");
+            }
+            b"link" => push_resource(&mut doc.resource_links, attrs, b"href"),
+            b"iframe" | b"frame" => {
+                doc.iframe_count += 1;
+                push_resource(&mut doc.resource_links, attrs, b"src");
+            }
+            b"input" | b"textarea" | b"select" => {
+                // Only fields that collect user data count (phishing
+                // pages exist to harvest input).
+                let non_data = attr(attrs, b"type").is_some_and(|t| {
+                    matches!(&*t, "hidden" | "submit" | "button" | "reset" | "image")
+                });
+                if !non_data {
+                    doc.input_count += 1;
+                }
+            }
+            _ => {}
+        }
+        next
+    }
+
+    fn into_document(self) -> Document {
+        let mut doc = self.doc;
         let kept = doc.title.trim_end().len();
         doc.title.truncate(kept);
         let lead = doc.title.len() - doc.title.trim_start().len();
@@ -109,19 +205,12 @@ impl Document {
     }
 }
 
-fn attr<'t>(attrs: &'t [(Cow<'_, str>, Cow<'_, str>)], name: &str) -> Option<&'t str> {
-    attrs
-        .iter()
-        .find(|(n, _)| n.as_ref() == name)
-        .map(|(_, v)| v.as_ref())
-}
-
 /// Records the `name` attribute of a resource tag, unless it is missing
 /// or empty.
-fn push_resource(links: &mut Vec<String>, attrs: &[(Cow<'_, str>, Cow<'_, str>)], name: &str) {
+fn push_resource(links: &mut Vec<String>, attrs: &str, name: &[u8]) {
     if let Some(url) = attr(attrs, name) {
         if !url.is_empty() {
-            links.push(url.to_owned());
+            links.push(url.into_owned());
         }
     }
 }
@@ -133,41 +222,86 @@ fn find_copyright(text: &str) -> Option<String> {
     // an earlier "copyright", which wins over an earlier "(c)".
     // Byte offsets must index `text` itself: Unicode lowercasing can
     // change byte lengths, so case-insensitive matching is done in place.
-    let idx = text
-        .find('©')
-        .or_else(|| find_ignore_ascii_case(text.as_bytes(), b"copyright"))
-        .or_else(|| find_ignore_ascii_case(text.as_bytes(), b"(c)"))?;
-    // Expand to segment boundaries (periods or end of string), capped to a
-    // reasonable notice length.
-    // kyp-lint: allow(P02) — idx/start/end come from find/rfind of `©` and ASCII patterns, so they are char boundaries with start <= idx <= end
-    let start = text[..idx].rfind('.').map_or(0, |i| i + 1);
-    // kyp-lint: allow(P02) — same boundary argument as above
-    let end = text[idx..].find('.').map_or(text.len(), |i| idx + i);
-    // kyp-lint: allow(P02) — same boundary argument as above
-    let notice = text[start..end].trim();
-    let notice: String = notice.chars().take(200).collect();
-    (!notice.is_empty()).then_some(notice)
+    let bytes = text.as_bytes();
+    let (idx, start) = if let Some(found) = copyright_sign(bytes) {
+        found
+    } else {
+        let idx = word_anchor(bytes)?;
+        (idx, text.get(..idx)?.rfind('.').map_or(0, |i| i + 1))
+    };
+    // The notice is the segment around the anchor between periods (or
+    // the ends of the text), capped to a reasonable length. The anchor
+    // starts a char and the bounds are at ASCII periods, so every cut is
+    // on a char boundary.
+    let end = tokenizer::find_byte(bytes, idx, b'.').unwrap_or(text.len());
+    let notice = text.get(start..end)?.trim();
+    let notice = notice
+        .char_indices()
+        .nth(200)
+        .and_then(|(cut, _)| notice.get(..cut))
+        .unwrap_or(notice);
+    (!notice.is_empty()).then(|| notice.to_owned())
 }
 
-/// Byte offset of the first ASCII-case-insensitive occurrence of the
-/// ASCII pattern `pat` in `text`. Only the positions holding `pat`'s
-/// first byte, in either case, are compared in full.
-fn find_ignore_ascii_case(text: &[u8], pat: &[u8]) -> Option<usize> {
-    let first = *pat.first()?;
+/// The offset of the first `©` in `text` and the offset just past the
+/// last `.` before it (0 if there is none), in one forward scan.
+fn copyright_sign(text: &[u8]) -> Option<(usize, usize)> {
+    // `©` is C2 A9 in UTF-8, and C2 is never a continuation byte.
+    let mut start = 0;
     let mut from = 0;
-    while let Some(offset) = text
-        .get(from..)?
-        .iter()
-        .position(|b| b.eq_ignore_ascii_case(&first))
-    {
-        let at = from + offset;
-        let window = text.get(at..at + pat.len())?;
-        if window.eq_ignore_ascii_case(pat) {
-            return Some(at);
+    while let Some(at) = tokenizer::find_flagged(
+        text,
+        from,
+        |w| byte_mask(w, 0xC2) | byte_mask(w, b'.'),
+        |b| b == 0xC2 || b == b'.',
+    ) {
+        if text.get(at) == Some(&b'.') {
+            start = at + 1;
+        } else if text.get(at + 1) == Some(&0xA9) {
+            return Some((at, start));
         }
         from = at + 1;
     }
     None
+}
+
+/// Offset of the first "copyright", else of the first "(c)", in any
+/// ASCII case. Overlapping eight-byte windows, seven bytes a step, flag
+/// the pairs `co` and `(c` in one pass; only those are compared in full.
+fn word_anchor(text: &[u8]) -> Option<usize> {
+    const FOLD: u64 = 0x2020_2020_2020_2020;
+    let mut paren = None;
+    let mut check = |at: usize| {
+        let window = |len: usize| text.get(at..at + len);
+        if window(9).is_some_and(|w| w.eq_ignore_ascii_case(b"copyright")) {
+            return true;
+        }
+        if paren.is_none() && window(3).is_some_and(|w| w.eq_ignore_ascii_case(b"(c)")) {
+            paren = Some(at);
+        }
+        false
+    };
+    let mut tail = 0;
+    for (start, window) in text.windows(8).enumerate().step_by(7) {
+        let word = word_at(window);
+        // `| FOLD` lowercases ASCII letters; only `c`/`C` fold to `c`.
+        let c = byte_mask(word | FOLD, b'c');
+        let o = byte_mask(word | FOLD, b'o');
+        let open = byte_mask(word, b'(');
+        // Byte k starts a pair when byte k + 1's flag, shifted down a
+        // byte, meets its own. Pairs starting at byte 7 are the next
+        // window's byte 0.
+        let mut hits = (c & (o >> 8)) | (open & (c >> 8));
+        while hits != 0 {
+            let at = start + first_byte(hits);
+            if check(at) {
+                return Some(at);
+            }
+            hits &= hits - 1;
+        }
+        tail = start + 7;
+    }
+    (tail..text.len()).find(|&at| check(at)).or(paren)
 }
 
 #[cfg(test)]
@@ -297,6 +431,44 @@ mod tests {
     fn textarea_and_select_count_as_inputs() {
         let doc = Document::parse("<body><textarea></textarea><select></select></body>");
         assert_eq!(doc.input_count, 2);
+    }
+
+    /// Parses `html`, which must take less than serde_json's bound in
+    /// `long_and_many_strings_parse_in_linear_time`.
+    fn parse_in_bounded_time(html: &str) -> Document {
+        let start = std::time::Instant::now();
+        let doc = Document::parse(html);
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "{} bytes took {took:?}",
+            html.len()
+        );
+        doc
+    }
+
+    #[test]
+    fn a_mebibyte_of_ampersands_parses_in_linear_time() {
+        // No `&` has a `;` behind it. The `;` was once looked for over the
+        // whole rest of the run before the entity length cap applied:
+        // 0.42 s for 128 KB, quadratic.
+        let amps = "&a".repeat(1 << 19);
+        let doc = parse_in_bounded_time(&format!("<p>{amps}</p>"));
+        assert_eq!(doc.text, amps);
+        let doc = parse_in_bounded_time(&format!("<a href=\"{amps}\">x</a>"));
+        assert_eq!(doc.href_links, [amps]);
+    }
+
+    #[test]
+    fn runs_of_skipped_markup_do_not_recurse() {
+        // Each skipped comment, doctype or processing instruction, and
+        // each empty raw-text body, once cost a stack frame: 100,000
+        // comments overflowed the stack. 300,000 of each parse on a
+        // default test thread.
+        for unit in ["<!---->", "<!x>", "<?x>", "<script></script>"] {
+            let doc = parse_in_bounded_time(&unit.repeat(300_000));
+            assert_eq!(doc, Document::default(), "{unit}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Minimal HTML entity decoding — the named entities our generators emit
 //! plus numeric character references.
 
+use crate::tokenizer::find_byte;
 use std::borrow::Cow;
 
 /// Decodes HTML entities in `input`.
@@ -11,7 +12,7 @@ use std::borrow::Cow;
 /// entities are passed through verbatim.
 ///
 /// Returns [`Cow::Borrowed`] when nothing decodes — the overwhelmingly
-/// common case for real page text — so the hot tokenizer path allocates
+/// common case for real page text — so the page parser allocates
 /// only on inputs that actually contain entities.
 ///
 /// # Examples
@@ -26,47 +27,48 @@ use std::borrow::Cow;
 /// ));
 /// ```
 pub fn decode_entities(input: &str) -> Cow<'_, str> {
-    // Find the first entity that actually decodes; everything up to it is
-    // borrowed untouched. Inputs with no decodable entity never allocate.
+    // Everything before the first entity that actually decodes is
+    // borrowed untouched: inputs with no decodable entity never allocate.
+    let mut out: Option<String> = None;
+    // `input[..copied]` is already in `out`.
+    let mut copied = 0;
     let mut search = 0;
-    let (first_char, first_pos, first_len) = loop {
-        let Some(rel) = input[search..].find('&') else {
-            return Cow::Borrowed(input);
-        };
-        let pos = search + rel;
-        if let Some((c, consumed)) = decode_one(&input[pos..]) {
-            break (c, pos, consumed);
-        }
-        search = pos + 1;
-    };
-
-    let mut out = String::with_capacity(input.len());
-    out.push_str(&input[..first_pos]);
-    out.push(first_char);
-    let mut rest = &input[first_pos + first_len..];
-    while let Some(pos) = rest.find('&') {
-        out.push_str(&rest[..pos]);
-        rest = &rest[pos..];
-        if let Some((c, consumed)) = decode_one(rest) {
-            out.push(c);
-            rest = &rest[consumed..];
-        } else {
-            out.push('&');
-            rest = &rest[1..];
+    while let Some(at) = find_byte(input.as_bytes(), search, b'&') {
+        match input.get(at..).and_then(decode_one) {
+            Some((c, consumed)) => {
+                let out = out.get_or_insert_with(|| String::with_capacity(input.len()));
+                out.push_str(input.get(copied..at).unwrap_or_default());
+                out.push(c);
+                copied = at + consumed;
+                search = copied;
+            }
+            None => search = at + 1,
         }
     }
-    out.push_str(rest);
-    Cow::Owned(out)
+    match out {
+        None => Cow::Borrowed(input),
+        Some(mut out) => {
+            out.push_str(input.get(copied..).unwrap_or_default());
+            Cow::Owned(out)
+        }
+    }
 }
+
+/// The longest entity [`decode_one`] accepts, `&` and `;` included:
+/// entities are short, and the `;` is looked for only this far.
+const MAX_ENTITY: usize = 13;
 
 /// Tries to decode a single entity at the start of `s` (which begins with
 /// `&`). Returns the character and the number of bytes consumed.
+///
+/// The `;` is looked for only within [`MAX_ENTITY`] bytes, so a run of
+/// `&`s with no `;` behind them decodes in linear time.
 fn decode_one(s: &str) -> Option<(char, usize)> {
-    let end = s[1..].find(';')? + 1;
-    if end > 12 {
-        return None; // entities are short; avoid scanning far ahead
-    }
-    let name = &s[1..end];
+    let window = s.as_bytes().get(1..MAX_ENTITY.min(s.len()))?;
+    let end = window.iter().position(|&b| b == b';')? + 1;
+    // `end` is at an ASCII `;`, so both ends of the name are char
+    // boundaries.
+    let name = s.get(1..end)?;
     let c = if let Some(num) = name.strip_prefix('#') {
         let code = if let Some(hex) = num.strip_prefix(['x', 'X']) {
             u32::from_str_radix(hex, 16).ok()?

@@ -1,8 +1,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-//! A lightweight HTML tokenizer and data-source extractor for the *Know
-//! Your Phish* reproduction.
+//! A one-pass HTML parser and data-source extractor for the *Know Your
+//! Phish* reproduction.
 //!
 //! The paper's scraper (Section II-C) extracts four elements from a page's
 //! HTML source:
@@ -16,6 +16,10 @@
 //! the URLs of embedded resources (scripts, stylesheets, images, iframes)
 //! that a browser would request while loading the page — the raw material
 //! of the *logged links* data source.
+//!
+//! [`Document::parse`] reads the page once and fills the [`Document`] as
+//! it goes: there is no token stream and no recursion, and its work is
+//! linear in the page's length, hostile pages included.
 //!
 //! # Examples
 //!
@@ -44,4 +48,3 @@ mod tokenizer;
 pub use builder::PageBuilder;
 pub use document::Document;
 pub use entity::decode_entities;
-pub use tokenizer::{Token, Tokenizer};

@@ -1,14 +1,16 @@
-//! Equivalence of [`Document::parse`] with the interner-dispatch parser it
-//! replaced (kept in `reference/`): every field, on generated corpus
-//! pages, [`PageBuilder`] pages, every truncation of them, garbled
-//! windows, mixed-case and entity-laden markup and arbitrary soups. The
-//! browser visit built on it must equal the pre-change visit on every
-//! corpus URL, on a reliable and on a fault-injecting web.
+//! Equivalence of [`Document::parse`] with the interner-dispatch parser
+//! kept in `reference/`, which runs on the token stream and entity
+//! decoder that shipped with it: every field, on generated corpus pages,
+//! [`PageBuilder`] pages, every truncation of them, garbled windows,
+//! mixed-case and entity-laden markup, hostile fragments and arbitrary
+//! soups. [`decode_entities`] must equal the pre-change decoder, and the
+//! browser visit built on the parser must equal the pre-change visit on
+//! every corpus URL, on a reliable and on a fault-injecting web.
 
 mod reference;
 
 use kyp_datagen::{CampaignConfig, Corpus};
-use kyp_html::{Document, PageBuilder};
+use kyp_html::{decode_entities, Document, PageBuilder};
 use kyp_web::{Browser, FaultKind, FaultPlan, FlakyWorld};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -234,6 +236,145 @@ fn cased_markup() -> impl Strategy<Value = String> {
         .prop_map(|(parts, mask)| mixed_case(&parts.join(""), mask))
 }
 
+/// Markup the reference tokenizer handles in its edge paths: runs of
+/// skipped markup, raw text with and without a close, entities at the
+/// cap on their length, cut-off quotes and tags, repeated attributes,
+/// slashes and Unicode whitespace before `>`, and digits or non-ASCII
+/// bytes in tag names.
+fn hostile_fragment() -> impl Strategy<Value = String> {
+    let fixed = prop_oneof![
+        // Back-to-back comments, doctypes and processing instructions,
+        // and unterminated ones.
+        Just("<!---->"),
+        Just("<!-->"),
+        Just("<!--->"),
+        Just("<!-- <p>x</p> -->"),
+        Just("<!DOCTYPE html>"),
+        Just("<!x>"),
+        Just("<?x>"),
+        Just("<?xml version='1.0'?>"),
+        Just("<!--"),
+        Just("<!"),
+        Just("<?"),
+        // Raw text, closed or not, in mixed case.
+        Just("<script>"),
+        Just("<script>var a = '<p>';"),
+        Just("</script>"),
+        Just("</ScRiPt"),
+        Just("</SCRIPT >"),
+        Just("<SCRIPT SRC='/s.js'>"),
+        Just("<style>p { x: y }"),
+        Just("<StYlE>"),
+        Just("</sTyLe>"),
+        Just("<script/>"),
+        Just("<script src=/s.js />"),
+        // Cut-off quotes and tags, and a `>` inside quotes.
+        Just("<a href=\"/x"),
+        Just("<a href='/x"),
+        Just("<img src="),
+        Just("<a"),
+        Just("<"),
+        Just("</"),
+        Just("<a href=\"/x>y\">"),
+        // Repeated attributes: the first wins.
+        Just("<a href=/first href=/second>"),
+        Just("<a HREF=/upper href=/lower>"),
+        Just("<img src='' src=/b>"),
+        Just("<input type=text type=hidden>"),
+        Just("<a title='href=/decoy' href=/real>"),
+        Just("<a =x href=/after-empty-name>"),
+        // `/`, U+00A0 or U+3000 before `>`.
+        Just("<a href=/x/>"),
+        Just("<a href=/x//>"),
+        Just("<a href=\"/x/\"/>"),
+        Just("<a href=/x/\u{a0}>"),
+        Just("<script/\u{a0}>"),
+        Just("<style /\u{3000}>"),
+        Just("<img src=/i.png\u{3000}/>"),
+        Just("<a href/>"),
+        // Digits in a rule's tag name make it another tag.
+        Just("<a1 href=/digit>"),
+        Just("<script2>"),
+        Just("</title9>"),
+        Just("<img0 src=/zero>"),
+        // Entities at the cap on their length: a `;` 12 bytes after the
+        // `&` is read, 13 bytes after it is not.
+        Just("&#0000000065;"),
+        Just("&#00000000065;"),
+        Just("&#x000000041;"),
+        Just("&#x0000000041;"),
+        Just("&#0000000169;"),
+        Just("&eacute;"),
+        // Non-ASCII bytes inside tag names.
+        Just("<scripté>"),
+        Just("<aé href=/x>"),
+        Just("<titleé>"),
+        Just("</titleé>"),
+        Just("<headé>"),
+        Just("<ä>"),
+        // The elements whose text is not body text.
+        Just("<head>"),
+        Just("</head>"),
+        Just("<title>"),
+        Just("</title>"),
+        Just("<p>"),
+        Just("</p>"),
+        Just("\n"),
+        Just(" \u{a0} "),
+        Just("\u{3000}"),
+        Just("\u{b}"),
+    ];
+    prop_oneof![
+        fixed.prop_map(str::to_owned),
+        // `&` runs with and without a `;`, and references whose `;` is
+        // near the 12-byte cap.
+        "[&a;]{1,12}",
+        "&#0{6,10}[1-9][0-9];",
+        "&#x0{6,10}[1-9a-fA-F][0-9a-f];",
+        "&[a-z]{9,13};",
+        "[a-zA-Z ©().]{0,12}",
+    ]
+}
+
+/// Hostile fragments joined and cut to at most 400 bytes.
+fn hostile_markup() -> impl Strategy<Value = String> {
+    collection::vec(hostile_fragment(), 0..40).prop_map(|parts| {
+        let mut html = parts.concat();
+        let mut cut = html.len().min(400);
+        while !html.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        html.truncate(cut);
+        html
+    })
+}
+
+/// Text holding one `&`, a name of `len` bytes and a `;`, so the `;` is
+/// `len + 1` bytes after the `&`, between text that may hold more `&`s
+/// and `;`s. The name is a zero-padded decimal or hex reference to a
+/// random code point, a known entity name or letters, cut to `len`.
+fn entity_text() -> impl Strategy<Value = String> {
+    (
+        0usize..=14,
+        0usize..4,
+        0u32..0x11_0000,
+        "[a-z]{14}",
+        "[a-z &;#]{0,8}",
+        "[a-z &;#]{0,8}",
+    )
+        .prop_map(|(len, shape, code, letters, before, after)| {
+            let digits = len.saturating_sub(1);
+            let name = match shape {
+                0 => format!("#{code:0>digits$}"),
+                1 => format!("#x{code:0>width$x}", width = len.saturating_sub(2)),
+                2 => format!("eacute{letters}"),
+                _ => letters,
+            };
+            let name: String = name.chars().take(len).collect();
+            format!("{before}&{name};{after}")
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -256,6 +397,20 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// Hostile markup parses to the reference's document.
+    #[test]
+    fn hostile_markup_parses_as_before(html in hostile_markup()) {
+        check(&html);
+        check_truncations(&html);
+    }
+
+    /// The decoder with its `;` search capped decodes as the uncapped one
+    /// with the `;` at every distance up to 15 bytes from the `&`.
+    #[test]
+    fn entities_decode_as_before(text in entity_text()) {
+        prop_assert_eq!(decode_entities(&text), reference::entity::decode_entities(&text), "{:?}", text);
+    }
 
     /// Arbitrary soups parse without panic, to the reference's document.
     #[test]

@@ -2,14 +2,17 @@
 //! each parse builds a sorted-probe tag interner and dispatches on the
 //! interned symbols, accumulates title and text in separate buffers and
 //! copies them out, and finds the copyright anchor by comparing a window
-//! at every byte offset. It runs on the same, unchanged [`Tokenizer`], and
-//! the equivalence properties compare every [`Document`] field against
-//! it.
+//! at every byte offset. It runs on the [`Tokenizer`] and entity decoder
+//! that shipped with it, kept here unchanged, and the equivalence
+//! properties compare every [`Document`] field against it.
 
+pub mod entity;
+pub mod tokenizer;
 pub mod visit;
 
-use kyp_html::{Document, Token, Tokenizer};
+use kyp_html::Document;
 use std::borrow::Cow;
+use tokenizer::{Token, Tokenizer};
 
 /// An interned tag name: an index into [`Interner::strings`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

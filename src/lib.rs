@@ -16,7 +16,7 @@
 //! See the individual crates for details:
 //! - [`url`]: URL decomposition (FQDN / RDN / mld / FreeURL)
 //! - [`text`]: term extraction, term distributions, Hellinger distance
-//! - [`html`]: HTML tokenizer and data-source extraction
+//! - [`html`]: one-pass HTML parser and data-source extraction
 //! - [`exec`]: deterministic parallel execution (scoped thread pool)
 //! - [`web`]: simulated web, browser/scraper, OCR, domain ranking
 //! - [`search`]: search-engine substrate used by target identification
