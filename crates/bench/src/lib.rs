@@ -20,4 +20,4 @@ pub mod table;
 
 pub use harness::{scrape_dataset, scrape_visits, EvalArgs, ExperimentEnv};
 pub use report::write_bench_section;
-pub use table::{fmt_f, print_curve, EvalRow};
+pub use table::{fmt_f, EvalRow};

@@ -60,16 +60,6 @@ pub fn fmt_f(v: f64, d: usize) -> String {
     format!("{v:.d$}")
 }
 
-/// Prints a `(x, y)` curve as gnuplot-ready data lines with a comment
-/// header, used for the figure-series outputs.
-pub fn print_curve(title: &str, points: &[(f64, f64)]) {
-    println!("# {title}");
-    for (x, y) in points {
-        println!("{x:.6} {y:.6}");
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -255,7 +255,7 @@ impl<S: PageSource> ClusterService<S> {
 
         let mut out = Vec::new();
         self.run_events_until(arrival, &mut out);
-        self.drain_parked(arrival, &mut out);
+        self.drain_parked(arrival);
 
         self.requests += 1;
 
@@ -328,7 +328,7 @@ impl<S: PageSource> ClusterService<S> {
             arrival_ms: arrival,
             retries: 0,
         };
-        self.dispatch(request.id, pending, arrival, &mut out);
+        self.dispatch(request.id, pending, arrival);
         out
     }
 
@@ -337,7 +337,7 @@ impl<S: PageSource> ClusterService<S> {
     pub fn finish(&mut self) -> Vec<ClusterResponse> {
         let mut out = Vec::new();
         while self.work_remains() {
-            self.drain_parked(self.last_event_ms, &mut out);
+            self.drain_parked(self.last_event_ms);
             if !self.work_remains() {
                 break;
             }
@@ -445,13 +445,7 @@ impl<S: PageSource> ClusterService<S> {
     /// candidate the router believes live, routing around refusals
     /// (per-node backpressure), black-holing into dead-but-undetected
     /// nodes, and parking when every live candidate refuses. Never sheds.
-    fn dispatch(
-        &mut self,
-        id: u64,
-        pending: Pending,
-        now_ms: u64,
-        _out: &mut Vec<ClusterResponse>,
-    ) {
+    fn dispatch(&mut self, id: u64, pending: Pending, now_ms: u64) {
         let candidates = self.candidates(&pending);
         for cand in candidates {
             let slot = &mut self.nodes[cand];
@@ -494,13 +488,13 @@ impl<S: PageSource> ClusterService<S> {
 
     /// Re-attempts every parked request once at `now_ms`. Requests still
     /// refused re-park (at the back), so one drain pass terminates.
-    fn drain_parked(&mut self, now_ms: u64, out: &mut Vec<ClusterResponse>) {
+    fn drain_parked(&mut self, now_ms: u64) {
         let rounds = self.parked.len();
         for _ in 0..rounds {
             let Some((id, pending)) = self.parked.pop_front() else {
                 break;
             };
-            self.dispatch(id, pending, now_ms, out);
+            self.dispatch(id, pending, now_ms);
         }
     }
 
@@ -571,7 +565,7 @@ impl<S: PageSource> ClusterService<S> {
                 let slot = &mut self.nodes[ev.node];
                 slot.relive_at = None;
                 slot.router_live = true;
-                self.drain_parked(ev.at, out);
+                self.drain_parked(ev.at);
             }
         }
     }
@@ -631,7 +625,7 @@ impl<S: PageSource> ClusterService<S> {
                     ),
                 });
             } else {
-                self.dispatch(id, pending, at, out);
+                self.dispatch(id, pending, at);
             }
         }
     }

@@ -7,7 +7,9 @@
 //! order a function of placement. The router therefore performs every
 //! fetch itself, in trace (first-occurrence) order, and deposits the
 //! result here; nodes read through [`SharedStore`] — a [`PageSource`]
-//! that only ever does keyed lookups of already-fetched pages.
+//! that only ever does keyed lookups of already-fetched pages. It is the
+//! cluster's one page memo: each node's scoring service remembers only
+//! landing URLs and verdicts, and drops the page it read once classified.
 
 use kyp_serve::{canonical_url, PageSource};
 use kyp_web::{FailureCause, ScrapedPage};

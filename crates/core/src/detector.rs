@@ -131,44 +131,6 @@ impl PhishDetector {
     pub fn model(&self) -> &GradientBoosting {
         &self.model
     }
-
-    /// Calibrates the discrimination threshold on held-out data: picks the
-    /// lowest threshold whose false-positive rate stays within `max_fpr`
-    /// (maximising recall at the allowed FP budget), sets it, and returns
-    /// it. This is the operational tuning the paper performs with its ROC
-    /// analysis before settling on 0.7.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `validation` is empty.
-    pub fn calibrate_threshold(&mut self, validation: &Dataset, max_fpr: f64) -> f64 {
-        assert!(!validation.is_empty(), "validation set must not be empty");
-        let scores = self.score_dataset(validation);
-        let labels = validation.labels();
-        // Candidate thresholds: every distinct legitimate score (the FPR
-        // only changes there), descending, plus 1.0.
-        let mut candidates: Vec<f64> = scores
-            .iter()
-            .zip(labels)
-            .filter(|(_, &y)| !y)
-            .map(|(s, _)| *s)
-            .collect();
-        candidates.push(1.0);
-        candidates.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.dedup();
-
-        let mut best = 1.0;
-        for t in candidates {
-            let c = kyp_ml::metrics::Confusion::at_threshold(&scores, labels, t);
-            if c.fpr() <= max_fpr {
-                best = t;
-            } else {
-                break;
-            }
-        }
-        self.threshold = best;
-        best
-    }
 }
 
 #[cfg(test)]
@@ -220,34 +182,6 @@ mod tests {
         let probe = [0.42, 5.0];
         assert_eq!(det.score(&probe), back.score(&probe));
         assert_eq!(det.threshold(), back.threshold());
-    }
-
-    #[test]
-    fn calibrate_threshold_respects_fpr_budget() {
-        let data = toy_train();
-        let mut det = PhishDetector::train(&data, &DetectorConfig::default());
-        // Build a noisy validation set.
-        let mut valid = Dataset::new(2);
-        for i in 0..300 {
-            let phishy = i % 2 == 0;
-            let x = if phishy { 0.8 } else { 0.2 } + (i % 10) as f64 * 0.02;
-            valid.push_row(&[x, 1.0], phishy);
-        }
-        let t = det.calibrate_threshold(&valid, 0.01);
-        assert_eq!(det.threshold(), t);
-        let scores = det.score_dataset(&valid);
-        let c = kyp_ml::metrics::Confusion::at_threshold(&scores, valid.labels(), t);
-        assert!(c.fpr() <= 0.01, "fpr {} at threshold {t}", c.fpr());
-        // Tighter budget never lowers the threshold.
-        let tighter = det.calibrate_threshold(&valid, 0.001);
-        assert!(tighter >= t);
-    }
-
-    #[test]
-    #[should_panic(expected = "validation set must not be empty")]
-    fn calibrate_requires_data() {
-        let mut det = PhishDetector::train(&toy_train(), &DetectorConfig::default());
-        det.calibrate_threshold(&Dataset::new(2), 0.01);
     }
 
     #[test]

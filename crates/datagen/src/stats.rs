@@ -1,7 +1,6 @@
 //! Corpus statistics: structural summaries of generated datasets, used by
 //! the Table V census and for sanity-checking generator realism.
 
-use kyp_url::Url;
 use kyp_web::{Browser, VisitedPage, WebWorld};
 use std::collections::BTreeMap;
 
@@ -113,13 +112,6 @@ fn pct(part: usize, whole: usize) -> f64 {
     }
 }
 
-/// Convenience: RDN of a URL string (diagnostics).
-pub fn rdn_of(url: &str) -> Option<String> {
-    Url::parse(url)
-        .ok()
-        .and_then(|u| u.rdn().map(str::to_owned))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,11 +162,5 @@ mod tests {
         let stats = PageSetStats::from_urls(&corpus.world, corpus.english_test());
         let total: usize = stats.chain_lengths.values().sum();
         assert_eq!(total, stats.pages);
-    }
-
-    #[test]
-    fn rdn_helper() {
-        assert_eq!(rdn_of("https://www.a.co.uk/x").as_deref(), Some("a.co.uk"));
-        assert_eq!(rdn_of("http://"), None);
     }
 }

@@ -143,46 +143,6 @@ impl GradientBoosting {
         }
     }
 
-    /// Fits with early stopping: after each boosting round the validation
-    /// log-loss is measured; training stops once it has not improved for
-    /// `patience` consecutive rounds, and the ensemble is truncated to its
-    /// best round. Guards the small-training-set regime the paper targets
-    /// against overfitting.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`GradientBoosting::fit`], or
-    /// when `valid` is empty or has a different feature count.
-    pub fn fit_with_early_stopping(
-        train: &Dataset,
-        valid: &Dataset,
-        params: &GbmParams,
-        patience: usize,
-    ) -> Self {
-        assert!(!valid.is_empty(), "validation set must not be empty");
-        assert_eq!(train.n_features(), valid.n_features());
-        let mut model = Self::fit(train, params);
-
-        // Replay the ensemble on the validation set, tracking loss.
-        let mut raw: Vec<f64> = vec![model.base_score; valid.len()];
-        let mut best_loss = f64::INFINITY;
-        let mut best_round = 0usize;
-        for (round, tree) in model.trees.iter().enumerate() {
-            for (i, r) in raw.iter_mut().enumerate() {
-                *r += model.learning_rate * tree.predict(valid.row(i));
-            }
-            let loss = log_loss(&raw, valid.labels());
-            if loss < best_loss - 1e-9 {
-                best_loss = loss;
-                best_round = round + 1;
-            } else if round + 1 - best_round >= patience {
-                break;
-            }
-        }
-        model.trees.truncate(best_round.max(1));
-        model
-    }
-
     /// The raw (log-odds) score of a feature vector.
     pub fn decision_function(&self, features: &[f64]) -> f64 {
         debug_assert_eq!(features.len(), self.n_features);
@@ -287,16 +247,6 @@ impl GradientBoosting {
 #[inline]
 pub(crate) fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
-}
-
-/// Mean logistic loss of raw scores against labels.
-fn log_loss(raw: &[f64], labels: &[bool]) -> f64 {
-    let mut total = 0.0;
-    for (&r, &y) in raw.iter().zip(labels) {
-        let p = sigmoid(r).clamp(1e-12, 1.0 - 1e-12);
-        total -= if y { p.ln() } else { (1.0 - p).ln() };
-    }
-    total / raw.len().max(1) as f64
 }
 
 #[cfg(test)]
@@ -410,41 +360,6 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn empty_panics() {
         GradientBoosting::fit(&Dataset::new(1), &GbmParams::default());
-    }
-
-    #[test]
-    fn early_stopping_never_beats_budget() {
-        let train = toy(400, true);
-        let valid = toy(200, true);
-        let full = GradientBoosting::fit(&train, &GbmParams::default());
-        let stopped =
-            GradientBoosting::fit_with_early_stopping(&train, &valid, &GbmParams::default(), 10);
-        assert!(stopped.n_trees() <= full.n_trees());
-        assert!(stopped.n_trees() >= 1);
-        // Still a working classifier.
-        assert!(stopped.predict_proba(&[0.95, 0.05, 7.0]) > 0.6);
-    }
-
-    #[test]
-    #[should_panic(expected = "validation set must not be empty")]
-    fn early_stopping_rejects_empty_validation() {
-        let train = toy(100, false);
-        GradientBoosting::fit_with_early_stopping(
-            &train,
-            &Dataset::new(3),
-            &GbmParams::default(),
-            5,
-        );
-    }
-
-    #[test]
-    fn log_loss_sane() {
-        // Confident-correct beats uncertain beats confident-wrong.
-        let labels = [true, false];
-        let good = log_loss(&[4.0, -4.0], &labels);
-        let flat = log_loss(&[0.0, 0.0], &labels);
-        let bad = log_loss(&[-4.0, 4.0], &labels);
-        assert!(good < flat && flat < bad);
     }
 
     #[test]

@@ -44,17 +44,6 @@ pub struct BatchCounters {
     pub deadline_flushes: u64,
 }
 
-impl BatchCounters {
-    /// Mean requests per batch (0.0 before the first flush).
-    pub fn mean_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
-        }
-    }
-}
-
 /// Decides flush instants and cuts batches off an [`AdmissionQueue`].
 #[derive(Debug, Clone)]
 pub struct MicroBatcher {
@@ -190,7 +179,6 @@ mod tests {
         let c = b.counters();
         assert_eq!((c.batches, c.requests, c.max_size), (2, 3, 2));
         assert_eq!((c.full_flushes, c.deadline_flushes), (1, 1));
-        assert!((c.mean_size() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!                                   │ MicroBatcher: flush on max_batch
 //!                                   ▼            or max_delay_ms
 //!                    ┌────────────────────────────────────────────┐
-//!                    │ fetch memo (request URL) → verdict cache   │
-//!                    │ (landing URL → verdict; no capacity/TTL)   │
+//!                    │ fetch memo (request URL → landing URL)     │
+//!                    │ → verdict memo (landing URL → verdict)     │
 //!                    │   hit ──────────────▶ response             │
 //!                    │   miss ─▶ Pipeline::classify_scraped ─▶ …  │
 //!                    └──────────────┬─────────────────────────────┘
@@ -44,15 +44,17 @@
 //!
 //! - at **any thread count** — batch classification fans out over
 //!   [`kyp_exec`] with order-preserving joins;
-//! - with the **cache on or off** — fetches are memoized per unique URL
-//!   (stateful fault plans see the same fetch sequence either way) and
-//!   verdicts are pure functions of the fetched page;
-//! - under a **fault plan** — all retry/breaker timing is virtual.
+//! - under a **fault plan** — all retry/breaker timing is virtual, and
+//!   each unique URL is fetched once, so stateful fault plans see one
+//!   fetch sequence.
 //!
-//! The cache's payoff is wall-clock time only: hits skip feature
-//! extraction and both model stages. It is a memo with no capacity or
-//! expiry (see [`service`] for why). perfbench's `serve-cascade`
-//! workload measures it.
+//! Every verdict, hit or miss, is the verdict a fresh classification of
+//! the page the service fetched would give: verdicts are pure functions
+//! of the fetched page. The verdict cache's payoff is wall-clock time
+//! only: hits skip feature extraction and both model stages. It is a
+//! memo with no capacity, expiry or off switch, and the service keeps
+//! verdicts, not pages (see [`service`] for why). perfbench's
+//! `serve-cascade` workload measures it.
 
 pub mod batcher;
 pub mod protocol;

@@ -68,12 +68,11 @@ impl ServeOutcome {
 /// Where the response's verdict came from, cache-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CacheState {
-    /// Served from a fresh verdict-cache entry.
+    /// Answered from the verdict memo, or from the classification an
+    /// earlier request of the same batch started for its landing URL.
     Hit,
-    /// Classified and inserted into the cache.
+    /// Classified, and its verdict remembered for the landing URL.
     Miss,
-    /// The cache is disabled for this service.
-    Disabled,
     /// The request never reached classification (shed / unfetchable).
     Skipped,
 }
@@ -97,8 +96,8 @@ pub struct ServeResponse {
     pub completed_ms: u64,
     /// Which cascade stage decided the verdict. A verdict-cache hit keeps
     /// the stage that originally *decided* it ([`VerdictStage::Full`] —
-    /// the serve cache only stores full-pipeline verdicts), so cache-on
-    /// and cache-off runs stay byte-identical.
+    /// the serve cache only stores full-pipeline verdicts), so a hit's
+    /// verdict line is the line a fresh classification would give.
     pub stage: VerdictStage,
 }
 
@@ -189,10 +188,11 @@ impl ServeResponse {
     /// request identity plus verdict only.
     ///
     /// Two runs of the same trace must produce byte-identical sequences
-    /// of these lines whatever the thread count and whether the verdict
-    /// cache is enabled — the determinism contract `kyp-serve` inherits
-    /// from the execution layer. (Latency and cache state legitimately
-    /// differ between cache-on and cache-off runs, so they are excluded.)
+    /// of these lines whatever the thread count — the determinism
+    /// contract `kyp-serve` inherits from the execution layer — and a
+    /// cache hit's line equals the line a fresh classification would
+    /// give. (Latency and cache state vary with batching and placement,
+    /// so they are excluded.)
     pub fn verdict_line(&self) -> String {
         // kyp-lint: allow(P01) — serializing a field-only enum is infallible; a Result here would infect the whole protocol surface
         let outcome = serde_json::to_string(&self.outcome).expect("serialize outcome");

@@ -7,36 +7,50 @@
 //! clock. Each pushed request is one arrival event; before it is admitted,
 //! every batch flush that falls due at or before its arrival instant is
 //! executed, in due order. A flush cuts up to `max_batch` requests off the
-//! queue, scores them (cache, then pipeline for the misses) and completes
-//! them all at `flush + BATCH_OVERHEAD_MS + SERVICE_COST_MS × batch_len`
-//! (2 ms and 8 ms of virtual time). The scorer is busy until that
-//! completion, so flushes serialize.
+//! queue, scores them (verdict memo, then pipeline for the misses) and
+//! completes them all at `flush + BATCH_OVERHEAD_MS + SERVICE_COST_MS ×
+//! batch_len` (2 ms and 8 ms of virtual time). The scorer is busy until
+//! that completion, so flushes serialize.
+//!
+//! # Memory
+//!
+//! The service remembers verdicts, not pages. Two memos live as long as
+//! the service (a [`ScoringService::restart`] empties both):
+//!
+//! - the **fetch memo** maps each canonical request URL to the canonical
+//!   landing URL its page settled on, or to the [`FailureCause`] that
+//!   kept it from loading — and to nothing else;
+//! - the **verdict memo** maps each canonical landing URL to its
+//!   `(verdict, degraded)` pair.
+//!
+//! A page fetched in a flush is moved into that flush's classification
+//! batch and dropped once classified, so memory grows with the number of
+//! distinct URLs, never with page bytes. A landing URL without a verdict
+//! is classified once per flush: a later request for it in the same batch
+//! is a [`CacheState::Hit`] answered from that classification.
 //!
 //! # Determinism contract
 //!
-//! Two properties combine so the verdict stream is byte-identical across
-//! thread counts *and* across cache-on/cache-off runs of the same trace:
+//! The verdict stream is byte-identical across thread counts, and every
+//! memo answer is the answer a fresh classification would give:
 //!
-//! - **Fetch once.** The service memoizes every fetch by canonical
-//!   request URL, so each unique URL hits the page source exactly once
-//!   per run whatever the duplicate rate. Stateful sources (fault plans,
-//!   circuit breakers, retry clocks) therefore see the same fetch
-//!   sequence whether or not the verdict cache later absorbs repeats.
-//! - **Pure classification.** A verdict is a pure function of the
-//!   captured page, so a cached verdict equals the verdict recomputation
-//!   would produce.
+//! - **Fetch once.** Each unique request URL reaches the page source
+//!   exactly once per run whatever the duplicate rate, so stateful
+//!   sources (fault plans, circuit breakers, retry clocks) see one fetch
+//!   sequence.
+//! - **Pure classification.** A verdict is a pure function of the fetched
+//!   page, so a remembered verdict equals the one recomputation would
+//!   produce from the page the service fetched.
 //!
-//! The verdict cache is therefore a memo, not a policy: it maps each
-//! canonical landing URL to its verdict for the service's lifetime, with
-//! no capacity or expiry, because the fetch memo already holds every page
-//! for that long and an entry could only be recomputed to the same bytes.
-//! Freshness, if pages ever change, belongs to the fetch memo.
+//! So the verdict memo needs no capacity or expiry: an entry could only be
+//! recomputed to the same bytes. Freshness, if pages ever change, belongs
+//! to the fetch memo.
 //!
-//! The virtual cost model is deliberately cache-independent: hits and
-//! misses cost the same *virtual* time, so queueing, shedding and batch
-//! boundaries are identical in both runs. The cache's benefit is real
-//! (wall-clock) time — hits skip feature extraction and both model
-//! stages — which is exactly what the serving benchmark measures.
+//! The virtual cost model is memo-independent: hits and misses cost the
+//! same *virtual* time, so queueing, shedding and batch boundaries do not
+//! depend on which requests hit. The memo's benefit is real (wall-clock)
+//! time — hits skip feature extraction and both model stages — which is
+//! exactly what the serving benchmark measures.
 
 use crate::batcher::{BatchPolicy, MicroBatcher};
 use crate::protocol::{CacheState, ServeOutcome, ServeRequest, ServeResponse};
@@ -57,15 +71,15 @@ const SERVICE_COST_MS: u64 = 8;
 /// Virtual milliseconds of fixed overhead per batch flush.
 const BATCH_OVERHEAD_MS: u64 = 2;
 
-/// Tuning of a [`ScoringService`].
+/// Tuning of a [`ScoringService`]: its admission queue and micro-batcher.
+/// Verdicts are always memoized by canonical landing URL; the memo has no
+/// setting because it answers exactly what a fresh classification would.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Admission queue depth; arrivals beyond it are shed.
     pub queue_capacity: usize,
     /// Micro-batching policy.
     pub batch: BatchPolicy,
-    /// Whether verdicts are memoized by canonical landing URL.
-    pub cache: bool,
 }
 
 impl Default for ServeConfig {
@@ -73,25 +87,19 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 64,
             batch: BatchPolicy::default(),
-            cache: true,
         }
     }
-}
-
-/// A memoized fetch: the page plus the canonical landing URL it settled
-/// on (the verdict-cache key).
-#[derive(Debug, Clone)]
-struct StoredScrape {
-    page: ScrapedPage,
-    landing_key: String,
 }
 
 /// How one batched request resolves before response assembly.
 enum Slot {
     Unfetchable(FailureCause),
+    /// A verdict the memo already held.
     Cached(PipelineVerdict, bool),
-    /// Index into the flush's to-classify vector.
-    Pending(usize),
+    /// Index into the flush's to-classify vector: a miss for the request
+    /// that put the page there, a hit for later requests of the flush
+    /// that land on the same URL.
+    Pending(usize, CacheState),
 }
 
 /// A long-lived online scoring service over a warm pipeline.
@@ -105,16 +113,17 @@ enum Slot {
 pub struct ScoringService<S> {
     pipeline: Pipeline,
     source: S,
-    /// The verdict cache: `(verdict, degraded)` by canonical landing URL,
-    /// or `None` with the cache off.
-    cache: Option<HashMap<String, (PipelineVerdict, bool)>>,
+    /// The verdict memo: `(verdict, degraded)` by canonical landing URL.
+    verdicts: HashMap<String, (PipelineVerdict, bool)>,
     cache_counters: CacheCounters,
     cascade: Option<CascadeClassifier>,
     cascade_counters: CascadeCounters,
     queue: AdmissionQueue<ServeRequest>,
     batcher: MicroBatcher,
     latency: Histogram,
-    page_store: HashMap<String, Result<StoredScrape, FailureCause>>,
+    /// The fetch memo: canonical landing URL (or failure) by canonical
+    /// request URL.
+    fetched: HashMap<String, Result<String, FailureCause>>,
     busy_until_ms: u64,
     last_arrival_ms: u64,
     first_arrival_ms: Option<u64>,
@@ -130,14 +139,14 @@ impl<S: PageSource> ScoringService<S> {
         ScoringService {
             pipeline,
             source,
-            cache: config.cache.then(HashMap::new),
+            verdicts: HashMap::new(),
             cache_counters: CacheCounters::default(),
             cascade: None,
             cascade_counters: CascadeCounters::default(),
             queue: AdmissionQueue::new(config.queue_capacity),
             batcher: MicroBatcher::new(config.batch),
             latency: Histogram::pow2(),
-            page_store: HashMap::new(),
+            fetched: HashMap::new(),
             busy_until_ms: 0,
             last_arrival_ms: 0,
             first_arrival_ms: None,
@@ -266,7 +275,7 @@ impl<S: PageSource> ScoringService<S> {
     }
 
     /// Restarts the service cold after a simulated crash: the queue, the
-    /// verdict-cache entries and the fetch memo are dropped and the scorer
+    /// verdict memo and the fetch memo are dropped and the scorer
     /// is immediately free, but every lifetime counter — admission, cache,
     /// batch, latency, answered/unfetchable/degraded — survives, so the
     /// end-of-run [`ServeReport`] still accounts for the whole lifetime
@@ -275,10 +284,8 @@ impl<S: PageSource> ScoringService<S> {
     pub fn restart(&mut self) {
         let n = self.queue.len();
         let _ = self.queue.take_batch(n);
-        if let Some(cache) = self.cache.as_mut() {
-            cache.clear();
-        }
-        self.page_store.clear();
+        self.verdicts.clear();
+        self.fetched.clear();
         self.busy_until_ms = 0;
     }
 
@@ -355,7 +362,6 @@ impl<S: PageSource> ScoringService<S> {
             shed_ratio,
             unfetchable: self.unfetchable,
             degraded: self.degraded,
-            cache_enabled: self.cache.is_some(),
             cache: self.cache_counters,
             cascade_enabled: self.cascade.is_some(),
             cascade: self.cascade_counters,
@@ -382,17 +388,8 @@ impl<S: PageSource> ScoringService<S> {
         gauge(registry, "serve.report.shed", report.shed);
         gauge(registry, "serve.report.unfetchable", report.unfetchable);
         gauge(registry, "serve.report.degraded", report.degraded);
-        registry.set_gauge(
-            "serve.report.cache_enabled",
-            i64::from(report.cache_enabled),
-        );
         gauge(registry, "serve.report.cache.hits", report.cache.hits);
         gauge(registry, "serve.report.cache.misses", report.cache.misses);
-        gauge(
-            registry,
-            "serve.report.cache.insertions",
-            report.cache.insertions,
-        );
         registry.set_gauge(
             "serve.report.cascade_enabled",
             i64::from(report.cascade_enabled),
@@ -474,51 +471,66 @@ impl<S: PageSource> ScoringService<S> {
         self.busy_until_ms = completion_ms;
         self.last_event_ms = self.last_event_ms.max(completion_ms);
 
-        // Resolve each request: memoized fetch, then cache lookup; cache
-        // misses accumulate into one batch for parallel classification.
+        // Resolve each request: memoized fetch, then verdict lookup. Each
+        // landing URL without a verdict joins the flush's classification
+        // batch once, carrying the page its first request fetched; later
+        // requests for it in this flush share that classification.
         let mut slots = Vec::with_capacity(batch.len());
         let mut to_classify: Vec<(String, ScrapedPage)> = Vec::new();
-        let mut pending_keys: Vec<String> = Vec::new();
+        let mut pending: HashMap<String, usize> = HashMap::new();
         for request in &batch {
-            let store_key = canonical_url(&request.url);
             // The entry API makes fetch-once memoization a single keyed
             // access: no check-then-get, nothing to expect (kyp-lint P01).
+            let mut fresh = None;
             let source = &mut self.source;
-            let stored = self.page_store.entry(store_key).or_insert_with(|| {
-                source.fetch(&request.url).map(|page| {
-                    let landing_key = page.visit.landing_url.canonical_key().to_owned();
-                    StoredScrape { page, landing_key }
-                })
-            });
-            let slot = match stored {
+            let fetched = self
+                .fetched
+                .entry(canonical_url(&request.url))
+                .or_insert_with(|| {
+                    source.fetch(&request.url).map(|page| {
+                        let landing_key = page.visit.landing_url.canonical_key().to_owned();
+                        fresh = Some(page);
+                        landing_key
+                    })
+                });
+            let slot = match fetched {
                 Err(cause) => Slot::Unfetchable(*cause),
-                Ok(stored) => {
-                    let cached = self.cache.as_ref().and_then(|c| c.get(&stored.landing_key));
-                    if let Some((verdict, degraded)) = cached {
-                        self.cache_counters.hits += 1;
-                        obs.cache_hit();
+                Ok(landing_key) => {
+                    if let Some((verdict, degraded)) = self.verdicts.get(landing_key) {
                         Slot::Cached(verdict.clone(), *degraded)
-                    } else {
-                        if self.cache.is_some() {
-                            self.cache_counters.misses += 1;
-                            obs.cache_miss();
-                        }
+                    } else if let Some(&idx) = pending.get(landing_key) {
+                        Slot::Pending(idx, CacheState::Hit)
+                    } else if let Some(page) = fresh {
                         let idx = to_classify.len();
-                        to_classify.push((request.url.clone(), stored.page.clone()));
-                        pending_keys.push(stored.landing_key.clone());
-                        Slot::Pending(idx)
+                        pending.insert(landing_key.clone(), idx);
+                        to_classify.push((request.url.clone(), page));
+                        Slot::Pending(idx, CacheState::Miss)
+                    } else {
+                        // Unreachable: a request URL fetched by an earlier
+                        // flush left its landing URL's verdict in the memo.
+                        Slot::Unfetchable(FailureCause::NotFound)
                     }
                 }
             };
+            match slot {
+                Slot::Pending(_, CacheState::Miss) => {
+                    self.cache_counters.misses += 1;
+                    obs.cache_miss();
+                }
+                Slot::Cached(..) | Slot::Pending(..) => {
+                    self.cache_counters.hits += 1;
+                    obs.cache_hit();
+                }
+                Slot::Unfetchable(_) => {}
+            }
             slots.push(slot);
         }
 
         let classified = self.pipeline.classify_scraped(&to_classify, obs);
-        if let Some(cache) = self.cache.as_mut() {
-            for (key, page) in pending_keys.into_iter().zip(&classified) {
-                cache.insert(key, (page.verdict.clone(), page.degraded));
-                self.cache_counters.insertions += 1;
-            }
+        for ((_, page), done) in to_classify.into_iter().zip(&classified) {
+            let landing_key = page.visit.landing_url.canonical_key().to_owned();
+            self.verdicts
+                .insert(landing_key, (done.verdict.clone(), done.degraded));
         }
 
         for (request, slot) in batch.into_iter().zip(slots) {
@@ -542,16 +554,14 @@ impl<S: PageSource> ScoringService<S> {
                     let outcome = ServeOutcome::from_verdict(&verdict);
                     (outcome, CacheState::Hit, degraded)
                 }
-                Slot::Pending(idx) => {
+                Slot::Pending(idx, state) => {
                     self.answered += 1;
-                    obs.verdict_stage(VerdictStage::Full);
+                    obs.verdict_stage(match state {
+                        CacheState::Hit => VerdictStage::Cached,
+                        _ => VerdictStage::Full,
+                    });
                     // kyp-lint: allow(P02) — Pending slots are built from `classified` positions earlier in this function
                     let page = &classified[idx];
-                    let state = if self.cache.is_some() {
-                        CacheState::Miss
-                    } else {
-                        CacheState::Disabled
-                    };
                     let outcome = ServeOutcome::from_verdict(&page.verdict);
                     (outcome, state, page.degraded)
                 }
@@ -661,16 +671,29 @@ mod tests {
         (StoredPages::new(all), urls)
     }
 
-    fn service(cache: bool) -> ScoringService<StoredPages> {
+    fn service() -> ScoringService<StoredPages> {
         let (pages, _) = store(20);
-        ScoringService::new(
-            pipeline(),
-            pages,
-            ServeConfig {
-                cache,
-                ..ServeConfig::default()
-            },
-        )
+        ScoringService::new(pipeline(), pages, ServeConfig::default())
+    }
+
+    /// Checks every response against a fresh classification of its
+    /// request's stored page, with no memo involved.
+    fn assert_fresh(trace: &[ServeRequest], responses: &[ServeResponse]) {
+        let (mut pages, _) = store(20);
+        let pipeline = pipeline();
+        for response in responses {
+            let request = trace.iter().find(|r| r.id == response.id).unwrap();
+            let page = pages.fetch(&request.url).unwrap();
+            let verdict = pipeline.classify_degraded(&page.visit, &page.availability);
+            let fresh = ServeResponse::immediate(
+                request.id,
+                request.url.clone(),
+                ServeOutcome::from_verdict(&verdict),
+                0,
+                VerdictStage::Full,
+            );
+            assert_eq!(response.verdict_line(), fresh.verdict_line());
+        }
     }
 
     fn trace(requests: usize, duplicate_rate: f64) -> Vec<ServeRequest> {
@@ -687,7 +710,7 @@ mod tests {
 
     #[test]
     fn answers_every_request_of_a_clean_trace() {
-        let mut svc = service(true);
+        let mut svc = service();
         let trace = trace(100, 0.3);
         let responses = svc.run_trace(&trace);
         assert_eq!(responses.len(), 100);
@@ -706,33 +729,18 @@ mod tests {
     }
 
     #[test]
-    fn cache_on_and_off_produce_identical_verdict_streams() {
+    fn cache_hits_answer_what_fresh_classification_answers() {
         let trace = trace(200, 0.4);
-        let mut on = service(true);
-        let mut off = service(false);
-        let lines_on: Vec<String> = on
-            .run_trace(&trace)
-            .iter()
-            .map(super::super::protocol::ServeResponse::verdict_line)
-            .collect();
-        let lines_off: Vec<String> = off
-            .run_trace(&trace)
-            .iter()
-            .map(super::super::protocol::ServeResponse::verdict_line)
-            .collect();
-        assert_eq!(lines_on, lines_off);
-        assert!(on.report().cache.hits > 0);
-        assert_eq!(off.report().cache.hits, 0);
-        // The virtual cost model is cache-independent, so even the timing
-        // reports agree on everything but the cache counters.
-        let (ron, roff) = (on.report(), off.report());
-        assert_eq!(ron.latency, roff.latency);
-        assert_eq!(ron.virtual_elapsed_ms, roff.virtual_elapsed_ms);
+        let mut svc = service();
+        let responses = svc.run_trace(&trace);
+        assert!(svc.report().cache.hits > 0);
+        assert_eq!(responses.len(), trace.len());
+        assert_fresh(&trace, &responses);
     }
 
     #[test]
     fn cache_counts_hits_misses_and_insertions() {
-        use CacheState::{Disabled, Hit, Miss};
+        use CacheState::{Hit, Miss};
         let (_, urls) = store(20);
         // One request per batch, then a same-instant pair that shares one.
         let mut trace: Vec<ServeRequest> = [0, 0, 1, 0, 1, 2]
@@ -751,16 +759,21 @@ mod tests {
                 arrival_ms: 6_000,
             });
         }
-        let mut on = service(true);
-        let states: Vec<CacheState> = on.run_trace(&trace).iter().map(|r| r.cache).collect();
-        assert_eq!(states, [Miss, Hit, Miss, Hit, Hit, Miss, Miss, Miss]);
-        let k = on.report().cache;
-        assert_eq!((k.hits, k.misses, k.insertions), (3, 5, 5));
-
-        let mut off = service(false);
-        let states: Vec<CacheState> = off.run_trace(&trace).iter().map(|r| r.cache).collect();
-        assert_eq!(states, [Disabled; 8]);
-        assert_eq!(off.report().cache, CacheCounters::default());
+        let mut svc = service();
+        let mut recorder = kyp_obs::Recorder::new();
+        let responses = svc.run_trace_observed(&trace, &mut recorder);
+        let states: Vec<CacheState> = responses.iter().map(|r| r.cache).collect();
+        // The pair's second request shares the first one's classification.
+        assert_eq!(states, [Miss, Hit, Miss, Hit, Hit, Miss, Miss, Hit]);
+        assert!(responses.iter().all(|r| r.stage == VerdictStage::Full));
+        let k = svc.report().cache;
+        assert_eq!((k.hits, k.misses), (4, 4));
+        let classified = recorder
+            .events()
+            .iter()
+            .filter(|e| matches!(e, kyp_obs::ObsEvent::PageStart { .. }))
+            .count();
+        assert_eq!(classified, 4, "one classification per miss");
     }
 
     #[test]
@@ -777,9 +790,9 @@ mod tests {
             },
             &urls,
         );
-        let mut on = service(true);
-        let responses = on.run_trace(&trace);
-        assert_eq!(on.report().batches.max_size, 1);
+        let mut svc = service();
+        let responses = svc.run_trace(&trace);
+        assert_eq!(svc.report().batches.max_size, 1);
         let mut first_visit: HashMap<String, u64> = HashMap::new();
         let mut late_revisits = 0;
         for (request, response) in trace.iter().zip(&responses) {
@@ -798,15 +811,7 @@ mod tests {
             }
         }
         assert!(late_revisits > 0, "no revisit after five minutes");
-
-        let mut off = service(false);
-        let lines_off: Vec<String> = off
-            .run_trace(&trace)
-            .iter()
-            .map(ServeResponse::verdict_line)
-            .collect();
-        let lines_on: Vec<String> = responses.iter().map(ServeResponse::verdict_line).collect();
-        assert_eq!(lines_on, lines_off);
+        assert_fresh(&trace, &responses);
     }
 
     #[test]
@@ -857,7 +862,7 @@ mod tests {
 
     #[test]
     fn unknown_urls_come_back_unfetchable() {
-        let mut svc = service(true);
+        let mut svc = service();
         let responses = svc.run_trace(&[ServeRequest {
             id: 0,
             url: "http://unknown.example.org/".into(),
@@ -886,13 +891,13 @@ mod tests {
             &urls[..4],
         );
         svc.run_trace(&trace);
-        assert!(svc.page_store.len() <= 4);
+        assert!(svc.fetched.len() <= 4);
         assert_eq!(svc.report().answered, 64);
     }
 
     #[test]
     fn advance_to_flushes_only_due_batches() {
-        let mut svc = service(false);
+        let mut svc = service();
         let (_, urls) = store(20);
         // Two arrivals at t=0; max_batch is 8 so the pair waits for the
         // 25 ms deadline of the oldest request.
@@ -917,7 +922,7 @@ mod tests {
 
     #[test]
     fn restart_clears_state_but_keeps_lifetime_counters() {
-        let mut svc = service(true);
+        let mut svc = service();
         let trace = trace(40, 0.5);
         let _ = svc.run_trace(&trace);
         let before = svc.report();
@@ -931,7 +936,7 @@ mod tests {
         });
         svc.restart();
         assert_eq!(svc.queue_len(), 0, "backlog lost with the node");
-        assert!(svc.page_store.is_empty(), "fetch memo is cold");
+        assert!(svc.fetched.is_empty(), "fetch memo is cold");
         let after = svc.report();
         assert_eq!(after.answered, before.answered, "accounting survives");
         assert_eq!(after.cache, before.cache, "cache counters survive");
@@ -947,10 +952,10 @@ mod tests {
 
     #[test]
     fn restart_empties_the_cache_but_keeps_its_counters() {
-        let mut svc = service(true);
+        let mut svc = service();
         let _ = svc.run_trace(&trace(40, 0.5));
         let before = svc.report().cache;
-        assert!(before.hits > 0 && before.insertions > 0);
+        assert!(before.hits > 0 && before.misses > 0);
         svc.restart();
         assert_eq!(svc.report().cache, before, "lifetime accounting survives");
         // The cold cache misses on a key it used to hold, then refills and
@@ -975,15 +980,51 @@ mod tests {
             "restart emptied the cache"
         );
         let k = svc.report().cache;
-        assert_eq!(
-            (k.hits, k.misses, k.insertions),
-            (before.hits + 1, before.misses + 1, before.insertions + 1)
-        );
+        assert_eq!((k.hits, k.misses), (before.hits + 1, before.misses + 1));
+    }
+
+    /// A page source that counts the fetches it serves.
+    struct CountingSource {
+        pages: StoredPages,
+        fetches: usize,
+    }
+
+    impl PageSource for CountingSource {
+        fn fetch(&mut self, url: &str) -> Result<ScrapedPage, FailureCause> {
+            self.fetches += 1;
+            self.pages.fetch(url)
+        }
+    }
+
+    #[test]
+    fn restart_between_batches_fetches_and_classifies_again() {
+        let (pages, urls) = store(20);
+        let source = CountingSource { pages, fetches: 0 };
+        let mut svc = ScoringService::new(pipeline(), source, ServeConfig::default());
+        let mut recorder = kyp_obs::Recorder::new();
+        let request = |id: u64, arrival_ms: u64| ServeRequest {
+            id,
+            url: urls[0].clone(),
+            arrival_ms,
+        };
+        let first = svc.run_trace_observed(&[request(0, 0)], &mut recorder);
+        svc.restart();
+        let second = svc.run_trace_observed(&[request(1, 1_000)], &mut recorder);
+        assert_eq!(svc.source.fetches, 2, "the cold memo fetches again");
+        let classified = recorder
+            .events()
+            .iter()
+            .filter(|e| matches!(e, kyp_obs::ObsEvent::PageStart { .. }))
+            .count();
+        assert_eq!(classified, 2, "the cold memo classifies again");
+        assert_eq!(first[0].cache, CacheState::Miss);
+        assert_eq!(second[0].cache, CacheState::Miss);
+        assert_eq!(first[0].outcome, second[0].outcome);
     }
 
     #[test]
     fn report_shed_ratio_matches_counts() {
-        let mut svc = service(true);
+        let mut svc = service();
         assert!(svc.report().shed_ratio.abs() < f64::EPSILON, "no requests");
         let trace = trace(100, 0.3);
         let _ = svc.run_trace(&trace);
@@ -1042,7 +1083,7 @@ mod tests {
     #[test]
     fn cascade_finalises_confident_urls_without_fetching() {
         let band = kyp_core::CascadeBand::new(0.35, 0.65).unwrap();
-        let mut svc = service(true).with_cascade(cascade(band));
+        let mut svc = service().with_cascade(cascade(band));
         let trace = trace(100, 0.0);
         let responses = svc.run_trace(&trace);
         assert_eq!(responses.len(), 100);
@@ -1062,7 +1103,7 @@ mod tests {
         );
         // Cascade-final requests never fetch: the memo only holds the
         // fallthroughs.
-        assert!(svc.page_store.len() as u64 <= report.cascade.fallthrough);
+        assert!(svc.fetched.len() as u64 <= report.cascade.fallthrough);
         for r in &responses {
             if r.stage == kyp_obs::VerdictStage::UrlOnly {
                 assert_eq!(r.latency_ms, 0, "URL-stage verdicts answer at arrival");
@@ -1075,8 +1116,8 @@ mod tests {
     #[test]
     fn forced_full_band_is_byte_identical_to_no_cascade() {
         let trace = trace(150, 0.3);
-        let mut plain = service(true);
-        let mut forced = service(true).with_cascade(cascade(kyp_core::CascadeBand::FORCED_FULL));
+        let mut plain = service();
+        let mut forced = service().with_cascade(cascade(kyp_core::CascadeBand::FORCED_FULL));
         let lines_plain: Vec<String> = plain
             .run_trace(&trace)
             .iter()
@@ -1095,7 +1136,7 @@ mod tests {
 
     #[test]
     fn regressive_arrivals_are_clamped_monotone() {
-        let mut svc = service(false);
+        let mut svc = service();
         let (_, urls) = store(20);
         let mut out = svc.push(ServeRequest {
             id: 0,

@@ -66,12 +66,12 @@ impl LatencySummary {
 /// empties the cache but keeps them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheCounters {
-    /// Lookups answered from a cached verdict.
+    /// Requests answered from a remembered verdict, or from the
+    /// classification an earlier request of the same batch started.
     pub hits: u64,
-    /// Lookups that found no verdict for the landing URL.
+    /// Requests whose landing URL was classified for them; each miss
+    /// remembers one verdict.
     pub misses: u64,
-    /// Verdicts written.
-    pub insertions: u64,
 }
 
 /// Serializable end-of-run report of a scoring service.
@@ -92,8 +92,6 @@ pub struct ServeReport {
     pub unfetchable: u64,
     /// Answered requests served from a degraded (partial) capture.
     pub degraded: u64,
-    /// Whether the verdict cache was enabled.
-    pub cache_enabled: bool,
     /// Verdict-cache event counts.
     pub cache: CacheCounters,
     /// Whether the URL-only cascade pre-filter was enabled.

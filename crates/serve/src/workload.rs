@@ -4,7 +4,7 @@
 //! A [`WorkloadConfig`] plus a URL pool fully determines the trace — which
 //! URLs arrive, in what order, how often one repeats, and when each
 //! arrives on the virtual clock. The same config always yields the same
-//! trace, so cached-vs-uncached and any-thread-count comparisons replay
+//! trace, so any-thread-count and any-batch-size comparisons replay
 //! identical inputs.
 
 use crate::protocol::ServeRequest;

@@ -27,7 +27,7 @@ use knowyourphish::core::{
 };
 use knowyourphish::datagen::{check_scale, CampaignConfig, Corpus};
 use knowyourphish::ml::metrics;
-use knowyourphish::obs::{ObsSink, PipelineObserver};
+use knowyourphish::obs::{NoopObserver, ObsSink, PipelineObserver};
 use knowyourphish::serve::{
     generate, ArrivalPattern, BatchPolicy, ScoringService, ServeConfig, ServeRequest, StoredPages,
     WorkloadConfig,
@@ -228,11 +228,6 @@ const COMMANDS: &[CommandSpec] = &[
                 value: "<n>",
                 help: "micro-batch delay limit (default 25)",
             },
-            ArgSpec {
-                name: "cache",
-                value: "on|off",
-                help: "verdict cache (default on)",
-            },
             CASCADE_ARG,
             CASCADE_BAND_ARG,
             METRICS_ARG,
@@ -425,10 +420,9 @@ USAGE:
             [--metrics <path>] [--trace <path>]      ...with observability exports
             [--cascade <model.json>] [--cascade-band <lo,hi>]
   kyp serve --model <model.json> --data <dir>        online scoring service
-            [--requests <n>] [--trace-seed <n>]      built-in seeded workload...
+            [--requests <n>] [--trace-seed <n>]      seeded workload, else stdin
             [--duplicate-rate <f>] [--arrival-gap-ms <n>]
             [--queue-capacity <n>] [--max-batch <n>] [--max-delay-ms <n>]
-            [--cache on|off]                         ...or requests over stdin
             [--cascade <model.json>] [--cascade-band <lo,hi>]
             [--metrics <path>] [--trace <path>]      observability exports
   kyp cluster --model <model.json> --data <dir>      multi-node serving simulation
@@ -847,24 +841,25 @@ fn cmd_serve(opts: &ParsedOpts) -> Result<(), String> {
         None
     };
     let (pipeline, pages, urls) = load_serving_stack(opts)?;
-    let cache = match opts.get("cache") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("invalid --cache {other:?} (want on or off)")),
-    };
     let config = ServeConfig {
         queue_capacity: opts.num("queue-capacity", 64)?,
         batch: BatchPolicy {
             max_batch: opts.num("max-batch", 8)?,
             max_delay_ms: opts.num("max-delay-ms", 25)?,
         },
-        cache,
     };
     let mut service = ScoringService::new(pipeline, pages, config);
     if let Some(cascade) = load_cascade(opts)? {
         service = service.with_cascade(cascade);
     }
-    let mut sink = ObsSink::new();
+    // Observe only what is exported: the sink's tracer keeps every event
+    // of every page, so a run without --metrics or --trace watches nothing.
+    let exported = opts.get("metrics").is_some() || opts.get("trace").is_some();
+    let mut sink = exported.then(ObsSink::new);
+    let obs: &mut dyn PipelineObserver = match &mut sink {
+        Some(sink) => sink,
+        None => &mut NoopObserver,
+    };
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -884,7 +879,7 @@ fn cmd_serve(opts: &ParsedOpts) -> Result<(), String> {
             workload.seed,
             workload.duplicate_rate
         );
-        emit(service.run_trace_observed(&trace, &mut sink))?;
+        emit(service.run_trace_observed(&trace, obs))?;
     } else {
         let stdin = std::io::stdin();
         for (i, line) in stdin.lock().lines().enumerate() {
@@ -894,14 +889,17 @@ fn cmd_serve(opts: &ParsedOpts) -> Result<(), String> {
             }
             let request: ServeRequest =
                 serde_json::from_str(&line).map_err(|e| format!("stdin line {}: {e}", i + 1))?;
-            emit(service.push_observed(request, &mut sink))?;
+            emit(service.push_observed(request, obs))?;
         }
-        emit(service.finish_observed(&mut sink))?;
+        emit(service.finish_observed(obs))?;
     }
 
     let report = service.report();
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     eprintln!("{json}");
+    let Some(mut sink) = sink else {
+        return Ok(());
+    };
     service.export_metrics(sink.registry_mut());
     write_obs_exports(opts, &sink)
 }

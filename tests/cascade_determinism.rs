@@ -2,8 +2,10 @@
 //!
 //! The cascade pre-filter is a pure function of the request URL string,
 //! so switching it on must not cost any determinism: the verdict stream
-//! stays byte-identical across thread counts, across cache settings,
-//! and under a seeded fault plan. And with the forced-full band `[0, 1]`
+//! stays byte-identical across thread counts and under a seeded fault
+//! plan. (That every verdict the memo answers is the verdict of the page
+//! fetched for it, with and without the cascade, is checked in
+//! `tests/serve_determinism.rs`.) And with the forced-full band `[0, 1]`
 //! every request falls through to the full pipeline, so the stream must
 //! be byte-identical to a run without the cascade at all — the CLI-level
 //! equivalence CI proves with `cmp`, pinned here at the library level
@@ -103,14 +105,13 @@ fn serving_trace(corpus: &Corpus) -> Vec<ServeRequest> {
     )
 }
 
-fn serve_config(cache_on: bool) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
         queue_capacity: 16,
         batch: BatchPolicy {
             max_batch: 8,
             max_delay_ms: 25,
         },
-        cache: cache_on,
     }
 }
 
@@ -126,11 +127,10 @@ fn verdict_lines<S: knowyourphish::serve::PageSource>(
 }
 
 /// Cascade on, over a seeded faulty web: the verdict stream must be
-/// byte-identical at 1/2/8 threads and cache on/off, and the URL stage
-/// must actually fire (otherwise this collapses into the plain serve
-/// determinism test).
+/// byte-identical at 1/2/8 threads, and the URL stage must actually fire
+/// (otherwise this collapses into the plain serve determinism test).
 #[test]
-fn cascade_stream_is_invariant_across_threads_cache_and_faults() {
+fn cascade_stream_is_invariant_across_threads_and_faults() {
     let corpus = small_corpus();
     let pipeline = pipeline_for(&corpus);
     let trace = serving_trace(&corpus);
@@ -139,20 +139,18 @@ fn cascade_stream_is_invariant_across_threads_cache_and_faults() {
     let mut baseline: Option<Vec<String>> = None;
     for threads in THREAD_COUNTS {
         knowyourphish::exec::set_threads(threads);
-        for cache_on in [false, true] {
-            let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
-            let source = ScraperSource::new(&flaky);
-            let service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on))
-                .with_cascade(cascade.clone());
-            let lines = verdict_lines(service, &trace);
-            assert_eq!(lines.len(), trace.len(), "every request must be answered");
-            match &baseline {
-                None => baseline = Some(lines),
-                Some(base) => assert_eq!(
-                    *base, lines,
-                    "cascade verdict stream diverges at {threads} threads, cache={cache_on}"
-                ),
-            }
+        let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, 0.3));
+        let source = ScraperSource::new(&flaky);
+        let service = ScoringService::new(pipeline.clone(), source, serve_config())
+            .with_cascade(cascade.clone());
+        let lines = verdict_lines(service, &trace);
+        assert_eq!(lines.len(), trace.len(), "every request must be answered");
+        match &baseline {
+            None => baseline = Some(lines),
+            Some(base) => assert_eq!(
+                *base, lines,
+                "cascade verdict stream diverges at {threads} threads"
+            ),
         }
     }
     let lines = baseline.expect("sweep ran");
@@ -181,13 +179,13 @@ fn forced_full_band_matches_the_cascade_free_stream() {
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, fault_rate));
             let source = ScraperSource::new(&flaky);
             let plain = verdict_lines(
-                ScoringService::new(pipeline.clone(), source, serve_config(true)),
+                ScoringService::new(pipeline.clone(), source, serve_config()),
                 &trace,
             );
 
             let flaky = FlakyWorld::new(&corpus.world, FaultPlan::new(5, fault_rate));
             let source = ScraperSource::new(&flaky);
-            let mut service = ScoringService::new(pipeline.clone(), source, serve_config(true))
+            let mut service = ScoringService::new(pipeline.clone(), source, serve_config())
                 .with_cascade(forced.clone());
             let cascaded: Vec<String> = service
                 .run_trace(&trace)
@@ -225,7 +223,7 @@ fn cluster_cascade_stream_is_invariant_and_forced_full_matches() {
 
     let config = |shards: usize| ClusterConfig {
         shards,
-        node: serve_config(true),
+        node: serve_config(),
         ..ClusterConfig::default()
     };
 
@@ -291,8 +289,8 @@ fn service_and_cluster_agree_on_the_url_stage() {
     };
 
     let source = ScraperSource::new(&corpus.world);
-    let mut service = ScoringService::new(pipeline.clone(), source, serve_config(true))
-        .with_cascade(cascade.clone());
+    let mut service =
+        ScoringService::new(pipeline.clone(), source, serve_config()).with_cascade(cascade.clone());
     let served = service.run_trace(&trace);
     let expected_lines = url_stage_lines(served.iter().collect());
     let expected = service.report().cascade;
@@ -306,7 +304,7 @@ fn service_and_cluster_agree_on_the_url_stage() {
     for shards in [1, 3] {
         let config = ClusterConfig {
             shards,
-            node: serve_config(true),
+            node: serve_config(),
             ..ClusterConfig::default()
         };
         let source = ScraperSource::new(&corpus.world);

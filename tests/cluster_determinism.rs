@@ -107,7 +107,6 @@ fn cluster_config(shards: usize, replicas: usize, crash: bool) -> ClusterConfig 
                 max_batch: 4,
                 max_delay_ms: 25,
             },
-            cache: true,
         },
         crash: crash.then(crash_plan),
         ..ClusterConfig::default()

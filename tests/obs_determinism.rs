@@ -5,13 +5,9 @@
 //! observed stream is part of the repo-wide determinism contract, not a
 //! best-effort diagnostic. These tests drive a real trained pipeline
 //! through the online scoring service and the batch classification path
-//! at 1/2/8 threads, with the verdict cache on and off, over a clean and
-//! a seeded-fault simulated web, and byte-compare the rendered outputs —
-//! mirroring the verdict-stream sweeps of `tests/serve_determinism.rs`.
-//!
-//! Cache-on and cache-off are *separate* scenarios (a disabled cache
-//! emits no hit/miss events at all), each of which must be internally
-//! invariant across thread counts.
+//! at 1/2/8 threads, over a clean and a seeded-fault simulated web, and
+//! byte-compare the rendered outputs — mirroring the verdict-stream
+//! sweeps of `tests/serve_determinism.rs`.
 
 use knowyourphish::core::{
     DetectorConfig, FeatureExtractor, PhishDetector, Pipeline, TargetIdentifier,
@@ -85,14 +81,13 @@ fn serving_trace(corpus: &Corpus) -> Vec<ServeRequest> {
     )
 }
 
-fn serve_config(cache_on: bool) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
         queue_capacity: 16, // small enough that the bursts shed
         batch: BatchPolicy {
             max_batch: 8,
             max_delay_ms: 25,
         },
-        cache: cache_on,
     }
 }
 
@@ -102,14 +97,13 @@ fn observed_serve_run(
     pipeline: &Pipeline,
     trace: &[ServeRequest],
     corpus: &Corpus,
-    cache_on: bool,
     faults: Option<FaultPlan>,
 ) -> (String, String) {
     let mut sink = ObsSink::new();
     let responses = match faults {
         None => {
             let source = ScraperSource::new(&corpus.world);
-            let mut service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on));
+            let mut service = ScoringService::new(pipeline.clone(), source, serve_config());
             let responses = service.run_trace_observed(trace, &mut sink);
             service.export_metrics(sink.registry_mut());
             responses
@@ -117,7 +111,7 @@ fn observed_serve_run(
         Some(plan) => {
             let flaky = FlakyWorld::new(&corpus.world, plan);
             let source = ScraperSource::new(&flaky);
-            let mut service = ScoringService::new(pipeline.clone(), source, serve_config(cache_on));
+            let mut service = ScoringService::new(pipeline.clone(), source, serve_config());
             let responses = service.run_trace_observed(trace, &mut sink);
             service.export_metrics(sink.registry_mut());
             responses
@@ -147,41 +141,35 @@ fn assert_all_identical(runs: &[(String, String)], labels: &[String]) {
 }
 
 /// The flagship sweep: the same serving trace at 1/2/8 threads must
-/// render byte-identical metrics.json and NDJSON traces — once with the
-/// verdict cache enabled, once without, over a clean web and under a
-/// seeded fault plan.
+/// render byte-identical metrics.json and NDJSON traces, over a clean web
+/// and under a seeded fault plan.
 #[test]
 fn observed_serve_artifacts_are_invariant_across_threads() {
     let corpus = small_corpus();
     let pipeline = pipeline_for(&corpus);
     let trace = serving_trace(&corpus);
 
-    for cache_on in [false, true] {
-        for faults in [None, Some(FaultPlan::new(5, 0.3))] {
-            let mut runs = Vec::new();
-            let mut labels = Vec::new();
-            for threads in THREAD_COUNTS {
-                knowyourphish::exec::set_threads(threads);
-                runs.push(observed_serve_run(
-                    &pipeline,
-                    &trace,
-                    &corpus,
-                    cache_on,
-                    faults.clone(),
-                ));
-                labels.push(format!(
-                    "{threads} threads (cache={cache_on}, faults={})",
-                    faults.is_some()
-                ));
-            }
-            assert_all_identical(&runs, &labels);
-            // The scenario must actually observe something, or the sweep
-            // proves nothing.
-            assert!(
-                runs[0].1.lines().count() > 100,
-                "trace suspiciously small for cache={cache_on}"
-            );
+    for faults in [None, Some(FaultPlan::new(5, 0.3))] {
+        let mut runs = Vec::new();
+        let mut labels = Vec::new();
+        for threads in THREAD_COUNTS {
+            knowyourphish::exec::set_threads(threads);
+            runs.push(observed_serve_run(
+                &pipeline,
+                &trace,
+                &corpus,
+                faults.clone(),
+            ));
+            labels.push(format!("{threads} threads (faults={})", faults.is_some()));
         }
+        assert_all_identical(&runs, &labels);
+        // The scenario must actually observe something, or the sweep
+        // proves nothing.
+        assert!(
+            runs[0].1.lines().count() > 100,
+            "trace suspiciously small (faults={})",
+            faults.is_some()
+        );
     }
     knowyourphish::exec::set_threads(0);
 }
@@ -202,9 +190,10 @@ fn metric_value(rendered: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {name:?} has no scalar value"))
 }
 
-/// Cache state is part of the observed stream: the enabled-cache run
-/// must count hits where the disabled run counts nothing at all — a
-/// disabled cache emits neither hit nor miss events.
+/// Cache state is part of the observed stream, and its events tell the
+/// two cache scenarios apart: a hit is delivered at the `cached` stage
+/// and never reaches the pipeline, a miss is delivered at the `full`
+/// stage and classifies exactly one page.
 #[test]
 fn cache_events_distinguish_the_cache_scenarios() {
     let corpus = small_corpus();
@@ -212,18 +201,16 @@ fn cache_events_distinguish_the_cache_scenarios() {
     let trace = serving_trace(&corpus);
     knowyourphish::exec::set_threads(1);
 
-    let (metrics_off, _) = observed_serve_run(&pipeline, &trace, &corpus, false, None);
-    let (metrics_on, _) = observed_serve_run(&pipeline, &trace, &corpus, true, None);
-    assert_ne!(metrics_off, metrics_on);
-    assert!(
-        metric_value(&metrics_on, "serve.cache.hits") > 0,
-        "a 30%-duplicate trace must hit the enabled cache"
-    );
-    assert!(metric_value(&metrics_on, "serve.cache.misses") > 0);
-    assert_eq!(metric_value(&metrics_off, "serve.cache.hits"), 0);
-    assert_eq!(metric_value(&metrics_off, "serve.cache.misses"), 0);
-    assert_eq!(metric_value(&metrics_off, "serve.report.cache_enabled"), 0);
-    assert_eq!(metric_value(&metrics_on, "serve.report.cache_enabled"), 1);
+    let (metrics, _) = observed_serve_run(&pipeline, &trace, &corpus, None);
+    let hits = metric_value(&metrics, "serve.cache.hits");
+    let misses = metric_value(&metrics, "serve.cache.misses");
+    assert!(hits > 0, "a 30%-duplicate trace must hit the cache");
+    assert!(misses > 0);
+    assert_eq!(metric_value(&metrics, "serve.report.cache.hits"), hits);
+    assert_eq!(metric_value(&metrics, "serve.report.cache.misses"), misses);
+    assert_eq!(metric_value(&metrics, "verdict.stage.cached"), hits);
+    assert_eq!(metric_value(&metrics, "verdict.stage.full"), misses);
+    assert_eq!(metric_value(&metrics, "pipeline.pages"), misses);
     knowyourphish::exec::set_threads(0);
 }
 
