@@ -291,8 +291,8 @@ impl<S: PageSource> ClusterService<S> {
             let result = self.source.fetch(&request.url);
             self.store.put(store_key.clone(), result);
         }
-        let landing_key = match self.store.get(&store_key) {
-            Some(Ok(page)) => page.visit.landing_url.canonical_key().to_owned(),
+        let landing_key = match self.store.landing_key(&store_key) {
+            Some(Ok(key)) => key,
             fetched => {
                 // Unfetchable (or, defensively, a missing memo entry):
                 // decided here, before placement, so it is crash- and

@@ -44,6 +44,16 @@ impl SharedStore {
         self.pages.borrow().get(key).cloned()
     }
 
+    /// The canonical key of the landing URL stored for `key`, or the
+    /// stored failure, if any: what [`SharedStore::get`] would say of the
+    /// page's landing URL, read in place without copying the page.
+    pub fn landing_key(&self, key: &str) -> Option<Result<String, FailureCause>> {
+        self.pages.borrow().get(key).map(|fetched| match fetched {
+            Ok(page) => Ok(page.visit.landing_url.canonical_key().to_owned()),
+            Err(cause) => Err(*cause),
+        })
+    }
+
     /// Records the fetch result for `key`. First write wins: the memo is
     /// append-only, so a page can never change under a node.
     pub fn put(&self, key: String, result: Result<ScrapedPage, FailureCause>) {
@@ -109,6 +119,27 @@ mod tests {
         store.put(key.clone(), Err(FailureCause::Timeout));
         store.put(key.clone(), Ok(page("http://x.example.com/")));
         assert_eq!(store.get(&key), Some(Err(FailureCause::Timeout)));
+    }
+
+    #[test]
+    fn landing_key_agrees_with_get() {
+        let store = SharedStore::new();
+        let fetched = canonical_url("http://x.example.com/start");
+        let mut landed = page("http://x.example.com/start");
+        landed.visit.landing_url = Url::parse("https://Y.example.com/end?q=1").unwrap();
+        store.put(fetched.clone(), Ok(landed));
+        let failed = canonical_url("http://down.example.com/");
+        store.put(failed.clone(), Err(FailureCause::Timeout));
+        for key in [fetched.as_str(), failed.as_str(), "never.example.com/"] {
+            let via_get = store
+                .get(key)
+                .map(|r| r.map(|p| p.visit.landing_url.canonical_key().to_owned()));
+            assert_eq!(store.landing_key(key), via_get, "{key}");
+        }
+        assert_eq!(
+            store.landing_key(&fetched),
+            Some(Ok("y.example.com/end".to_owned()))
+        );
     }
 
     #[test]

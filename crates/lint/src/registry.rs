@@ -28,7 +28,8 @@ pub const ENTRY_POINTS: &[(&str, &str, &str)] = &[
 ];
 
 /// H01 budget list: the flat-model kernels, the page term dictionary's
-/// build and the f2 id kernel, the URL accessors, the URL check the
+/// build, the term visitor the search index is built with and the f2 id
+/// kernel, the URL accessors, the URL check the
 /// page-block view runs on every stored URL,
 /// the public-suffix lookup every URL parse runs, the URL stage's
 /// typosquat distance and its packed multi-pattern kernel, and the store
@@ -40,6 +41,7 @@ pub const HOT_FUNCTIONS: &[(&str, &str, &str)] = &[
     ("ml", "FlatModel", "tree_leaf"),
     ("text", "DictionaryBuilder", "push"),
     ("text", "DictionaryBuilder", "into_dictionary"),
+    ("text", "", "for_each_term"),
     ("core", "PairTable", "distance"),
     ("url", "Url", "check"),
     ("url", "Url", "mld"),

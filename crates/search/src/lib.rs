@@ -35,8 +35,12 @@
 //! Besides the postings, the index keeps an RDN → first page map and an
 //! mld → pages map. With `n` pages indexed:
 //!
-//! - [`SearchEngine::index_page`] extracts the page's terms, pushes one
-//!   posting per distinct term and one entry into each of the two maps.
+//! - [`SearchEngine::index_page`] walks the page's terms once, without
+//!   allocating per term: each occurrence does one keyed lookup of its
+//!   term's posting list and either bumps the page's integer
+//!   `(page, tf)` posting at the list's end or pushes a new one. Only a
+//!   term new to the vocabulary allocates, its one owned key. The page
+//!   adds one entry into each of the two maps.
 //! - [`SearchEngine::query_domain`] looks up the guess and every suffix
 //!   of it after a dot as RDNs, and the guess's mld and the whole guess
 //!   as mlds, then merges the pages found in id order: O(labels · hits),
@@ -49,9 +53,9 @@
 //! Both queries return owned hits and allocate their own scratch, because
 //! one engine is shared read-only by every scoring thread.
 
-use kyp_text::extract_terms;
+use kyp_text::for_each_term;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// One search result: a registered domain with its relevance score.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,11 +85,12 @@ struct DocInfo {
 #[derive(Debug, Clone, Default)]
 pub struct SearchEngine {
     docs: Vec<DocInfo>,
-    /// term → (document id, term frequency) postings. Hash maps are fine
+    /// term → (document id, term frequency) postings, where the term
+    /// frequency is the term's count in the document. Hash maps are fine
     /// here and below (kyp-lint D01 permits keyed lookup): they are only
     /// ever read by key, and each list is in document-id order by
     /// construction.
-    postings: HashMap<String, Vec<(u32, f64)>>,
+    postings: HashMap<String, Vec<(u32, u32)>>,
     /// RDN → the first document indexed under it. A domain lookup needs
     /// no other: any later document of the RDN would repeat its hit.
     by_rdn: HashMap<String, u32>,
@@ -103,19 +108,36 @@ impl SearchEngine {
     /// domain terms — whatever the caller deems visible to a crawler).
     pub fn index_page(&mut self, rdn: &str, mld: &str, text: &str) {
         let id = self.docs.len() as u32;
-        // Ordered map (kyp-lint D01): the norm below is a float sum over
-        // the values — summation order must not depend on hash order, or
-        // scores drift across processes.
-        let mut tf: BTreeMap<String, f64> = BTreeMap::new();
+        let postings = &mut self.postings;
+        // Σ tf² over the page's terms, in integers: an occurrence that
+        // takes a term's count from t to t + 1 adds 2t + 1. Exact, and
+        // the same f64 as a float sum of the squares below 2^53.
+        let mut squares = 0_u64;
+        let mut count = |term: &str| {
+            // The term's count in this page before this occurrence.
+            let before = if let Some(list) = postings.get_mut(term) {
+                match list.last_mut() {
+                    Some((doc, tf)) if *doc == id => {
+                        let before = *tf;
+                        *tf += 1;
+                        before
+                    }
+                    _ => {
+                        list.push((id, 1));
+                        0
+                    }
+                }
+            } else {
+                postings.insert(term.to_owned(), vec![(id, 1)]);
+                0
+            };
+            squares += 2 * u64::from(before) + 1;
+        };
         // Domain terms are searchable too, like a real engine.
-        for term in extract_terms(text).into_iter().chain(extract_terms(rdn)) {
-            *tf.entry(term).or_insert(0.0) += 1.0;
-        }
-        // kyp-lint: allow(D06) — summed over BTreeMap values, whose order is deterministic
-        let norm = tf.values().map(|c| c * c).sum::<f64>().sqrt().max(1.0);
-        for (term, count) in tf {
-            self.postings.entry(term).or_default().push((id, count));
-        }
+        let mut scratch = String::new();
+        for_each_term(text, &mut scratch, &mut count);
+        for_each_term(rdn, &mut scratch, &mut count);
+        let norm = (squares as f64).sqrt().max(1.0);
         let site = if let Some(&first) = self.by_rdn.get(rdn) {
             first
         } else {
@@ -184,7 +206,7 @@ impl SearchEngine {
                 if *score == 0.0 {
                     touched.push(doc);
                 }
-                *score += tf * idf * idf;
+                *score += f64::from(tf) * idf * idf;
             }
         }
         // Keep each RDN's best document, indexed by the RDN's site.

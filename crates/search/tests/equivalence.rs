@@ -2,7 +2,9 @@
 //! replaced (kept in `reference/`): both calls return equal hits, scores
 //! bit for bit, on random corpora whose RDNs repeat under different mlds
 //! and texts, end in one- and two-label suffixes, or are not domains at
-//! all.
+//! all, and whose texts mix case, accents, digits and punctuation inside
+//! words, fragments too short to be terms, and runs of one repeated
+//! term.
 
 mod reference;
 
@@ -21,6 +23,22 @@ const WORDS: &[&str] = &[
     "paypal", "bank", "mybank", "shop", "login", "account", "secure", "online", "com", "br",
     "money", "sign",
 ];
+
+/// Text pieces past the plain words: `é`, `ß`, `ñ` and `ü` in either
+/// case, digits and punctuation inside words, and fragments shorter than
+/// three letters.
+const PIECES: &[&str] = &[
+    "café", "CAFÉ", "Straße", "STRAßE", "España", "niño", "Über", "münchen", "pay4pal", "sign-in",
+    "log.in", "e2e", "my_bank", "PayPal!", "a1b2c3", "x", "ab", "é", "ßü", "ñ", "42", "...", "",
+];
+
+/// Terms the pieces canonicalise to, for queries.
+const PIECE_TERMS: &[&str] = &[
+    "cafe", "strase", "espana", "nino", "uber", "munchen", "pay", "pal",
+];
+
+/// What goes between two words.
+const SEPARATORS: &[&str] = &[" ", ", ", "\n", "-", "/", "|"];
 
 /// One indexed page: its RDN, mld and text.
 #[derive(Debug)]
@@ -45,9 +63,19 @@ fn rdn() -> impl Strategy<Value = String> {
     })
 }
 
-/// Up to eight words, or none.
+/// A word in mixed case, a piece, or one word repeated up to 40 times.
+fn word() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (pick(WORDS), any::<u64>()).prop_map(|(w, mask)| mixed_case(w, mask)),
+        pick(PIECES).prop_map(str::to_owned),
+        (pick(WORDS), 1usize..=40, pick(SEPARATORS)).prop_map(|(w, n, sep)| vec![w; n].join(sep)),
+    ]
+}
+
+/// Up to eight words, or none, each followed by a separator.
 fn text() -> impl Strategy<Value = String> {
-    collection::vec(pick(WORDS), 0..8).prop_map(|words| words.join(" "))
+    collection::vec((word(), pick(SEPARATORS)), 0..8)
+        .prop_map(|words| words.into_iter().map(|(w, sep)| w + sep).collect())
 }
 
 /// Pages over a few RDNs, so RDNs repeat. The mld is usually the RDN's
@@ -78,6 +106,7 @@ fn terms() -> impl Strategy<Value = Vec<String>> {
         pick(WORDS),
         pick(WORDS),
         pick(LABELS),
+        pick(PIECE_TERMS),
         pick(&["zzz", "unknown", "", "uk"]),
     ];
     collection::vec(term.prop_map(str::to_owned), 0..7)
@@ -153,5 +182,36 @@ proptest! {
         for (guess, k) in &guesses {
             same_hits(&engine.query_domain(guess, *k), &reference.query_domain(guess, *k));
         }
+    }
+}
+
+/// One term 100,000 times in one page: its tf and its page's norm are far
+/// past anything a generated page reaches, and still score the
+/// reference's bits.
+#[test]
+fn a_term_repeated_100_000_times_scores_as_the_reference() {
+    let page = |rdn: &str, mld: &str, text: String| Page {
+        rdn: rdn.to_owned(),
+        mld: mld.to_owned(),
+        text,
+    };
+    let pages = [
+        page("paypal.com", "paypal", "PayPal ".repeat(100_000)),
+        page("bank.com", "bank", "bank paypal login".to_owned()),
+        page(
+            "shop.com",
+            "shop",
+            format!("shop {}", "login ".repeat(99_999)),
+        ),
+    ];
+    let (engine, reference) = engines(&pages);
+    for terms in [
+        &["paypal"][..],
+        &["paypal", "bank"],
+        &["login"],
+        &["login", "paypal", "shop"],
+    ] {
+        let terms: Vec<String> = terms.iter().map(|&t| t.to_owned()).collect();
+        same_hits(&engine.query(&terms, 3), &reference.query(&terms, 3));
     }
 }

@@ -12,6 +12,9 @@
 //! 2. split the input whenever a character outside `A` is encountered;
 //! 3. discard substrings shorter than 3 characters.
 //!
+//! [`for_each_term`] visits a string's terms in order without allocating
+//! per term; [`extract_terms`] collects them as owned strings.
+//!
 //! A *term distribution* is the set of extracted terms with their relative
 //! frequencies; distributions from different data sources of a webpage are
 //! compared with the (squared) Hellinger distance, which yields the paper's
@@ -50,7 +53,8 @@ pub const MIN_TERM_LEN: usize = 3;
 /// Characters are canonicalised to `[a-z]` (case folding plus accent
 /// stripping); any non-letter splits the string; substrings shorter than
 /// [`MIN_TERM_LEN`] are dropped. Duplicates are preserved in order of
-/// appearance so callers can build frequency distributions.
+/// appearance so callers can build frequency distributions. The owned
+/// form of [`for_each_term`].
 ///
 /// # Examples
 ///
@@ -60,23 +64,68 @@ pub const MIN_TERM_LEN: usize = 3;
 /// ```
 pub fn extract_terms(input: &str) -> Vec<String> {
     let mut terms = Vec::new();
-    let mut current = String::new();
-    for c in input.chars() {
-        match canonicalize_char(c) {
-            Some(letter) => current.push(letter),
-            None => {
-                if current.len() >= MIN_TERM_LEN {
-                    terms.push(std::mem::take(&mut current));
-                } else {
-                    current.clear();
-                }
+    for_each_term(input, &mut String::new(), |term| {
+        terms.push(term.to_owned());
+    });
+    terms
+}
+
+/// Visits the terms of a string per Section III-B, in order of
+/// appearance, without allocating per term: each term is canonicalised
+/// into `scratch` and handed to `visit` as a `&str`, the sequence
+/// [`extract_terms`] returns. `scratch` is cleared first and its contents
+/// afterwards are unspecified; reusing one across calls keeps its
+/// capacity.
+///
+/// # Examples
+///
+/// ```
+/// let mut scratch = String::new();
+/// let mut lengths = Vec::new();
+/// kyp_text::for_each_term("Café Zürich: sign-in 24/7!", &mut scratch, |term| {
+///     lengths.push(term.len());
+/// });
+/// assert_eq!(lengths, [4, 6, 4]);
+/// ```
+pub fn for_each_term(input: &str, scratch: &mut String, mut visit: impl FnMut(&str)) {
+    scratch.clear();
+    let mut end_term = |term: &mut String| {
+        if term.len() >= MIN_TERM_LEN {
+            visit(term);
+        }
+        term.clear();
+    };
+    // The ASCII fast path of `DictionaryBuilder::push`: runs of ASCII
+    // letters, the overwhelming majority in page text and URLs, are
+    // copied whole and lowercased in place; only multi-byte characters
+    // go through `canonicalize_char`'s full table.
+    let bytes = input.as_bytes();
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii_alphabetic() {
+            let run = i;
+            i += 1;
+            while bytes.get(i).is_some_and(u8::is_ascii_alphabetic) {
+                i += 1;
+            }
+            let at = scratch.len();
+            scratch.push_str(&input[run..i]);
+            scratch[at..].make_ascii_lowercase();
+        } else if b.is_ascii() {
+            i += 1;
+            end_term(scratch);
+        } else {
+            let Some(c) = input[i..].chars().next() else {
+                break;
+            };
+            i += c.len_utf8();
+            match canonicalize_char(c) {
+                Some(letter) => scratch.push(letter),
+                None => end_term(scratch),
             }
         }
     }
-    if current.len() >= MIN_TERM_LEN {
-        terms.push(current);
-    }
-    terms
+    end_term(scratch);
 }
 
 /// Counts the terms of a string per Section III-B without allocating:

@@ -1,8 +1,84 @@
 //! Property-based tests for term extraction and term distributions.
 
 use kyp_text::tfidf::Corpus;
-use kyp_text::{extract_term_set, extract_terms, TermDistribution, MIN_TERM_LEN};
+use kyp_text::{
+    canonicalize_char, extract_term_set, extract_terms, for_each_term, DictionaryBuilder,
+    TermDistribution, MIN_TERM_LEN,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The char-by-char extraction `extract_terms` ran before the term
+/// visitor: every character through `canonicalize_char`, no ASCII fast
+/// path.
+fn reference_terms(input: &str) -> Vec<String> {
+    let mut terms = Vec::new();
+    let mut current = String::new();
+    for c in input.chars() {
+        match canonicalize_char(c) {
+            Some(letter) => current.push(letter),
+            None => {
+                if current.len() >= MIN_TERM_LEN {
+                    terms.push(std::mem::take(&mut current));
+                } else {
+                    current.clear();
+                }
+            }
+        }
+    }
+    if current.len() >= MIN_TERM_LEN {
+        terms.push(current);
+    }
+    terms
+}
+
+/// The visitor's terms, through one scratch buffer that starts dirty.
+fn visited_terms(input: &str) -> Vec<String> {
+    let mut scratch = String::from("leftover");
+    let mut terms = Vec::new();
+    for_each_term(input, &mut scratch, |term| terms.push(term.to_owned()));
+    terms
+}
+
+/// The visitor and `extract_terms` against the reference, and the
+/// visitor's counts against a one-source `DictionaryBuilder`'s.
+fn check_visitor(input: &str) {
+    let want = reference_terms(input);
+    let visited = visited_terms(input);
+    prop_assert_eq!(&visited, &want);
+    prop_assert_eq!(&extract_terms(input), &want);
+    let mut counts: BTreeMap<&str, u32> = BTreeMap::new();
+    for term in &visited {
+        *counts.entry(term).or_insert(0) += 1;
+    }
+    let mut page = DictionaryBuilder::new(1);
+    page.push(0, input);
+    let dict = page.into_dictionary();
+    let from_dict: BTreeMap<&str, u32> = dict
+        .run(0)
+        .iter()
+        .map(|&(id, n)| (dict.term(id), n))
+        .collect();
+    prop_assert_eq!(counts, from_dict);
+    prop_assert_eq!(dict.total(0) as usize, want.len());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The visitor yields the reference's terms on any printable input.
+    #[test]
+    fn visitor_matches_reference(input in ".{0,300}") {
+        check_visitor(&input);
+    }
+
+    /// ... and on ASCII-heavy input: letter runs of both cases broken by
+    /// digits, punctuation and the odd accented or foreign letter.
+    #[test]
+    fn visitor_matches_reference_ascii_heavy(input in "[a-zA-Z0-9 .,_/é-]{0,300}", tail in "[a-zA-Zßñüβ漢 ]{0,40}") {
+        check_visitor(&format!("{input}{tail}{input}"));
+    }
+}
 
 proptest! {
     /// Extraction never panics and every term is canonical.

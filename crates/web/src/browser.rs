@@ -144,7 +144,8 @@ impl<'w, W: World> Browser<'w, W> {
     ///
     /// See [`Browser::visit`].
     pub fn land(&self, starting_url: &str) -> Result<Landing, VisitError> {
-        let landing = self.walk(starting_url).map_err(|f| f.error)?;
+        let start = Url::parse(starting_url).map_err(VisitError::BadUrl)?;
+        let landing = self.walk(start).map_err(|f| f.error)?;
         if landing.fetched.truncated {
             return Err(VisitError::Truncated(landing.url.to_string()));
         }
@@ -165,18 +166,24 @@ impl<'w, W: World> Browser<'w, W> {
     ///
     /// See [`Browser::visit`]; `Truncated` is never returned here.
     pub fn try_visit(&self, starting_url: &str) -> Result<VisitOutcome, VisitFailure> {
-        self.walk(starting_url).map(Landing::collect)
+        let start = Url::parse(starting_url).map_err(|e| VisitFailure {
+            error: VisitError::BadUrl(e),
+            cost_ms: 0,
+        })?;
+        self.try_visit_url(start)
     }
 
-    /// Follows redirects from `starting_url` to the first page served,
-    /// whatever its delivery defects.
-    fn walk(&self, starting_url: &str) -> Result<Landing, VisitFailure> {
+    /// [`Browser::try_visit`] from a starting URL the caller has parsed
+    /// already.
+    pub(crate) fn try_visit_url(&self, start: Url) -> Result<VisitOutcome, VisitFailure> {
+        self.walk(start).map(Landing::collect)
+    }
+
+    /// Follows redirects from `start` to the first page served, whatever
+    /// its delivery defects.
+    fn walk(&self, start: Url) -> Result<Landing, VisitFailure> {
         let mut cost_ms = 0u64;
         let fail = |error, cost_ms| Err(VisitFailure { error, cost_ms });
-        let start = match Url::parse(starting_url) {
-            Ok(u) => u,
-            Err(e) => return fail(VisitError::BadUrl(e), 0),
-        };
         let mut chain = vec![start.clone()];
         let mut current = start.clone();
         let mut buf = String::new();

@@ -396,7 +396,7 @@ impl<'w, W: World> ResilientBrowser<'w, W> {
                     elapsed_ms: clock.now_ms() - started_ms,
                 })
             };
-            match self.browser.try_visit(url) {
+            match self.browser.try_visit_url(parsed.clone()) {
                 Ok(outcome) => {
                     self.clock.advance(outcome.cost_ms);
                     obs.clock(self.clock.now_ms());

@@ -4,6 +4,11 @@
 //! truncation and inserted runs of brackets, quotes and separators;
 //! parsing must return, `Ok` or `Err`, without panicking.
 //!
+//! A corpus directory's `index.jsonl` is untrusted too: every `--data`
+//! command that scores pages rebuilds the search index from it. Hostile
+//! index files — huge pages, huge vocabularies, lines that are not
+//! index entries — must load, `Ok` or one `Err`, in bounded time.
+//!
 //! Few byte edits leave a snapshot well-formed JSON, so snapshots are
 //! also mutated as a parsed value tree: numbers replaced or swapped
 //! (`n_features` and split `feature` indices among them), fields
@@ -17,10 +22,12 @@ use knowyourphish::core::{
 };
 use knowyourphish::ml::Dataset;
 use knowyourphish::serve::ServeRequest;
+use knowyourphish::storeflow;
 use knowyourphish::web::DomainRanker;
 use proptest::prelude::*;
 use serde_json::{Number, Value};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Bytes the insert edit splices in: JSON's structural characters.
 const INSERTS: &[u8] = b"[]{}\"\\:,";
@@ -331,4 +338,54 @@ proptest! {
         let json = serde_json::to_string(&mutant).expect("a value serializes");
         load_and_score(&json, stage, width);
     }
+}
+
+/// Loads a pipeline over a directory whose `index.jsonl` is `index`, as
+/// `kyp scan --data` does, and returns the load's outcome; panics if the
+/// load takes 10 s or more.
+fn load_index(case: &str, index: &str) -> Result<(), String> {
+    let dir = std::env::temp_dir().join(format!("kyp_json_fuzz_index_{case}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a temp dir");
+    std::fs::write(dir.join("index.jsonl"), index).expect("index.jsonl written");
+    let snapshot =
+        serde_json::from_value(staged_snapshot(STAGE_FULL).clone()).expect("a real snapshot loads");
+    let started = Instant::now();
+    let loaded = storeflow::load_pipeline(&dir, snapshot).map(drop);
+    let took = started.elapsed();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(took < Duration::from_secs(10), "{case} took {took:?}");
+    loaded
+}
+
+/// One `index.jsonl` line.
+fn index_line(rdn: &str, mld: &str, text: &str) -> String {
+    let [rdn, mld, text] =
+        [rdn, mld, text].map(|s| serde_json::to_string(s).expect("a string serializes"));
+    format!("{{\"rdn\":{rdn},\"mld\":{mld},\"text\":{text}}}\n")
+}
+
+#[test]
+fn hostile_index_files_load_or_fail_in_bounded_time() {
+    const MIB: usize = 1 << 20;
+    let normal = index_line("paypal.com", "paypal", "PayPal log in");
+    // 4 MiB of one term, as one page's text and as one word.
+    let repeated = index_line("a.com", "a", &"paypal ".repeat(4 * MIB / 7));
+    assert!(load_index("repeated_term", &format!("{normal}{repeated}")).is_ok());
+    let long = index_line("b.com", "b", &"z".repeat(4 * MIB));
+    assert!(load_index("one_long_term", &format!("{long}{normal}")).is_ok());
+    // 200,000 distinct terms in one page: four letters in base 26.
+    let mut text = String::new();
+    for n in 0..200_000u32 {
+        for k in 0..4 {
+            text.push(char::from(b'a' + (n / 26u32.pow(k) % 26) as u8));
+        }
+        text.push(' ');
+    }
+    let distinct = index_line("c.com", "c", &text);
+    assert!(load_index("distinct_terms", &format!("{normal}{distinct}")).is_ok());
+    // A line that is not JSON, and an entry without its text: one error.
+    assert!(load_index("not_json", &format!("{normal}{{\"rdn\": [[[\n")).is_err());
+    let no_text = "{\"rdn\":\"d.com\",\"mld\":\"d\"}\n";
+    assert!(load_index("no_text", &format!("{normal}{no_text}")).is_err());
 }
