@@ -2,9 +2,8 @@
 //!
 //! Keeps the generated markup realistic (head/body structure, forms,
 //! embedded resources) and guarantees it round-trips through
-//! [`Document::parse`](crate::Document::parse).
-
-use std::fmt::Write as _;
+//! [`Document::parse`](crate::Document::parse). Each element is escaped
+//! straight into the buffer it belongs to.
 
 /// Builds an HTML page incrementally.
 ///
@@ -27,8 +26,11 @@ use std::fmt::Write as _;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageBuilder {
+    /// The escaped title text.
     title: String,
-    head_resources: Vec<String>,
+    /// The head's resource tags, one per line.
+    head: String,
+    /// The body's elements, one per line.
     body: String,
 }
 
@@ -40,95 +42,94 @@ impl PageBuilder {
 
     /// Sets the `<title>`.
     pub fn title(mut self, title: &str) -> Self {
-        self.title = escape(title);
+        self.title.clear();
+        escape_into(&mut self.title, title);
         self
     }
 
     /// Adds a stylesheet `<link>` in the head.
     pub fn stylesheet(mut self, href: &str) -> Self {
-        self.head_resources.push(format!(
-            r#"<link rel="stylesheet" href="{}">"#,
-            escape(href)
-        ));
+        element(
+            &mut self.head,
+            r#"<link rel="stylesheet" href=""#,
+            href,
+            "\">\n",
+        );
         self
     }
 
     /// Adds a `<script src>` in the head.
     pub fn script(mut self, src: &str) -> Self {
-        self.head_resources
-            .push(format!(r#"<script src="{}"></script>"#, escape(src)));
+        element(&mut self.head, r#"<script src=""#, src, "\"></script>\n");
         self
     }
 
     /// Adds an `<h1>` heading.
     pub fn heading(mut self, text: &str) -> Self {
-        let _ = writeln!(self.body, "<h1>{}</h1>", escape(text));
+        element(&mut self.body, "<h1>", text, "</h1>\n");
         self
     }
 
     /// Adds a paragraph of text.
     pub fn paragraph(mut self, text: &str) -> Self {
-        let _ = writeln!(self.body, "<p>{}</p>", escape(text));
+        element(&mut self.body, "<p>", text, "</p>\n");
         self
     }
 
     /// Adds an anchor.
     pub fn link(mut self, href: &str, anchor: &str) -> Self {
-        let _ = writeln!(
-            self.body,
-            r#"<a href="{}">{}</a>"#,
-            escape(href),
-            escape(anchor)
-        );
+        element(&mut self.body, r#"<a href=""#, href, "\">");
+        element(&mut self.body, "", anchor, "</a>\n");
         self
     }
 
     /// Adds an image.
     pub fn image(mut self, src: &str) -> Self {
-        let _ = writeln!(self.body, r#"<img src="{}">"#, escape(src));
+        element(&mut self.body, r#"<img src=""#, src, "\">\n");
         self
     }
 
     /// Adds an iframe.
     pub fn iframe(mut self, src: &str) -> Self {
-        let _ = writeln!(self.body, r#"<iframe src="{}"></iframe>"#, escape(src));
+        element(&mut self.body, r#"<iframe src=""#, src, "\"></iframe>\n");
         self
     }
 
     /// Adds a form with the given named input fields.
     pub fn form(mut self, action: &str, fields: &[&str]) -> Self {
-        let _ = write!(
-            self.body,
-            r#"<form action="{}" method="post">"#,
-            escape(action)
+        element(
+            &mut self.body,
+            r#"<form action=""#,
+            action,
+            r#"" method="post">"#,
         );
         for f in fields {
-            let kind = if f.contains("pass") || f.contains("pin") {
-                "password"
+            let open = if f.contains("pass") || f.contains("pin") {
+                r#"<input type="password" name=""#
             } else {
-                "text"
+                r#"<input type="text" name=""#
             };
-            let _ = write!(self.body, r#"<input type="{kind}" name="{}">"#, escape(f));
+            element(&mut self.body, open, f, "\">");
         }
-        let _ = writeln!(self.body, r#"<input type="submit" value="OK"></form>"#);
+        self.body
+            .push_str("<input type=\"submit\" value=\"OK\"></form>\n");
         self
     }
 
     /// Adds a footer copyright notice.
     pub fn copyright(mut self, notice: &str) -> Self {
-        let _ = writeln!(self.body, "<footer>{}</footer>", escape(notice));
+        element(&mut self.body, "<footer>", notice, "</footer>\n");
         self
     }
 
     /// Assembles the final HTML document.
     pub fn build(&self) -> String {
-        let mut out = String::with_capacity(self.body.len() + 256);
-        out.push_str("<!DOCTYPE html>\n<html><head>\n");
-        let _ = writeln!(out, "<title>{}</title>", self.title);
-        for r in &self.head_resources {
-            out.push_str(r);
-            out.push('\n');
-        }
+        let mut out =
+            String::with_capacity(self.title.len() + self.head.len() + self.body.len() + 80);
+        out.push_str("<!DOCTYPE html>\n<html><head>\n<title>");
+        out.push_str(&self.title);
+        out.push_str("</title>\n");
+        out.push_str(&self.head);
         out.push_str("</head>\n<body>\n");
         out.push_str(&self.body);
         out.push_str("</body></html>\n");
@@ -136,19 +137,31 @@ impl PageBuilder {
     }
 }
 
-/// Escapes text for safe inclusion in HTML content or attribute values.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
+/// Appends `open`, then `text` escaped, then `close`.
+fn element(out: &mut String, open: &str, text: &str, close: &str) {
+    out.push_str(open);
+    escape_into(out, text);
+    out.push_str(close);
+}
+
+/// Appends `s` escaped for safe inclusion in HTML content or attribute
+/// values. The escaped characters are ASCII, so a byte scan finds exactly
+/// them, and the runs between them are copied whole.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let entity = match byte {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! mixed-case and entity-laden markup, hostile fragments and arbitrary
 //! soups. [`decode_entities`] must equal the pre-change decoder, and the
 //! browser visit built on the parser must equal the pre-change visit on
-//! every corpus URL, on a reliable and on a fault-injecting web.
+//! every corpus URL, on a reliable and on a fault-injecting web. Any
+//! sequence of [`PageBuilder`] calls must build the bytes the pre-change
+//! builder, kept in `reference/builder.rs`, builds.
 
 mod reference;
 
@@ -424,4 +426,90 @@ proptest! {
     fn markup_soup_parses_as_before(html in "[<>/a-eA-E =\"'&;#©().!iImMgGtTlLpPrRsSyYoOhH]{0,200}") {
         check(&html);
     }
+}
+
+/// One [`PageBuilder`] call.
+#[derive(Debug, Clone)]
+enum Call {
+    Title(String),
+    Stylesheet(String),
+    Script(String),
+    Heading(String),
+    Paragraph(String),
+    Link(String, String),
+    Image(String),
+    Iframe(String),
+    Form(String, Vec<String>),
+    Copyright(String),
+}
+
+/// Arbitrary builder text: the escaped characters, `'`, non-ASCII
+/// (two-, three- and four-byte), plain words and the empty string.
+fn builder_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        "[&<>\"' a-zé€𝄞]{0,24}",
+        "(pass|pin|user|&amp;|<b>|\"q\"|é){0,4}",
+        ".{0,40}",
+    ]
+}
+
+fn builder_call() -> impl Strategy<Value = Call> {
+    let text = builder_text;
+    prop_oneof![
+        text().prop_map(Call::Title),
+        text().prop_map(Call::Stylesheet),
+        text().prop_map(Call::Script),
+        text().prop_map(Call::Heading),
+        text().prop_map(Call::Paragraph),
+        (text(), text()).prop_map(|(h, a)| Call::Link(h, a)),
+        text().prop_map(Call::Image),
+        text().prop_map(Call::Iframe),
+        (text(), proptest::collection::vec(text(), 0..5)).prop_map(|(a, f)| Call::Form(a, f)),
+        text().prop_map(Call::Copyright),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Any sequence of builder calls builds the reference builder's bytes.
+    #[test]
+    fn builder_matches_reference(calls in proptest::collection::vec(builder_call(), 0..30)) {
+        let mut page = PageBuilder::new();
+        let mut want = reference::builder::PageBuilder::new();
+        for call in &calls {
+            (page, want) = match call {
+                Call::Title(t) => (page.title(t), want.title(t)),
+                Call::Stylesheet(h) => (page.stylesheet(h), want.stylesheet(h)),
+                Call::Script(s) => (page.script(s), want.script(s)),
+                Call::Heading(t) => (page.heading(t), want.heading(t)),
+                Call::Paragraph(t) => (page.paragraph(t), want.paragraph(t)),
+                Call::Link(h, a) => (page.link(h, a), want.link(h, a)),
+                Call::Image(s) => (page.image(s), want.image(s)),
+                Call::Iframe(s) => (page.iframe(s), want.iframe(s)),
+                Call::Form(a, f) => {
+                    let fields: Vec<&str> = f.iter().map(String::as_str).collect();
+                    (page.form(a, &fields), want.form(a, &fields))
+                }
+                Call::Copyright(n) => (page.copyright(n), want.copyright(n)),
+            };
+        }
+        prop_assert_eq!(page.build(), want.build(), "{:?}", calls);
+    }
+}
+
+#[test]
+fn a_mebibyte_of_ampersands_builds_in_linear_time() {
+    let amps = "&".repeat(1 << 20);
+    let start = std::time::Instant::now();
+    let html = PageBuilder::new().paragraph(&amps).build();
+    let took = start.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+    assert_eq!(
+        html,
+        reference::builder::PageBuilder::new()
+            .paragraph(&amps)
+            .build()
+    );
 }

@@ -6,6 +6,7 @@
 //! that shipped with it, kept here unchanged, and the equivalence
 //! properties compare every [`Document`] field against it.
 
+pub mod builder;
 pub mod entity;
 pub mod tokenizer;
 pub mod visit;

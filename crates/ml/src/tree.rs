@@ -2,10 +2,31 @@
 //! boosting model.
 //!
 //! Features are pre-binned into at most [`MAX_BINS`] quantile bins once per
-//! training run; split search then costs `O(features × rows)` per node
-//! instead of requiring per-node sorts. Leaf values are Newton steps
+//! training run, into one contiguous column of bin indices per feature
+//! ([`BinnedMatrix`]); split search then costs `O(features × rows)` per
+//! node instead of requiring per-node sorts. Leaf values are Newton steps
 //! `-ΣG / (ΣH + λ)`, so the same tree code serves any twice-differentiable
 //! loss (the booster uses the logistic loss).
+//!
+//! # Split search
+//!
+//! A node gathers its rows' `(g, h)` pairs once, in row order, and sums
+//! its totals from them in that order. The candidate columns that are not
+//! constant over the training set are scanned in groups of four: one pass
+//! over the node's rows adds each row's pair to its bin in every column of
+//! the group. Consecutive rows often share a bin (most columns have only a
+//! few), and an add into one histogram waits on the store of the add
+//! before it; four histograms filled side by side keep four such chains in
+//! flight. Each bin still sums its rows in row order, so every histogram,
+//! gain and split is the same f64 a one-column-at-a-time scan computes.
+//! Only the bins a column uses are zeroed. The walk over a column's bins
+//! skips empty bins, whose left sums equal the bin before's and so repeat
+//! a gain that strict `>` has already seen, and stops at the first bin
+//! whose right side holds fewer than `min_samples_leaf` rows, since that
+//! side only shrinks. Nodes of at least `PAR_SPLIT_MIN_CELLS` rows ×
+//! columns fan the groups out over the pool; candidates are reduced in
+//! column order with strict `>` either way, so an exact tie goes to the
+//! earliest column and every tree is the same at any thread count.
 
 use crate::Dataset;
 use kyp_exec::Pool;
@@ -17,6 +38,9 @@ pub(crate) const MAX_BINS: usize = 64;
 /// Below this `rows × columns` volume a node's split search stays serial:
 /// spawning scoped workers costs more than scanning the histograms.
 const PAR_SPLIT_MIN_CELLS: usize = 1 << 15;
+
+/// Columns whose histograms one pass over a node's rows fills.
+const GROUP: usize = 4;
 
 /// Parameters controlling a single tree fit.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -111,8 +135,8 @@ impl RegressionTree {
 
     /// Fits a tree to gradients/hessians over the given row set.
     /// `columns` optionally restricts the features considered; `pool`
-    /// parallelises the per-feature histogram scan on large nodes (the
-    /// chosen split is bit-identical at any thread count).
+    /// parallelises the split search on large nodes (the tree is
+    /// bit-identical at any thread count).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fit_with_grad(
         binned: &BinnedMatrix,
@@ -123,153 +147,29 @@ impl RegressionTree {
         columns: Option<&[usize]>,
         pool: &Pool,
     ) -> Self {
-        let mut tree = RegressionTree { nodes: Vec::new() };
-        let all_columns: Vec<usize>;
-        let cols = if let Some(c) = columns {
-            c
-        } else {
-            all_columns = (0..binned.n_features).collect();
-            &all_columns
+        // A column constant over the training set has no threshold, so it
+        // can never split.
+        let splittable = |&f: &usize| !binned.thresholds[f].is_empty();
+        let cols = match columns {
+            Some(c) => c.iter().copied().filter(splittable).collect(),
+            None => (0..binned.n_features).filter(splittable).collect(),
         };
-        tree.build(binned, grads, hess, rows, params, cols, 0, pool);
-        tree
-    }
-
-    /// Recursively builds a subtree over `rows`, returning its node index.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &mut self,
-        binned: &BinnedMatrix,
-        grads: &[f64],
-        hess: &[f64],
-        rows: &mut [u32],
-        params: &TreeParams,
-        cols: &[usize],
-        depth: usize,
-        pool: &Pool,
-    ) -> usize {
-        let (g_total, h_total) = rows.iter().fold((0.0, 0.0), |(g, h), &r| {
-            (g + grads[r as usize], h + hess[r as usize])
-        });
-        let leaf_value = -g_total / (h_total + params.lambda);
-
-        if depth >= params.max_depth || rows.len() < 2 * params.min_samples_leaf {
-            return self.push(Node::Leaf { value: leaf_value });
-        }
-
-        let parent_score = g_total * g_total / (h_total + params.lambda);
-
-        // Per-column histogram scan, returning the column's best
-        // `(bin, gain)` candidate. Each column accumulates over `rows` in
-        // the same order whatever thread runs it, so candidates — and the
-        // reduction below — are bit-identical at any thread count.
-        let row_view: &[u32] = rows;
-        let scan_col = |f: usize| -> Option<(usize, usize, f64)> {
-            let n_bins = binned.thresholds[f].len() + 1;
-            if n_bins < 2 {
-                return None;
-            }
-            let mut hist_g = [0.0f64; MAX_BINS];
-            let mut hist_h = [0.0f64; MAX_BINS];
-            let mut hist_n = [0u32; MAX_BINS];
-            for &r in row_view {
-                let b = binned.bin(r as usize, f) as usize;
-                hist_g[b] += grads[r as usize];
-                hist_h[b] += hess[r as usize];
-                hist_n[b] += 1;
-            }
-            let (mut gl, mut hl, mut nl) = (0.0, 0.0, 0u32);
-            let mut best: Option<(usize, f64)> = None; // (bin, gain)
-                                                       // A split at bin b sends bins 0..=b left.
-            for b in 0..n_bins - 1 {
-                gl += hist_g[b];
-                hl += hist_h[b];
-                nl += hist_n[b];
-                let nr = row_view.len() as u32 - nl;
-                if (nl as usize) < params.min_samples_leaf
-                    || (nr as usize) < params.min_samples_leaf
-                {
-                    continue;
-                }
-                let (gr, hr) = (g_total - gl, h_total - hl);
-                if hl < params.min_child_weight || hr < params.min_child_weight {
-                    continue;
-                }
-                let gain =
-                    gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score;
-                if gain > best.map_or(1e-12, |(_, g)| g) {
-                    best = Some((b, gain));
-                }
-            }
-            best.map(|(b, g)| (f, b, g))
-        };
-
-        let candidates: Vec<Option<(usize, usize, f64)>> =
-            if pool.threads() > 1 && rows.len().saturating_mul(cols.len()) >= PAR_SPLIT_MIN_CELLS {
-                pool.par_map(cols, |&f| scan_col(f))
-            } else {
-                cols.iter().map(|&f| scan_col(f)).collect()
-            };
-
-        // Reduce in column order with the same strict-`>` rule the serial
-        // scan used, so exact gain ties resolve to the earliest column.
-        let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
-        for cand in candidates.into_iter().flatten() {
-            if cand.2 > best.map_or(1e-12, |(_, _, g)| g) {
-                best = Some(cand);
-            }
-        }
-
-        let Some((feature, bin, gain)) = best else {
-            return self.push(Node::Leaf { value: leaf_value });
-        };
-
-        // Partition rows: bin <= split bin goes left.
-        let mid = partition(rows, |r| binned.bin(r as usize, feature) as usize <= bin);
-        debug_assert!(mid > 0 && mid < rows.len());
-        let threshold = binned.thresholds[feature][bin];
-
-        let node_idx = self.push(Node::Split {
-            feature,
-            threshold,
-            left: usize::MAX,
-            right: usize::MAX,
-            gain,
-        });
-        let (left_rows, right_rows) = rows.split_at_mut(mid);
-        let left = self.build(
+        let mut grower = Grower {
             binned,
             grads,
             hess,
-            left_rows,
             params,
             cols,
-            depth + 1,
             pool,
-        );
-        let right = self.build(
-            binned,
-            grads,
-            hess,
-            right_rows,
-            params,
-            cols,
-            depth + 1,
-            pool,
-        );
-        if let Node::Split {
-            left: l, right: r, ..
-        } = &mut self.nodes[node_idx]
-        {
-            *l = left;
-            *r = right;
+            nodes: Vec::new(),
+            gh: Vec::with_capacity(rows.len()),
+            hist: [[Slot::default(); MAX_BINS]; GROUP],
+            spill: Vec::with_capacity(rows.len()),
+        };
+        grower.build(rows, 0);
+        RegressionTree {
+            nodes: grower.nodes,
         }
-        node_idx
-    }
-
-    fn push(&mut self, node: Node) -> usize {
-        self.nodes.push(node);
-        self.nodes.len() - 1
     }
 
     /// Structural validation for trees deserialized from untrusted
@@ -429,30 +329,247 @@ impl RegressionTree {
     }
 }
 
-/// Stable-order in-place partition; returns the number of elements
-/// satisfying the predicate (moved to the front).
-fn partition<F: Fn(u32) -> bool>(rows: &mut [u32], pred: F) -> usize {
-    // Simple two-buffer approach preserving relative order.
-    let mut left = Vec::with_capacity(rows.len());
-    let mut right = Vec::with_capacity(rows.len());
-    for &r in rows.iter() {
-        if pred(r) {
-            left.push(r);
+/// One histogram bin: the gradient and hessian sums of the rows that fall
+/// in it, and their count.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    g: f64,
+    h: f64,
+    n: u32,
+}
+
+/// The histograms of one column group.
+type Histograms = [[Slot; MAX_BINS]; GROUP];
+
+/// What a node's split search reads.
+struct NodeStats<'a> {
+    rows: &'a [u32],
+    /// The rows' `(g, h)` pairs, in row order.
+    gh: &'a [(f64, f64)],
+    g_total: f64,
+    h_total: f64,
+    parent_score: f64,
+}
+
+/// One tree fit: the inputs every node reads, the nodes built so far and
+/// the scratch every node reuses.
+struct Grower<'a> {
+    binned: &'a BinnedMatrix,
+    grads: &'a [f64],
+    hess: &'a [f64],
+    params: &'a TreeParams,
+    /// The candidate columns that can split, in the caller's order.
+    cols: Vec<usize>,
+    pool: &'a Pool,
+    nodes: Vec<Node>,
+    /// The current node's `(g, h)` pairs, in row order.
+    gh: Vec<(f64, f64)>,
+    /// The serial split search's histograms.
+    hist: Histograms,
+    /// The rows a partition sends right, until they are copied back.
+    spill: Vec<u32>,
+}
+
+impl Grower<'_> {
+    /// Recursively builds a subtree over `rows`, returning its node index.
+    fn build(&mut self, rows: &mut [u32], depth: usize) -> usize {
+        let params = self.params;
+        self.gh.clear();
+        self.gh.extend(
+            rows.iter()
+                .map(|&r| (self.grads[r as usize], self.hess[r as usize])),
+        );
+        let (g_total, h_total) = self
+            .gh
+            .iter()
+            .fold((0.0, 0.0), |(g, h), &(dg, dh)| (g + dg, h + dh));
+        let leaf_value = -g_total / (h_total + params.lambda);
+
+        if depth >= params.max_depth || rows.len() < 2 * params.min_samples_leaf {
+            return self.push(Node::Leaf { value: leaf_value });
+        }
+
+        let node = NodeStats {
+            rows,
+            gh: &self.gh,
+            g_total,
+            h_total,
+            parent_score: g_total * g_total / (h_total + params.lambda),
+        };
+        let (binned, hist) = (self.binned, &mut self.hist);
+        let groups = self.cols.chunks(GROUP);
+        let candidates: Vec<Option<(usize, usize, f64)>> = if self.pool.threads() > 1
+            && rows.len().saturating_mul(self.cols.len()) >= PAR_SPLIT_MIN_CELLS
+        {
+            let groups: Vec<&[usize]> = groups.collect();
+            self.pool.par_map(&groups, |group| {
+                let mut hist = [[Slot::default(); MAX_BINS]; GROUP];
+                scan_group(binned, params, &node, group, &mut hist)
+            })
         } else {
-            right.push(r);
+            groups
+                .map(|group| scan_group(binned, params, &node, group, hist))
+                .collect()
+        };
+        let Some((feature, bin, gain)) = candidates.into_iter().flatten().reduce(first_max) else {
+            return self.push(Node::Leaf { value: leaf_value });
+        };
+
+        let mid = partition(rows, binned.feature_bins(feature), bin, &mut self.spill);
+        debug_assert!(mid > 0 && mid < rows.len());
+        let node_idx = self.push(Node::Split {
+            feature,
+            threshold: binned.thresholds[feature][bin],
+            left: usize::MAX,
+            right: usize::MAX,
+            gain,
+        });
+        let (left_rows, right_rows) = rows.split_at_mut(mid);
+        let left = self.build(left_rows, depth + 1);
+        let right = self.build(right_rows, depth + 1);
+        if let Node::Split {
+            left: l, right: r, ..
+        } = &mut self.nodes[node_idx]
+        {
+            *l = left;
+            *r = right;
+        }
+        node_idx
+    }
+
+    fn push(&mut self, node: Node) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+}
+
+/// The earlier of two `(feature, bin, gain)` candidates unless the later
+/// one's gain is strictly larger: folded in column order, an exact tie
+/// goes to the earliest column.
+fn first_max(best: (usize, usize, f64), cand: (usize, usize, f64)) -> (usize, usize, f64) {
+    if cand.2 > best.2 {
+        cand
+    } else {
+        best
+    }
+}
+
+/// Fills the histograms of `group`'s columns (at most [`GROUP`]) in one
+/// pass over the node's rows and returns the group's best
+/// `(feature, bin, gain)`.
+fn scan_group(
+    binned: &BinnedMatrix,
+    params: &TreeParams,
+    node: &NodeStats<'_>,
+    group: &[usize],
+    hist: &mut Histograms,
+) -> Option<(usize, usize, f64)> {
+    for (&f, slots) in group.iter().zip(hist.iter_mut()) {
+        slots[..=binned.thresholds[f].len()].fill(Slot::default());
+    }
+    let column = |k: usize| binned.feature_bins(group[k]);
+    match group.len() {
+        4 => fill::<4>(std::array::from_fn(column), node, hist),
+        3 => fill::<3>(std::array::from_fn(column), node, hist),
+        2 => fill::<2>(std::array::from_fn(column), node, hist),
+        _ => fill::<1>(std::array::from_fn(column), node, hist),
+    }
+    group
+        .iter()
+        .zip(hist.iter())
+        .filter_map(|(&f, slots)| {
+            let (bin, gain) = best_bin(&slots[..=binned.thresholds[f].len()], params, node)?;
+            Some((f, bin, gain))
+        })
+        .reduce(first_max)
+}
+
+/// Adds every row's `(g, h)` to its bin in each of `W` columns, rows in
+/// order, so each bin's sums are the ones a scan of its column alone
+/// would make.
+fn fill<const W: usize>(columns: [&[u8]; W], node: &NodeStats<'_>, hist: &mut Histograms) {
+    for (&r, &(g, h)) in node.rows.iter().zip(node.gh) {
+        for (column, slots) in columns.iter().zip(hist.iter_mut()) {
+            let slot = &mut slots[usize::from(column[r as usize])];
+            slot.g += g;
+            slot.h += h;
+            slot.n += 1;
         }
     }
-    let mid = left.len();
-    rows[..mid].copy_from_slice(&left);
-    rows[mid..].copy_from_slice(&right);
+}
+
+/// The best split of one column's histogram: the `(bin, gain)` whose
+/// split sends bins `0..=bin` left, with the largest gain above `1e-12`
+/// and the lowest bin among equal gains.
+fn best_bin(slots: &[Slot], params: &TreeParams, node: &NodeStats<'_>) -> Option<(usize, f64)> {
+    let n = node.rows.len() as u32;
+    let (mut gl, mut hl, mut nl) = (0.0, 0.0, 0u32);
+    let mut best: Option<(usize, f64)> = None;
+    // The last bin cannot split: it would send every row left.
+    let (_, splits) = slots.split_last()?;
+    for (b, slot) in splits.iter().enumerate() {
+        // An empty bin leaves the left sums as they were, so its gain would
+        // repeat one already weighed.
+        if slot.n == 0 {
+            continue;
+        }
+        gl += slot.g;
+        hl += slot.h;
+        nl += slot.n;
+        let nr = n - nl;
+        // The right side only shrinks from here.
+        if (nr as usize) < params.min_samples_leaf {
+            break;
+        }
+        if (nl as usize) < params.min_samples_leaf {
+            continue;
+        }
+        let (gr, hr) = (node.g_total - gl, node.h_total - hl);
+        if hl < params.min_child_weight || hr < params.min_child_weight {
+            continue;
+        }
+        let gain =
+            gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - node.parent_score;
+        if gain > best.map_or(1e-12, |(_, g)| g) {
+            best = Some((b, gain));
+        }
+    }
+    best
+}
+
+/// Moves the rows whose bin in `column` is at most `bin` to the front,
+/// keeping both sides in row order, and returns how many there are.
+/// `spill` holds the other side meanwhile.
+fn partition(rows: &mut [u32], column: &[u8], bin: usize, spill: &mut Vec<u32>) -> usize {
+    spill.clear();
+    let mut mid = 0;
+    for i in 0..rows.len() {
+        let r = rows[i];
+        if usize::from(column[r as usize]) <= bin {
+            rows[mid] = r;
+            mid += 1;
+        } else {
+            spill.push(r);
+        }
+    }
+    rows[mid..].copy_from_slice(spill);
     mid
 }
 
 /// A dataset pre-binned into quantile bins.
+///
+/// Bins are stored column-major: feature `f`'s bin indices are one
+/// contiguous `[u8]` in row order ([`feature_bins`](Self::feature_bins)). A node's
+/// split search reads each column it scans from that one run, at the
+/// node's rows; with `r` rows and `c` columns that can split it makes
+/// `r × c` histogram adds in `⌈c / 4⌉` passes over the rows, and walks at
+/// most `c × MAX_BINS` bins.
 #[derive(Debug, Clone)]
 pub(crate) struct BinnedMatrix {
     pub n_features: usize,
-    /// Row-major bin indices.
+    n_rows: usize,
+    /// Column-major bin indices: feature `f`'s are
+    /// `bins[f * n_rows..(f + 1) * n_rows]`.
     bins: Vec<u8>,
     /// Per feature: sorted candidate thresholds; bin `b` holds values
     /// `thresholds[b-1] < x <= thresholds[b]` (bin `len` holds the rest).
@@ -464,11 +581,14 @@ impl BinnedMatrix {
         let n = data.len();
         let f_count = data.n_features();
         let mut thresholds = Vec::with_capacity(f_count);
+        let mut bins = Vec::with_capacity(n * f_count);
+        let mut values = Vec::with_capacity(n);
         let mut col = Vec::with_capacity(n);
         for f in 0..f_count {
-            col.clear();
-            col.extend((0..n).map(|i| data.row(i)[f]));
-            col.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            values.clear();
+            values.extend((0..n).map(|i| data.row(i)[f]));
+            col.clone_from(&values);
+            col.sort_by(|a: &f64, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             col.dedup();
             let distinct = col.len();
             let mut th: Vec<f64> = Vec::new();
@@ -487,31 +607,31 @@ impl BinnedMatrix {
                     }
                 }
             }
+            bins.extend(values.iter().map(|x| th.partition_point(|t| *x > *t) as u8));
             thresholds.push(th);
-        }
-        let mut bins = vec![0u8; n * f_count];
-        for i in 0..n {
-            let row = data.row(i);
-            for f in 0..f_count {
-                let b = thresholds[f].partition_point(|t| row[f] > *t);
-                bins[i * f_count + f] = b as u8;
-            }
         }
         BinnedMatrix {
             n_features: f_count,
+            n_rows: n,
             bins,
             thresholds,
         }
     }
 
+    /// Feature `feature`'s bin indices, in row order.
+    #[inline]
+    pub fn feature_bins(&self, feature: usize) -> &[u8] {
+        &self.bins[feature * self.n_rows..(feature + 1) * self.n_rows]
+    }
+
     #[inline]
     pub fn bin(&self, row: usize, feature: usize) -> u8 {
-        self.bins[row * self.n_features + feature]
+        self.bins[feature * self.n_rows + row]
     }
 
     /// Number of binned rows.
     pub fn n_rows(&self) -> usize {
-        self.bins.len().checked_div(self.n_features).unwrap_or(0)
+        self.n_rows
     }
 }
 
@@ -593,11 +713,15 @@ mod tests {
 
     #[test]
     fn partition_preserves_predicate() {
-        let mut rows: Vec<u32> = (0..100).collect();
-        let mid = partition(&mut rows, |r| r % 3 == 0);
-        assert!(rows[..mid].iter().all(|r| r % 3 == 0));
-        assert!(rows[mid..].iter().all(|r| r % 3 != 0));
+        let mut rows: Vec<u32> = (0..100).rev().collect();
+        let column: Vec<u8> = (0..100).map(|r| u8::from(r % 3 != 0)).collect();
+        let mut spill = vec![7];
+        let mid = partition(&mut rows, &column, 0, &mut spill);
         assert_eq!(mid, 34);
+        // Both sides keep their rows' order.
+        let side = |left: bool| (0..100u32).rev().filter(move |r| (r % 3 == 0) == left);
+        let want: Vec<u32> = side(true).chain(side(false)).collect();
+        assert_eq!(rows, want);
     }
 
     #[test]
@@ -637,17 +761,34 @@ mod tests {
         }
     }
 
-    /// The parallel per-column split search must choose the same tree as
-    /// the serial scan, bit for bit.
+    /// The parallel split search must build the same tree as the serial
+    /// one, bit for bit.
     #[test]
     fn parallel_split_search_builds_identical_tree() {
-        // 6000 × 8 = 48k cells: above PAR_SPLIT_MIN_CELLS, so the root
-        // node takes the parallel scan path on multi-thread pools.
-        let mut d = Dataset::new(8);
+        // 6000 rows × 14 columns, one of them constant: the root's 78k
+        // cells are above PAR_SPLIT_MIN_CELLS, in four column groups (the
+        // last of one column), so multi-thread pools scan the root and its
+        // larger children in parallel.
+        const ROWS: usize = 6000;
+        const COLS: usize = 14;
+        const {
+            assert!(ROWS * (COLS - 1) >= PAR_SPLIT_MIN_CELLS);
+            assert!((COLS - 1).div_ceil(GROUP) >= 3);
+        }
+        let mut d = Dataset::new(COLS);
         let mut t = Vec::new();
-        for i in 0..6000 {
-            let row: Vec<f64> = (0..8).map(|f| ((i * (f + 3)) % 101) as f64).collect();
-            t.push(row[2] - row[5] * 0.5);
+        for i in 0..ROWS {
+            // Column f takes 7 + 13f distinct values; column 5 takes one.
+            let row: Vec<f64> = (0..COLS)
+                .map(|f| {
+                    if f == 5 {
+                        1.0
+                    } else {
+                        ((i * (f + 3)) % (7 + 13 * f)) as f64
+                    }
+                })
+                .collect();
+            t.push(row[2] - row[9] * 0.5 + row[13] * 0.01);
             d.push_row(&row, false);
         }
         let binned = BinnedMatrix::build(&d);
@@ -659,7 +800,7 @@ mod tests {
         };
         let fit = |threads: usize| {
             let mut rows: Vec<u32> = (0..d.len() as u32).collect();
-            RegressionTree::fit_with_grad(
+            let tree = RegressionTree::fit_with_grad(
                 &binned,
                 &grads,
                 &hess,
@@ -667,18 +808,13 @@ mod tests {
                 &params,
                 None,
                 &Pool::new(threads),
-            )
+            );
+            serde_json::to_string(&tree).unwrap()
         };
         let serial = fit(1);
+        assert!(serial.matches("Split").count() > 10, "{serial}");
         for threads in [2, 8] {
-            let par = fit(threads);
-            assert_eq!(serial.node_count(), par.node_count());
-            for i in 0..d.len() {
-                assert_eq!(
-                    serial.predict(d.row(i)).to_bits(),
-                    par.predict(d.row(i)).to_bits()
-                );
-            }
+            assert_eq!(serial, fit(threads), "{threads} threads");
         }
     }
 

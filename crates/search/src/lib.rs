@@ -56,6 +56,7 @@
 use kyp_text::for_each_term;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One search result: a registered domain with its relevance score.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,9 +82,16 @@ struct DocInfo {
 /// An inverted-index search engine over indexed pages.
 ///
 /// See the [crate docs](crate) for the role this plays, an example and
-/// what each call costs.
+/// what each call costs. Clones share one index: a clone is a reference
+/// count bump, and indexing into a shared engine copies the index first.
 #[derive(Debug, Clone, Default)]
 pub struct SearchEngine {
+    index: Arc<Index>,
+}
+
+/// The index behind a [`SearchEngine`].
+#[derive(Debug, Clone, Default)]
+struct Index {
     docs: Vec<DocInfo>,
     /// term → (document id, term frequency) postings, where the term
     /// frequency is the term's count in the document. Hash maps are fine
@@ -107,8 +115,9 @@ impl SearchEngine {
     /// Indexes one page: its RDN, mld and searchable text (title, body,
     /// domain terms — whatever the caller deems visible to a crawler).
     pub fn index_page(&mut self, rdn: &str, mld: &str, text: &str) {
-        let id = self.docs.len() as u32;
-        let postings = &mut self.postings;
+        let index = Arc::make_mut(&mut self.index);
+        let id = index.docs.len() as u32;
+        let postings = &mut index.postings;
         // Σ tf² over the page's terms, in integers: an occurrence that
         // takes a term's count from t to t + 1 adds 2t + 1. Exact, and
         // the same f64 as a float sum of the squares below 2^53.
@@ -138,19 +147,19 @@ impl SearchEngine {
         for_each_term(text, &mut scratch, &mut count);
         for_each_term(rdn, &mut scratch, &mut count);
         let norm = (squares as f64).sqrt().max(1.0);
-        let site = if let Some(&first) = self.by_rdn.get(rdn) {
+        let site = if let Some(&first) = index.by_rdn.get(rdn) {
             first
         } else {
-            self.by_rdn.insert(rdn.to_owned(), id);
+            index.by_rdn.insert(rdn.to_owned(), id);
             id
         };
-        match self.by_mld.get_mut(mld) {
+        match index.by_mld.get_mut(mld) {
             Some(docs) => docs.push(id),
             None => {
-                self.by_mld.insert(mld.to_owned(), vec![id]);
+                index.by_mld.insert(mld.to_owned(), vec![id]);
             }
         }
-        self.docs.push(DocInfo {
+        index.docs.push(DocInfo {
             rdn: rdn.to_owned(),
             mld: mld.to_owned(),
             norm,
@@ -160,23 +169,23 @@ impl SearchEngine {
 
     /// Number of indexed pages.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.index.docs.len()
     }
 
     /// `true` when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.index.docs.is_empty()
     }
 
     /// Inverse document frequency of a term found in `df` documents.
     fn idf(&self, df: usize) -> f64 {
         let df = df as f64;
-        let n = self.docs.len() as f64;
+        let n = self.index.docs.len() as f64;
         ((1.0 + n) / (1.0 + df)).ln() + 1.0
     }
 
     fn hit(&self, doc: u32, score: f64) -> SearchHit {
-        let info = &self.docs[doc as usize];
+        let info = &self.index.docs[doc as usize];
         SearchHit {
             rdn: info.rdn.clone(),
             mld: info.mld.clone(),
@@ -194,10 +203,10 @@ impl SearchEngine {
         // query-term order, then posting order, so each sum is the same
         // f64 whatever the container. A share is tf · idf² ≥ 1, so a zero
         // score marks a document no term has touched yet.
-        let mut scores = vec![0.0_f64; self.docs.len()];
+        let mut scores = vec![0.0_f64; self.index.docs.len()];
         let mut touched: Vec<u32> = Vec::new();
         for term in terms {
-            let Some(post) = self.postings.get(term.as_str()) else {
+            let Some(post) = self.index.postings.get(term.as_str()) else {
                 continue;
             };
             let idf = self.idf(post.len());
@@ -210,10 +219,10 @@ impl SearchEngine {
             }
         }
         // Keep each RDN's best document, indexed by the RDN's site.
-        let mut best = vec![u32::MAX; self.docs.len()];
+        let mut best = vec![u32::MAX; self.index.docs.len()];
         let mut ranked: Vec<u32> = Vec::new();
         for &doc in &touched {
-            let info = &self.docs[doc as usize];
+            let info = &self.index.docs[doc as usize];
             scores[doc as usize] /= info.norm;
             let held = &mut best[info.site as usize];
             if *held == u32::MAX {
@@ -234,7 +243,11 @@ impl SearchEngine {
             scores[*b as usize]
                 .partial_cmp(&scores[*a as usize])
                 .unwrap_or(Ordering::Equal)
-                .then_with(|| self.docs[*a as usize].rdn.cmp(&self.docs[*b as usize].rdn))
+                .then_with(|| {
+                    self.index.docs[*a as usize]
+                        .rdn
+                        .cmp(&self.index.docs[*b as usize].rdn)
+                })
         };
         let take = k.max(1);
         if ranked.len() > take {
@@ -262,12 +275,12 @@ impl SearchEngine {
         let suffixes =
             std::iter::successors(Some(guess.as_str()), |s| s.split_once('.').map(|(_, t)| t));
         let mut lists: Vec<&[u32]> = suffixes
-            .filter_map(|rdn| self.by_rdn.get(rdn))
+            .filter_map(|rdn| self.index.by_rdn.get(rdn))
             .map(std::slice::from_ref)
             .chain(
                 [guess_mld, guess.as_str()]
                     .into_iter()
-                    .filter_map(|mld| self.by_mld.get(mld))
+                    .filter_map(|mld| self.index.by_mld.get(mld))
                     .map(Vec::as_slice),
             )
             .collect();
@@ -282,7 +295,7 @@ impl SearchEngine {
                     }
                 }
             }
-            let info = &self.docs[doc as usize];
+            let info = &self.index.docs[doc as usize];
             if hits.iter().any(|h| h.rdn == info.rdn) {
                 continue;
             }
@@ -415,6 +428,29 @@ mod tests {
     fn query_domain_trailing_dot_and_case() {
         let e = engine();
         assert_eq!(e.query_domain("PayPal.COM.", 3).len(), 1);
+    }
+
+    #[test]
+    fn clones_share_the_index_until_one_indexes() {
+        let mut a = engine();
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.index, &b.index));
+        let terms: Vec<String> = vec!["bank".into(), "online".into(), "sun".into()];
+        assert_eq!(a.query(&terms, 5), b.query(&terms, 5));
+        assert_eq!(
+            a.query_domain("paypal.net", 5),
+            b.query_domain("paypal.net", 5)
+        );
+        let before = (b.query(&terms, 5), b.query_domain("sunbank.com", 5));
+        a.index_page("sunbank.com", "sunbank", "sun bank online");
+        assert!(!Arc::ptr_eq(&a.index, &b.index));
+        assert_eq!((a.len(), b.len()), (4, 3));
+        assert_ne!(a.query(&terms, 5), before.0);
+        assert_eq!(
+            (b.query(&terms, 5), b.query_domain("sunbank.com", 5)),
+            before
+        );
+        assert_eq!(a.query_domain("sunbank.com", 5)[0].rdn, "sunbank.com");
     }
 
     #[test]
